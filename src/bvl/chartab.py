@@ -100,22 +100,13 @@ def _poly_divmod(f: list[int], g: list[int], p: int) -> tuple[list[int], list[in
     return _poly_trim(q), _poly_trim(f)
 
 
-def _poly_mulmod(a: list[int], b: list[int], mod: list[int], p: int) -> list[int]:
-    prod = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                prod[i + j] = (prod[i + j] + x * y) % p
-    return _poly_divmod(prod, mod, p)[1]
-
-
 def _poly_powmod(base: list[int], e: int, mod: list[int], p: int) -> list[int]:
     result = [1]
     base = _poly_divmod(base, mod, p)[1]
     while e:
         if e & 1:
-            result = _poly_mulmod(result, base, mod, p)
-        base = _poly_mulmod(base, base, mod, p)
+            result = _poly_divmod(_poly_mul(result, base, p), mod, p)[1]
+        base = _poly_divmod(_poly_mul(base, base, p), mod, p)[1]
         e >>= 1
     return result
 
@@ -307,17 +298,7 @@ class CharacterTable:
 
 def class_matrix(classdata: ClassData, i: int) -> list[list[int]]:
     """Matrix A with A[j][l] = #{(x, y) in C_i x C_j : x*y = z_l} for fixed z_l."""
-    classes = classdata.classes
-    cmap = classdata.class_map
-    k = len(classes)
-    reps = [c.representative for c in classes]
-    A = [[0] * k for _ in range(k)]
-    for x in cmap.elements_of(i):
-        x_inv = x.inverse()
-        for l in range(k):
-            j = cmap.class_of(x_inv * reps[l])
-            A[j][l] += 1
-    return A
+    return classdata.class_map.class_matrix(i)
 
 
 def class_mult_coefficient(G: PermGroup, ci: str, cj: str, ck: str) -> int:

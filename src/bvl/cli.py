@@ -2,7 +2,7 @@
 Beauville search/verify, generating-class search/verify, Zsigmondy parts.
 
 Exit codes: 0 success, 1 negative mathematical verdict, 2 usage error,
-3 capacity or internal-consistency error.  JSON output is byte-stable for a
+3 capacity error, 4 internal inconsistency.  JSON output is byte-stable for a
 fixed invocation and seed.
 """
 
@@ -38,6 +38,7 @@ EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
 EXIT_CAPACITY = 3
+EXIT_INTERNAL = 4
 
 
 def _json_bytes(payload: dict) -> str:
@@ -390,7 +391,7 @@ def run(argv) -> int:
         return EXIT_CAPACITY
     except TableError as exc:
         print(f"error: internal: {exc}", file=sys.stderr)
-        return EXIT_CAPACITY
+        return EXIT_INTERNAL
     except (DomainError, MembershipError, KeyError) as exc:
         print(f"error: usage: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -1,13 +1,17 @@
 """Permutation-group kernel: stabilizer chains, membership, conjugacy classes.
 
-Points are 1-based throughout the public surface; the image tuple of a
-permutation carries a fixed sentinel 0 in slot 0 so that composition needs
-no index shifting.  Products act left-to-right: (p * q) means apply p, then q.
+Points are 1-based throughout the public surface.  A permutation of degree n
+stores its images as n + 1 bytes with a fixed 0 in slot 0, so a product is
+one ``bytes.translate`` call and needs no index shifting.  Degrees above
+MAX_DEGREE (255) raise CapacityError.  Equal-length bytes sort like tuples of
+ints, so class labels and representatives do not depend on the storage.
+Products act left-to-right: (p * q) means apply p, then q.
 """
 
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 from math import gcd
 
@@ -19,6 +23,13 @@ FULL_ENUMERATION_BOUND = 2_000_000
 # Default hard cap for conjugacy-class computation.
 CLASS_ORDER_BOUND = 10_000_000
 
+# Largest degree whose points fit in one byte each.
+MAX_DEGREE = 255
+
+# The identity on every byte value: bytes.translate needs a 256-entry table,
+# so a right operand is padded with fixed points while an operation runs.
+_PAD = bytes(range(256))
+
 
 class CapacityError(RuntimeError):
     """Raised when a computation exceeds its configured size bound."""
@@ -28,8 +39,18 @@ class MembershipError(ValueError):
     """Raised when an element lies outside the group it is used with."""
 
 
+def _check_degree(degree: int) -> None:
+    if degree > MAX_DEGREE:
+        raise CapacityError(f"permutation degree must be <= {MAX_DEGREE}, got {degree}")
+
+
+def _pad(images: bytes) -> bytes:
+    """The translate table of a permutation: its images, then fixed points."""
+    return images + _PAD[len(images):]
+
+
 class Permutation:
-    """A permutation of {1..degree}, stored as an image tuple with images[0] = 0."""
+    """A permutation of {1..degree}, stored as image bytes with images[0] = 0."""
 
     __slots__ = ("images",)
 
@@ -38,19 +59,21 @@ class Permutation:
         if not data or data[0] != 0:
             data = (0,) + data
         n = len(data) - 1
+        _check_degree(n)
         if sorted(data[1:]) != list(range(1, n + 1)):
             raise ValueError(f"not a bijection of 1..{n}: {data[1:]}")
-        object.__setattr__(self, "images", data)
+        self.images = bytes(data)
 
     @classmethod
-    def _raw(cls, data: tuple[int, ...]) -> "Permutation":
+    def _raw(cls, data: bytes) -> "Permutation":
         p = object.__new__(cls)
-        object.__setattr__(p, "images", data)
+        p.images = data
         return p
 
     @classmethod
     def identity(cls, degree: int) -> "Permutation":
-        return cls._raw(tuple(range(degree + 1)))
+        _check_degree(degree)
+        return cls._raw(_PAD[: degree + 1])
 
     @classmethod
     def from_cycles(cls, degree: int, cycles) -> "Permutation":
@@ -69,15 +92,18 @@ class Permutation:
     def apply(self, point: int) -> int:
         return self.images[point]
 
+    # __mul__ and inverse inline _pad and _raw: they are the Schreier-Sims hot path.
     def __mul__(self, other: "Permutation") -> "Permutation":
         e = other.images
-        return Permutation._raw(tuple(e[x] for x in self.images))
+        p = object.__new__(Permutation)
+        p.images = self.images.translate(e + _PAD[len(e):])
+        return p
 
     def inverse(self) -> "Permutation":
-        data = [0] * len(self.images)
-        for i, j in enumerate(self.images):
-            data[j] = i
-        return Permutation._raw(tuple(data))
+        n = len(self.images)
+        p = object.__new__(Permutation)
+        p.images = bytes.maketrans(self.images, _PAD[:n])[:n]
+        return p
 
     def __pow__(self, k: int) -> "Permutation":
         if k < 0:
@@ -96,7 +122,7 @@ class Permutation:
         return g.inverse() * self * g
 
     def is_identity(self) -> bool:
-        return all(i == j for i, j in enumerate(self.images))
+        return self.images == _PAD[: len(self.images)]
 
     def cycles(self) -> list[tuple[int, ...]]:
         """Nontrivial cycles, each starting at its least point."""
@@ -281,6 +307,7 @@ class PermGroup:
             degree = d
         elif degree is None:
             raise ValueError("empty generator list needs an explicit degree")
+        _check_degree(degree)
         self.degree = degree
         self.generators = tuple(gens)
         self.name = name
@@ -378,7 +405,7 @@ class ClassMap:
         self.mode = mode
         self.classes = classes
         self.group = group
-        self._table: dict[tuple[int, ...], int] = {}
+        self._table: dict[bytes, int] = {}
         self._by_invariant: dict[tuple, list[int]] = {}
         self._elements_cache: dict[int, list[Permutation]] = {}
 
@@ -396,7 +423,7 @@ class ClassMap:
         if len(candidates) == 1:
             return candidates[0]
         reps = {self.classes[i].representative.images: i for i in candidates}
-        for images in _conjugation_orbit(self.group, g):
+        for images in _conjugation_orbit(self.group, g.images):
             if images in reps:
                 return reps[images]
         raise MembershipError("element is in no computed class")
@@ -415,9 +442,30 @@ class ClassMap:
             self._elements_cache = grouped
             return grouped[index]
         rep = self.classes[index].representative
-        elems = [Permutation._raw(images) for images in sorted(_conjugation_orbit(self.group, rep))]
+        elems = [
+            Permutation._raw(images)
+            for images in sorted(_conjugation_orbit(self.group, rep.images))
+        ]
         self._elements_cache[index] = elems
         return elems
+
+    def class_matrix(self, i: int) -> list[list[int]]:
+        """A[j][l] = #{x in class i : x^-1 * z_l in class j}, z_l the class representatives.
+
+        The x^-1 run over the class inverse to class i.  Needs the FULL table.
+        """
+        if self.mode != "FULL":
+            raise CapacityError("class matrices need a FULL class map")
+        table = self._table
+        inv = table[self.classes[i].representative.inverse().images]
+        x_invs = [x.images for x in self.elements_of(inv)]
+        k = len(self.classes)
+        A = [[0] * k for _ in range(k)]
+        for l, c in enumerate(self.classes):
+            z = _pad(c.representative.images)
+            for j, n in Counter([table[x.translate(z)] for x in x_invs]).items():
+                A[j][l] = n
+        return A
 
 
 @dataclass
@@ -435,40 +483,40 @@ class ClassData:
         return [c.label for c in self.classes]
 
 
-def _conjugation_orbit(G: PermGroup, g: Permutation) -> set[tuple[int, ...]]:
-    """Image tuples of the full conjugacy class of g, by generator closure."""
-    gens = [(s, s.inverse()) for s in G.generators]
-    seen = {g.images}
-    stack = [g]
+def _conjugation_orbit(G: PermGroup, images: bytes) -> set[bytes]:
+    """Image bytes of the full conjugacy class of images, by generator closure."""
+    gens = [(_pad(s.images), s.inverse().images) for s in G.generators]
+    seen = {images}
+    stack = [images]
     while stack:
-        x = stack.pop()
+        v = _pad(stack.pop())
         for s, s_inv in gens:
-            y = s_inv * x * s
-            if y.images not in seen:
-                seen.add(y.images)
-                stack.append(y)
+            w = s_inv.translate(v).translate(s)  # s^-1 * v * s
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
     return seen
 
 
-def _enumerate_elements(G: PermGroup) -> list[tuple[int, ...]]:
-    """Image tuples of every group element, by closure under the generators."""
-    ident = Permutation.identity(G.degree).images
+def _enumerate_elements(G: PermGroup) -> set[bytes]:
+    """Image bytes of every group element, by closure under the generators."""
+    ident = _PAD[: G.degree + 1]
     seen = {ident}
     frontier = [ident]
-    gens = [g.images for g in G.generators]
+    gens = [_pad(g.images) for g in G.generators]
     while frontier:
         nxt = []
         for v in frontier:
             for e in gens:
-                w = tuple(e[x] for x in v)
+                w = v.translate(e)
                 if w not in seen:
                     seen.add(w)
                     nxt.append(w)
         frontier = nxt
-    return sorted(seen)
+    return seen
 
 
-def _assign_labels(raw: list[tuple[int, tuple[int, ...], int]]) -> list[str]:
+def _assign_labels(raw: list[tuple[int, bytes, int]]) -> list[str]:
     """Labels like 5a, 5b from (element order, rep images, size) sort keys."""
     labels = []
     counters: dict[int, int] = {}
@@ -505,28 +553,19 @@ def conjugacy_classes(
 
 
 def _classes_full(G: PermGroup) -> ClassData:
-    elements = _enumerate_elements(G)
-    assert len(elements) == G.order
-    table: dict[tuple[int, ...], int] = {}
-    raw: list[tuple[int, tuple[int, ...], int]] = []  # (order, rep images, size)
-    gens = [(s.images, s.inverse().images) for s in G.generators]
-    for images in elements:
-        if images in table:
-            continue
-        idx = len(raw)
-        orbit = [images]
-        table[images] = idx
-        for v in orbit:
-            for s, s_inv in gens:
-                w = tuple(s[v[x]] for x in s_inv)  # s^-1 * v * s
-                if w not in table:
-                    table[w] = idx
-                    orbit.append(w)
-        raw.append((Permutation._raw(images).order(), images, len(orbit)))
+    remaining = _enumerate_elements(G)
+    assert len(remaining) == G.order
+    table: dict[bytes, int] = {}
+    raw: list[tuple[int, bytes, int]] = []  # (order, lex-least rep images, size)
+    while remaining:
+        orbit = _conjugation_orbit(G, remaining.pop())
+        remaining -= orbit
+        table.update(dict.fromkeys(orbit, len(raw)))
+        rep = min(orbit)
+        raw.append((Permutation._raw(rep).order(), rep, len(orbit)))
     assert sum(size for _, _, size in raw) == G.order
 
     # canonical order: element order, then size, then lex-least representative
-    # (the scan over sorted elements already makes each rep lex-least in its class)
     perm_order = sorted(range(len(raw)), key=lambda i: (raw[i][0], raw[i][2], raw[i][1]))
     sorted_raw = [raw[i] for i in perm_order]
     relabel = {old: new for new, old in enumerate(perm_order)}
@@ -552,7 +591,7 @@ def _classes_full(G: PermGroup) -> ClassData:
 
 def _classes_test(G: PermGroup, seed: int) -> ClassData:
     rng = random.Random(seed)
-    found: list[tuple[int, tuple[int, ...], int]] = []  # (order, lex-least rep, size)
+    found: list[tuple[int, bytes, int]] = []  # (order, lex-least rep, size)
     covered = 0
     attempts = 0
     ident = G.identity()
@@ -564,7 +603,7 @@ def _classes_test(G: PermGroup, seed: int) -> ClassData:
             raise CapacityError("class discovery did not converge")
         if any(_is_conjugate_to_rep(G, g, rep) for _, rep, _ in found):
             continue
-        orbit = _conjugation_orbit(G, g)
+        orbit = _conjugation_orbit(G, g.images)
         found.append((g.order(), min(orbit), len(orbit)))
         covered += len(orbit)
     assert covered == G.order
@@ -589,13 +628,13 @@ def _classes_test(G: PermGroup, seed: int) -> ClassData:
     return ClassData(classes=classes, class_map=cmap)
 
 
-def _is_conjugate_to_rep(G: PermGroup, g: Permutation, rep: tuple[int, ...]) -> bool:
+def _is_conjugate_to_rep(G: PermGroup, g: Permutation, rep: bytes) -> bool:
     if g.images == rep:
         return True
     r = Permutation._raw(rep)
     if g.order() != r.order() or g.cycle_type() != r.cycle_type():
         return False
-    return rep in _conjugation_orbit(G, g)
+    return rep in _conjugation_orbit(G, g.images)
 
 
 def _fill_power_maps(classes: list[ConjugacyClass], cmap: ClassMap) -> None:
@@ -625,4 +664,4 @@ def centralizer_order(G: PermGroup, g: Permutation) -> int:
     if G._classdata is not None:
         cd = G._classdata
         return G.order // cd.classes[cd.class_map.class_of(g)].size
-    return G.order // len(_conjugation_orbit(G, g))
+    return G.order // len(_conjugation_orbit(G, g.images))

@@ -13,6 +13,7 @@ from bvl.catalog import (
     parse_spec,
 )
 from bvl.numtheory import DomainError, is_prime_power
+from bvl.permgroup import CapacityError
 
 PSL2_PARAMS = (4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32, 37, 41, 43, 47, 49)
 
@@ -133,6 +134,18 @@ def test_load_group_file_rejects_bad_input(tmp_path):
         load_group_file(bad)
     with pytest.raises(DomainError, match="not found"):
         load_group_file(tmp_path / "missing.json")
+
+
+def test_load_group_file_degree_bound(tmp_path):
+    def cyclic_file(n):
+        path = tmp_path / f"c{n}.json"
+        cycle = list(range(2, n + 1)) + [1]
+        path.write_text(json.dumps({"name": f"C{n}", "degree": n, "generators": [cycle]}))
+        return path
+
+    assert load_group_file(cyclic_file(255)).order == 255
+    with pytest.raises(CapacityError):
+        load_group_file(cyclic_file(256))
 
 
 def test_data_dir_override(monkeypatch, tmp_path):

@@ -2,6 +2,7 @@ import json
 import subprocess
 import sys
 
+from bvl.chartab import TableError
 from bvl.cli import run
 
 
@@ -148,6 +149,23 @@ def test_bad_group_spec_usage_error(capsys):
 def test_capacity_exit_code(capsys):
     code, _, err = run_cli(["chartab", "--group", "A12"], capsys)
     assert code == 3 and "capacity" in err
+
+
+def test_degree_above_255_is_capacity_error(tmp_path, capsys):
+    path = tmp_path / "c256.json"
+    cycle = list(range(2, 257)) + [1]
+    path.write_text(json.dumps({"name": "C256", "degree": 256, "generators": [cycle]}))
+    code, _, err = run_cli(["group", "--group", f"file:{path}"], capsys)
+    assert code == 3 and "capacity" in err
+
+
+def test_internal_error_exit_code(monkeypatch, capsys):
+    def broken_table(G):
+        raise TableError("class matrices failed to split the class algebra")
+
+    monkeypatch.setattr("bvl.cli.character_table", broken_table)
+    code, _, err = run_cli(["chartab", "--group", "A5"], capsys)
+    assert code == 4 and "error: internal:" in err
 
 
 def test_search_budget_exit_code(capsys):

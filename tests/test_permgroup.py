@@ -1,10 +1,14 @@
+import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bvl.permgroup as pg
 from bvl.catalog import build_group, load_group_file
 from bvl.permgroup import (
+    MAX_DEGREE,
     CapacityError,
     MembershipError,
     Permutation,
@@ -30,6 +34,63 @@ def test_permutation_basics():
     assert cyc(6, (1, 2), (3, 4, 5)).order() == 6
     assert p**3 == Permutation.identity(5)
     assert p**-1 == p.inverse()
+
+
+# plain-list reference: 1-based image lists, products act left to right
+
+
+def _ref_mul(a, b):
+    return [b[x - 1] for x in a]
+
+
+def _ref_inverse(a):
+    out = [0] * len(a)
+    for i, x in enumerate(a, 1):
+        out[x - 1] = i
+    return out
+
+
+def _ref_cycles(a):
+    seen = set()
+    out = []
+    for start in range(1, len(a) + 1):
+        if start in seen or a[start - 1] == start:
+            continue
+        cyc = []
+        j = start
+        while j not in seen:
+            seen.add(j)
+            cyc.append(j)
+            j = a[j - 1]
+        out.append(tuple(cyc))
+    return out
+
+
+same_degree_perms = st.integers(1, MAX_DEGREE).flatmap(
+    lambda n: st.lists(st.permutations(range(1, n + 1)), min_size=2, max_size=6)
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(same_degree_perms, st.integers(-5, 5))
+def test_permutation_kernel_matches_list_reference(perms, k):
+    a, b = perms[0], perms[1]
+    p, q = Permutation(a), Permutation(b)
+    assert (p * q).to_list() == _ref_mul(a, b)
+    assert p.inverse().to_list() == _ref_inverse(a)
+    power = list(range(1, len(a) + 1))
+    for _ in range(abs(k)):
+        power = _ref_mul(power, a if k > 0 else _ref_inverse(a))
+    assert (p**k).to_list() == power
+    assert p.conjugate_by(q).to_list() == _ref_mul(_ref_mul(_ref_inverse(b), a), b)
+    cycles = _ref_cycles(a)
+    assert p.cycles() == cycles
+    assert p.order() == math.lcm(*map(len, cycles))
+    # class labels and representatives rely on bytes sorting like int tuples
+    elems = [Permutation(x) for x in perms]
+    by_bytes = sorted(elems, key=lambda e: e.images)
+    by_tuple = sorted(elems, key=lambda e: tuple(e.images))
+    assert [e.images for e in by_bytes] == [e.images for e in by_tuple]
 
 
 def test_permutation_rejects_non_bijection():
