@@ -1,9 +1,9 @@
 """Building catalog groups and reading off their conjugacy-class data.
 
 Every group is a permutation group with a stabilizer chain: exact order,
-fast membership, and deterministic construction.  Conjugacy classes come
-with canonical labels (element order + letter), power-map links, and the
-class equation as a completeness certificate.
+fast membership, and deterministic construction.  Conjugacy classes carry
+canonical labels (element order + letter) and power-map links; they
+come from enumerating the whole group, so the class equation sums to |G|.
 """
 
 from bvl.catalog import build_group, load_group_file

@@ -12,7 +12,7 @@ conjugation makes this lossless).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
@@ -60,8 +60,6 @@ class BeauvilleCertificate:
     sigma_classes: list[list[str]]
     hyperbolic: list[bool]
     seed: int
-    generation_orders: list[int] = field(default_factory=list)
-    budget_used: int = 0
 
     def to_json_dict(self) -> dict:
         return {
@@ -206,7 +204,6 @@ def verify_beauville(
         sigma_classes=[list(s1.covered_labels), list(s2.covered_labels)],
         hyperbolic=hyper,
         seed=seed,
-        generation_orders=[G.order, G.order],
     )
     return cert, None
 
@@ -386,7 +383,6 @@ def search_beauville(
         )
         if cert is None:
             raise RuntimeError(f"search produced a non-verifying pair: {reason}")
-        cert.budget_used = searcher.pair_tests
         return SearchResult(
             status=STATUS_CERTIFICATE,
             certificate=cert,

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 from math import gcd
 from pathlib import Path
 
-from .numtheory import DomainError, is_prime_power
-from .permgroup import PermGroup, Permutation, bsgs_construct
+from .numtheory import DomainError, is_prime_power, poly_divmod
+from .permgroup import PermGroup, Permutation
 
 ALT_RANGE = (3, 12)
 SYM_RANGE = (3, 12)
@@ -140,22 +140,6 @@ class GF:
         return [self.p**i for i in range(self.f)]
 
 
-def _poly_divmod(num: list[int], den: list[int], p: int) -> tuple[list[int], list[int]]:
-    num = list(num)
-    dl = len(den) - 1
-    inv_lead = pow(den[-1], -1, p)
-    quot = [0] * max(1, len(num) - dl)
-    for i in range(len(num) - 1, dl - 1, -1):
-        c = num[i] * inv_lead % p
-        if c:
-            quot[i - dl] = c
-            for j, m in enumerate(den):
-                num[i - dl + j] = (num[i - dl + j] - c * m) % p
-    while len(num) > 1 and num[-1] == 0:
-        num.pop()
-    return quot, num
-
-
 def _find_irreducible(p: int, f: int) -> list[int]:
     """Least monic irreducible of degree f over F_p, as coefficient list."""
     if f == 1:
@@ -178,7 +162,7 @@ def _find_irreducible(p: int, f: int) -> list[int]:
         cand = coeffs + [1]
         if cand[0] == 0:
             continue
-        if all(_poly_divmod(cand, g, p)[1] != [0] for g in lower):
+        if all(poly_divmod(cand, g, p)[1] != [0] for g in lower):
             return cand
     raise ArithmeticError(f"no irreducible of degree {f} over F_{p}")
 
@@ -214,7 +198,7 @@ def _psl2_group(q: int) -> PermGroup:
     for t in F.basis():
         gens.append(matrix_to_perm((1, t, 0, 1)))
         gens.append(matrix_to_perm((1, 0, t, 1)))
-    return bsgs_construct(gens, degree=q + 1, name=f"L2:{q}")
+    return PermGroup(gens, degree=q + 1, name=f"L2:{q}")
 
 
 def _psl3_group(q: int) -> PermGroup:
@@ -254,7 +238,7 @@ def _psl3_group(q: int) -> PermGroup:
                 m = [[1 if i == j else 0 for j in range(3)] for i in range(3)]
                 m[r][s] = t
                 gens.append(matrix_to_perm(m))
-    return bsgs_construct(gens, degree=q * q + q + 1, name=f"L3:{q}")
+    return PermGroup(gens, degree=q * q + q + 1, name=f"L3:{q}")
 
 
 def _alternating_group(n: int) -> PermGroup:
@@ -266,7 +250,7 @@ def _alternating_group(n: int) -> PermGroup:
             Permutation.from_cycles(n, [(1, 2, 3)]),
             Permutation.from_cycles(n, [long_cycle]),
         ]
-    return bsgs_construct(gens, degree=n, name=f"A{n}")
+    return PermGroup(gens, degree=n, name=f"A{n}")
 
 
 def _symmetric_group(n: int) -> PermGroup:
@@ -274,7 +258,7 @@ def _symmetric_group(n: int) -> PermGroup:
         Permutation.from_cycles(n, [(1, 2)]),
         Permutation.from_cycles(n, [tuple(range(1, n + 1))]),
     ]
-    return bsgs_construct(gens, degree=n, name=f"S{n}")
+    return PermGroup(gens, degree=n, name=f"S{n}")
 
 
 def data_dir() -> Path:
@@ -283,6 +267,11 @@ def data_dir() -> Path:
     if env:
         return Path(env)
     return Path(__file__).parent / "data"
+
+
+def _is_int(x) -> bool:
+    """A JSON integer: bool is an int subclass, so true/false are refused here."""
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def load_group_file(path: str | Path) -> PermGroup:
@@ -302,20 +291,26 @@ def load_group_file(path: str | Path) -> PermGroup:
         raise DomainError(f"group file not found: {path}") from None
     except json.JSONDecodeError as exc:
         raise DomainError(f"group file {path}: invalid JSON ({exc})") from None
+    if not isinstance(payload, dict):
+        raise DomainError(f"group file {path}: expected a JSON object")
     for key in ("name", "degree", "generators"):
         if key not in payload:
             raise DomainError(f"group file {path}: missing field {key!r}")
     degree = payload["degree"]
-    if not isinstance(degree, int) or degree < 1:
+    if not _is_int(degree) or degree < 1:
         raise DomainError(f"group file {path}: bad degree {degree!r}")
+    if not isinstance(payload["generators"], list):
+        raise DomainError(f"group file {path}: generators must be a list")
     gens = []
     for idx, arr in enumerate(payload["generators"]):
+        if not isinstance(arr, list) or not all(_is_int(x) for x in arr):
+            raise DomainError(f"group file {path}: generator {idx} is not a list of integers")
         if sorted(arr) != list(range(1, degree + 1)):
             raise DomainError(
                 f"group file {path}: generator {idx} is not a bijection of 1..{degree}"
             )
         gens.append(Permutation(arr))
-    G = bsgs_construct(gens, degree=degree, name=str(payload["name"]))
+    G = PermGroup(gens, degree=degree, name=str(payload["name"]))
     G.spec_string = f"file:{path}"
     return G
 

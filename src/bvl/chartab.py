@@ -13,11 +13,10 @@ from dataclasses import dataclass
 from math import gcd
 
 from .cyclotomic import Conductor, Cyclo
-from .numtheory import factorize, is_prime
+from .numtheory import factorize, is_prime, poly_divmod, poly_trim
 from .permgroup import CapacityError, ClassData, PermGroup
 
 MAX_CLASSES = 60
-MAX_ORDER = 10_000_000
 
 
 class TableError(RuntimeError):
@@ -80,41 +79,21 @@ def _sqrt_mod(a: int, p: int) -> int:
 # polynomials over F_p: ascending coefficient lists
 
 
-def _poly_trim(f: list[int]) -> list[int]:
-    while len(f) > 1 and f[-1] == 0:
-        f.pop()
-    return f
-
-
-def _poly_divmod(f: list[int], g: list[int], p: int) -> tuple[list[int], list[int]]:
-    f = list(f)
-    dg = len(g) - 1
-    inv = pow(g[-1], -1, p)
-    q = [0] * max(1, len(f) - dg)
-    for i in range(len(f) - 1, dg - 1, -1):
-        c = f[i] * inv % p
-        if c:
-            q[i - dg] = c
-            for j, gj in enumerate(g):
-                f[i - dg + j] = (f[i - dg + j] - c * gj) % p
-    return _poly_trim(q), _poly_trim(f)
-
-
 def _poly_powmod(base: list[int], e: int, mod: list[int], p: int) -> list[int]:
     result = [1]
-    base = _poly_divmod(base, mod, p)[1]
+    base = poly_divmod(base, mod, p)[1]
     while e:
         if e & 1:
-            result = _poly_divmod(_poly_mul(result, base, p), mod, p)[1]
-        base = _poly_divmod(_poly_mul(base, base, p), mod, p)[1]
+            result = poly_divmod(_poly_mul(result, base, p), mod, p)[1]
+        base = poly_divmod(_poly_mul(base, base, p), mod, p)[1]
         e >>= 1
     return result
 
 
 def _poly_gcd(a: list[int], b: list[int], p: int) -> list[int]:
-    a, b = _poly_trim(list(a)), _poly_trim(list(b))
+    a, b = poly_trim(list(a)), poly_trim(list(b))
     while b != [0]:
-        a, b = b, _poly_divmod(a, b, p)[1]
+        a, b = b, poly_divmod(a, b, p)[1]
     if a[-1] != 1:
         inv = pow(a[-1], -1, p)
         a = [c * inv % p for c in a]
@@ -123,9 +102,9 @@ def _poly_gcd(a: list[int], b: list[int], p: int) -> list[int]:
 
 def _poly_roots(f: list[int], p: int) -> list[int]:
     """Distinct roots in F_p of a polynomial that splits into linear factors."""
-    f = _poly_trim(list(f))
+    f = poly_trim(list(f))
     xp_minus_x = _poly_powmod([0, 1], p, f, p)
-    xp_minus_x = _poly_trim([(c - (1 if i == 1 else 0)) % p for i, c in enumerate(xp_minus_x + [0, 0])])
+    xp_minus_x = poly_trim([(c - (1 if i == 1 else 0)) % p for i, c in enumerate(xp_minus_x + [0, 0])])
     g = _poly_gcd(f, xp_minus_x, p)
     roots: list[int] = []
     stack = [g]
@@ -141,13 +120,13 @@ def _poly_roots(f: list[int], p: int) -> list[int]:
         while split is None:
             # gcd with (x + shift)^((p-1)/2) - 1 peels off half the roots
             w = _poly_powmod([shift % p, 1], (p - 1) // 2, h, p)
-            w = _poly_trim([(c - (1 if i == 0 else 0)) % p for i, c in enumerate(w + [0])])
+            w = poly_trim([(c - (1 if i == 0 else 0)) % p for i, c in enumerate(w + [0])])
             shift += 1
             d = _poly_gcd(h, w, p)
             if 0 < len(d) - 1 < len(h) - 1:
                 split = d
         stack.append(split)
-        stack.append(_poly_divmod(h, split, p)[0])
+        stack.append(poly_divmod(h, split, p)[0])
     return sorted(roots)
 
 
@@ -314,18 +293,11 @@ def class_mult_coefficient(G: PermGroup, ci: str, cj: str, ck: str) -> int:
 
 def character_table(G: PermGroup) -> CharacterTable:
     """Exact irreducible character table of G (Dixon-Schneider)."""
-    if G.order > MAX_ORDER:
-        raise CapacityError(f"character table needs order <= {MAX_ORDER}, got {G.order}")
     cd = G.conjugacy_data()
     classes = cd.classes
     k = len(classes)
     if k > MAX_CLASSES:
         raise CapacityError(f"character table needs <= {MAX_CLASSES} classes, got {k}")
-    if cd.class_map.mode != "FULL":
-        raise CapacityError(
-            "character table needs a FULL class map "
-            f"(group order {G.order} exceeds the full-enumeration bound)"
-        )
 
     exponent = 1
     for c in classes:
@@ -374,7 +346,7 @@ def character_table(G: PermGroup) -> CharacterTable:
 
     # eigenvector coordinates are the central character values omega mod p
     size_inv = [pow(c.size, -1, p) for c in classes]
-    inverse_map = [_index_of_label(classes, c.inverse_class) for c in classes]
+    inverse_map = [cd.by_label(c.inverse_class).index for c in classes]
     columns = []
     for B, _ in spaces:
         v = B[0]
@@ -441,13 +413,6 @@ def character_table(G: PermGroup) -> CharacterTable:
         degrees=degrees,
         rows=rows_exact,
     )
-
-
-def _index_of_label(classes, label: str) -> int:
-    for c in classes:
-        if c.label == label:
-            return c.index
-    raise KeyError(label)
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@
 Beauville search/verify, generating-class search/verify, Zsigmondy parts.
 
 Exit codes: 0 success, 1 negative mathematical verdict, 2 usage error,
-3 capacity error, 4 internal inconsistency.  JSON output is byte-stable for a
+3 capacity error, 4 internal fault.  JSON output is byte-stable for a
 fixed invocation and seed.
 """
 
@@ -26,7 +26,7 @@ from .beauville import (
 from .catalog import build_group, lie_meta, parse_spec
 from .chartab import TableError, character_table, verify_orthogonality
 from .numtheory import DomainError, zsigmondy_part
-from .permgroup import CapacityError, MembershipError
+from .permgroup import CapacityError
 from .structconst import (
     char_bound_check,
     point_count_probe,
@@ -88,7 +88,7 @@ def _cmd_classes(args) -> int:
     payload = {
         "spec": args.group,
         "order": G.order,
-        "mode": cd.class_map.mode,
+        "mode": "FULL",
         "classes": [
             {
                 "label": c.label,
@@ -389,18 +389,13 @@ def run(argv) -> int:
     except CapacityError as exc:
         print(f"error: capacity: {exc}", file=sys.stderr)
         return EXIT_CAPACITY
-    except TableError as exc:
-        print(f"error: internal: {exc}", file=sys.stderr)
+    except (KeyError, ValueError, FileNotFoundError) as exc:
+        # DomainError and MembershipError are ValueErrors
+        print(f"error: usage: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except Exception as exc:
+        print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    except (DomainError, MembershipError, KeyError) as exc:
-        print(f"error: usage: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except FileNotFoundError as exc:
-        print(f"error: usage: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
-        print(f"error: usage: {exc}", file=sys.stderr)
-        return EXIT_USAGE
 
 
 def main() -> None:

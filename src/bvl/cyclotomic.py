@@ -124,20 +124,7 @@ class Cyclo:
     def zeta(cls, n: int, j: int = 1) -> "Cyclo":
         return cls(n, {j % n: 1})
 
-    @classmethod
-    def root_sum(cls, n: int, powers: dict) -> "Cyclo":
-        """Sum of c * zeta_n**j over a {j: c} dict."""
-        return cls(n, dict(powers))
-
     # -- structure ----------------------------------------------------------
-
-    @property
-    def conductor(self) -> int:
-        return self.n
-
-    @property
-    def coefficients(self) -> dict:
-        return dict(self.coeffs)
 
     def promote(self, m: int) -> "Cyclo":
         """Reinterpret in Q(zeta_m) for a multiple m of the conductor."""
@@ -236,8 +223,6 @@ class Cyclo:
         """|x| as a float; error stays far below 1e-9 * (1 + sum |c_j|)."""
         return abs(self.complex_value())
 
-    complex_abs = abs_value
-
     # -- comparison and display ----------------------------------------------
 
     def __eq__(self, other) -> bool:
@@ -278,7 +263,3 @@ class Cyclo:
             else:
                 parts.append(f"{c}*z{self.n}^{j}")
         return "+".join(parts).replace("+-", "-")
-
-
-# contract-facing name for the type
-CyclotomicNumber = Cyclo

@@ -55,6 +55,31 @@ def is_prime(n: int) -> bool:
     return True
 
 
+# polynomials over F_p: ascending coefficient lists
+
+
+def poly_trim(f: list[int]) -> list[int]:
+    """Drop leading zero coefficients in place, keeping at least one."""
+    while len(f) > 1 and f[-1] == 0:
+        f.pop()
+    return f
+
+
+def poly_divmod(f: list[int], g: list[int], p: int) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of f by g over F_p, both trimmed."""
+    f = list(f)
+    dg = len(g) - 1
+    inv = pow(g[-1], -1, p)
+    q = [0] * max(1, len(f) - dg)
+    for i in range(len(f) - 1, dg - 1, -1):
+        c = f[i] * inv % p
+        if c:
+            q[i - dg] = c
+            for j, gj in enumerate(g):
+                f[i - dg + j] = (f[i - dg + j] - c * gj) % p
+    return poly_trim(q), poly_trim(f)
+
+
 def _pollard_rho(n: int) -> int:
     """A nontrivial factor of composite n (Brent's cycle variant)."""
     if n % 2 == 0:

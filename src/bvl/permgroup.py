@@ -6,6 +6,11 @@ one ``bytes.translate`` call and needs no index shifting.  Degrees above
 MAX_DEGREE (255) raise CapacityError.  Equal-length bytes sort like tuples of
 ints, so class labels and representatives do not depend on the storage.
 Products act left-to-right: (p * q) means apply p, then q.
+
+Conjugacy classes come from one path: enumerate the whole group, partition it
+into conjugation orbits and keep an element-to-class table.  Groups above
+CLASS_ORDER_BOUND (2,000,000; S10 is the smallest catalog group past it) raise
+CapacityError instead.
 """
 
 from __future__ import annotations
@@ -15,13 +20,10 @@ from collections import Counter
 from dataclasses import dataclass, field
 from math import gcd
 
-# Above this order, conjugacy classes switch from full element enumeration
-# (FULL class map) to random-conjugation discovery with a class-equation
-# completeness certificate (TEST class map).
-FULL_ENUMERATION_BOUND = 2_000_000
+from .numtheory import divisors
 
-# Default hard cap for conjugacy-class computation.
-CLASS_ORDER_BOUND = 10_000_000
+# Largest group order whose elements conjugacy_classes enumerates.
+CLASS_ORDER_BOUND = 2_000_000
 
 # Largest degree whose points fit in one byte each.
 MAX_DEGREE = 255
@@ -140,10 +142,6 @@ class Permutation:
                 j = self.images[j]
             out.append(tuple(cyc))
         return out
-
-    def cycle_type(self) -> tuple[int, ...]:
-        lengths = sorted((len(c) for c in self.cycles()), reverse=True)
-        return tuple(lengths)
 
     def order(self) -> int:
         n = 1
@@ -330,27 +328,14 @@ class PermGroup:
     def random_element(self, rng: random.Random) -> Permutation:
         return self._chain.random_element(rng)
 
-    def conjugacy_data(self, bound: int = CLASS_ORDER_BOUND) -> "ClassData":
+    def conjugacy_data(self) -> "ClassData":
         if self._classdata is None:
-            self._classdata = conjugacy_classes(self, bound=bound)
+            self._classdata = conjugacy_classes(self)
         return self._classdata
 
     def __repr__(self) -> str:
         label = self.name or f"degree-{self.degree} group"
         return f"<PermGroup {label}, order {self.order}>"
-
-
-def bsgs_construct(generators, degree: int | None = None, name: str = "") -> PermGroup:
-    """Build a PermGroup with stabilizer-chain data from a generator list."""
-    return PermGroup(generators, degree=degree, name=name)
-
-
-def order(G: PermGroup) -> int:
-    return G.order
-
-
-def contains(G: PermGroup, g: Permutation) -> bool:
-    return G.contains(g)
 
 
 def subgroup_order(G: PermGroup, gens) -> int:
@@ -399,63 +384,34 @@ class ConjugacyClass:
 
 
 class ClassMap:
-    """Element-to-class lookup; FULL holds a table over the whole group."""
+    """Element-to-class lookup: a table over the whole group."""
 
-    def __init__(self, mode: str, classes: list[ConjugacyClass], group: PermGroup):
-        self.mode = mode
+    def __init__(self, classes: list[ConjugacyClass], table: dict[bytes, int]):
         self.classes = classes
-        self.group = group
-        self._table: dict[bytes, int] = {}
-        self._by_invariant: dict[tuple, list[int]] = {}
-        self._elements_cache: dict[int, list[Permutation]] = {}
+        self._table = table
+        self._elements: list[list[Permutation]] | None = None
 
     def class_of(self, g: Permutation) -> int:
         """Index of the class containing g."""
-        if self.mode == "FULL":
-            try:
-                return self._table[g.images]
-            except KeyError:
-                raise MembershipError("element is not in the group") from None
-        key = (g.order(), g.cycle_type())
-        candidates = self._by_invariant.get(key)
-        if not candidates:
-            raise MembershipError("element matches no class invariant")
-        if len(candidates) == 1:
-            return candidates[0]
-        reps = {self.classes[i].representative.images: i for i in candidates}
-        for images in _conjugation_orbit(self.group, g.images):
-            if images in reps:
-                return reps[images]
-        raise MembershipError("element is in no computed class")
-
-    def label_of(self, g: Permutation) -> str:
-        return self.classes[self.class_of(g)].label
+        try:
+            return self._table[g.images]
+        except KeyError:
+            raise MembershipError("element is not in the group") from None
 
     def elements_of(self, index: int) -> list[Permutation]:
-        """All elements of the class (FULL: from the table; TEST: by orbit)."""
-        if index in self._elements_cache:
-            return self._elements_cache[index]
-        if self.mode == "FULL":
-            grouped: dict[int, list[Permutation]] = {i: [] for i in range(len(self.classes))}
+        """All elements of the class, in ascending image order."""
+        if self._elements is None:
+            grouped: list[list[Permutation]] = [[] for _ in self.classes]
             for images in sorted(self._table):
                 grouped[self._table[images]].append(Permutation._raw(images))
-            self._elements_cache = grouped
-            return grouped[index]
-        rep = self.classes[index].representative
-        elems = [
-            Permutation._raw(images)
-            for images in sorted(_conjugation_orbit(self.group, rep.images))
-        ]
-        self._elements_cache[index] = elems
-        return elems
+            self._elements = grouped
+        return self._elements[index]
 
     def class_matrix(self, i: int) -> list[list[int]]:
         """A[j][l] = #{x in class i : x^-1 * z_l in class j}, z_l the class representatives.
 
-        The x^-1 run over the class inverse to class i.  Needs the FULL table.
+        The x^-1 run over the class inverse to class i.
         """
-        if self.mode != "FULL":
-            raise CapacityError("class matrices need a FULL class map")
         table = self._table
         inv = table[self.classes[i].representative.inverse().images]
         x_invs = [x.images for x in self.elements_of(inv)]
@@ -478,9 +434,6 @@ class ClassData:
             if c.label == label:
                 return c
         raise KeyError(f"unknown class label {label!r}")
-
-    def labels(self) -> list[str]:
-        return [c.label for c in self.classes]
 
 
 def _conjugation_orbit(G: PermGroup, images: bytes) -> set[bytes]:
@@ -534,25 +487,15 @@ def _assign_labels(raw: list[tuple[int, bytes, int]]) -> list[str]:
     return labels
 
 
-def conjugacy_classes(
-    G: PermGroup, bound: int = CLASS_ORDER_BOUND, seed: int = 0
-) -> ClassData:
+def conjugacy_classes(G: PermGroup, bound: int = CLASS_ORDER_BOUND) -> ClassData:
     """Complete conjugacy-class list with canonical labels and power maps.
 
-    FULL mode (order <= FULL_ENUMERATION_BOUND) enumerates the whole group and
-    partitions it; TEST mode discovers classes through seeded random sampling
-    and certifies completeness with the class equation.
+    Enumerates the whole group and partitions it into conjugation orbits.
     """
     if G.order > bound:
         raise CapacityError(
             f"conjugacy classes need order <= {bound}, group has order {G.order}"
         )
-    if G.order <= FULL_ENUMERATION_BOUND:
-        return _classes_full(G)
-    return _classes_test(G, seed)
-
-
-def _classes_full(G: PermGroup) -> ClassData:
     remaining = _enumerate_elements(G)
     assert len(remaining) == G.order
     table: dict[bytes, int] = {}
@@ -583,58 +526,9 @@ def _classes_full(G: PermGroup) -> ClassData:
         )
         for i, (order_, rep, size) in enumerate(sorted_raw)
     ]
-    cmap = ClassMap("FULL", classes, G)
-    cmap._table = table
+    cmap = ClassMap(classes, table)
     _fill_power_maps(classes, cmap)
     return ClassData(classes=classes, class_map=cmap)
-
-
-def _classes_test(G: PermGroup, seed: int) -> ClassData:
-    rng = random.Random(seed)
-    found: list[tuple[int, bytes, int]] = []  # (order, lex-least rep, size)
-    covered = 0
-    attempts = 0
-    ident = G.identity()
-    candidates = [ident] + [g for g in G.generators]
-    while covered < G.order:
-        g = candidates.pop() if candidates else G.random_element(rng)
-        attempts += 1
-        if attempts > 100_000:
-            raise CapacityError("class discovery did not converge")
-        if any(_is_conjugate_to_rep(G, g, rep) for _, rep, _ in found):
-            continue
-        orbit = _conjugation_orbit(G, g.images)
-        found.append((g.order(), min(orbit), len(orbit)))
-        covered += len(orbit)
-    assert covered == G.order
-
-    found.sort(key=lambda t: (t[0], t[2], t[1]))
-    labels = _assign_labels(found)
-    classes = [
-        ConjugacyClass(
-            label=labels[i],
-            index=i,
-            representative=Permutation._raw(rep),
-            size=size,
-            element_order=order_,
-        )
-        for i, (order_, rep, size) in enumerate(found)
-    ]
-    cmap = ClassMap("TEST", classes, G)
-    for c in classes:
-        key = (c.element_order, c.representative.cycle_type())
-        cmap._by_invariant.setdefault(key, []).append(c.index)
-    _fill_power_maps(classes, cmap)
-    return ClassData(classes=classes, class_map=cmap)
-
-
-def _is_conjugate_to_rep(G: PermGroup, g: Permutation, rep: bytes) -> bool:
-    if g.images == rep:
-        return True
-    r = Permutation._raw(rep)
-    if g.order() != r.order() or g.cycle_type() != r.cycle_type():
-        return False
-    return rep in _conjugation_orbit(G, g.images)
 
 
 def _fill_power_maps(classes: list[ConjugacyClass], cmap: ClassMap) -> None:
@@ -648,20 +542,12 @@ def _fill_power_maps(classes: list[ConjugacyClass], cmap: ClassMap) -> None:
         c.inverse_class = classes[cmap.class_of(c.representative.inverse())].label
         c.power_classes = {
             k: classes[c.power_row[k % c.element_order]].label
-            for k in divisors_of(c.element_order)
+            for k in divisors(c.element_order)
         }
-
-
-def divisors_of(n: int) -> list[int]:
-    out = [d for d in range(1, n + 1) if n % d == 0]
-    return out
 
 
 def centralizer_order(G: PermGroup, g: Permutation) -> int:
     """|C_G(g)| = |G| / |class of g|."""
     if not G.contains(g):
         raise MembershipError("element is not in the group")
-    if G._classdata is not None:
-        cd = G._classdata
-        return G.order // cd.classes[cd.class_map.class_of(g)].size
     return G.order // len(_conjugation_orbit(G, g.images))

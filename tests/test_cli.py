@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from bvl.chartab import TableError
 from bvl.cli import run
 
@@ -149,6 +151,28 @@ def test_bad_group_spec_usage_error(capsys):
 def test_capacity_exit_code(capsys):
     code, _, err = run_cli(["chartab", "--group", "A12"], capsys)
     assert code == 3 and "capacity" in err
+    # S10 (order 3,628,800) is past the class-enumeration bound: fail fast
+    for command in ("classes", "chartab"):
+        code, _, err = run_cli([command, "--group", "S10"], capsys)
+        assert code == 3 and "capacity" in err
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"name": "C3", "degree": 3, "generators": [[2.0, 3, 1]]},
+        {"name": "C2", "degree": 3, "generators": [[True, 3, 2]]},
+        5,
+        {"name": "C3", "degree": 3, "generators": 5},
+        {"name": "C3", "degree": 3, "generators": [5]},
+    ],
+    ids=["float-entry", "bool-entry", "top-level-int", "generators-int", "generator-int"],
+)
+def test_bad_group_file_usage_error(tmp_path, capsys, payload):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(payload))
+    code, _, err = run_cli(["group", "--group", f"file:{path}"], capsys)
+    assert code == 2 and "usage" in err
 
 
 def test_degree_above_255_is_capacity_error(tmp_path, capsys):
@@ -166,6 +190,15 @@ def test_internal_error_exit_code(monkeypatch, capsys):
     monkeypatch.setattr("bvl.cli.character_table", broken_table)
     code, _, err = run_cli(["chartab", "--group", "A5"], capsys)
     assert code == 4 and "error: internal:" in err
+
+
+def test_search_fault_is_internal_not_a_verdict(monkeypatch, capsys):
+    # a search whose pair fails re-verification is a bug, not "no structure"
+    monkeypatch.setattr(
+        "bvl.beauville.verify_beauville", lambda *args, **kwargs: (None, "sigma-intersection")
+    )
+    code, _, err = run_cli(["beauville", "search", "--group", "L2:7"], capsys)
+    assert code == 4 and "error: internal: RuntimeError:" in err
 
 
 def test_search_budget_exit_code(capsys):
