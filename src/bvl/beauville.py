@@ -16,7 +16,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .chartab import CharacterTable, character_table
+from .catalog import _is_int
+from .chartab import MAX_CLASSES
 from .permgroup import (
     CapacityError,
     ClassData,
@@ -26,7 +27,6 @@ from .permgroup import (
     is_transitive_on_group_domain,
     subgroup_order,
 )
-from .structconst import structure_constant_formula
 
 DEFAULT_TYPE_BUDGET = 10_000_000
 
@@ -73,17 +73,30 @@ class BeauvilleCertificate:
 
     @classmethod
     def from_json_dict(cls, payload: dict) -> "BeauvilleCertificate":
-        for key in ("group", "pairs", "orders", "sigma_classes", "hyperbolic", "seed"):
+        """Parse a certificate, refusing any field of the wrong JSON type."""
+        if not isinstance(payload, dict):
+            raise ValueError("certificate must be a JSON object")
+
+        def is_a(kind):
+            return lambda v: isinstance(v, kind)
+
+        def list_of(ok):
+            return lambda v: isinstance(v, list) and all(ok(x) for x in v)
+
+        checks = {
+            "group": is_a(str),
+            "pairs": list_of(list_of(_is_int)),
+            "orders": list_of(_is_int),
+            "sigma_classes": list_of(list_of(is_a(str))),
+            "hyperbolic": list_of(is_a(bool)),
+            "seed": _is_int,
+        }
+        for key, ok in checks.items():
             if key not in payload:
                 raise ValueError(f"certificate is missing field {key!r}")
-        return cls(
-            group=payload["group"],
-            pairs=[list(map(int, arr)) for arr in payload["pairs"]],
-            orders=list(map(int, payload["orders"])),
-            sigma_classes=[list(arr) for arr in payload["sigma_classes"]],
-            hyperbolic=[bool(b) for b in payload["hyperbolic"]],
-            seed=int(payload["seed"]),
-        )
+            if not ok(payload[key]):
+                raise ValueError(f"certificate field {key!r} has the wrong JSON type")
+        return cls(**{key: payload[key] for key in checks})
 
 
 @dataclass
@@ -239,47 +252,54 @@ def verify_certificate(
 # search
 
 
-def _class_types(
-    G: PermGroup, classdata: ClassData, T: CharacterTable
-) -> list[tuple[tuple[int, int, int], frozenset[int], int]]:
-    """All class-type triples with a nonzero pair count, and their sigma sets.
+def _class_types(classdata: ClassData) -> list[tuple[tuple[int, int, int], int, int]]:
+    """All class-type triples with a nonzero pair count, in lexicographic order.
 
-    A pair (x, y) has type (c1, c2, c3) when x is in C1, y in C2 and xy in C3;
-    the number of such pairs with x fixed equals n(C1, C2, C3*) with C3* the
-    inverse class of C3.  Types touching the identity class are dropped: such
-    a pair generates a cyclic subgroup, and a cyclic group is never the whole
-    group here unless G itself is cyclic, in which case the powers of a
-    generator meet every class and sigma-disjointness is impossible anyway.
+    A pair (x, y) has type (c1, c2, c3) when x is in C1, y in C2 and xy in C3.
+    With x the representative of C1 the count is #{y in C2 : yx in C3}, as yx
+    is conjugate to xy; it equals n(C1, C2, C3*) with C3* the inverse class of
+    C3.  Each type comes with its sigma set as a bitmask (bit i for class i).
+    Types touching the identity class are dropped: such a pair generates a
+    cyclic subgroup, and a cyclic group is never the whole group here unless
+    G itself is cyclic, in which case the powers of a generator meet every
+    class and sigma-disjointness is impossible anyway.
     """
     classes = classdata.classes
     k = len(classes)
-    inverse_index = {c.index: classdata.by_label(c.inverse_class).index for c in classes}
+    masks = [sum(1 << i for i in power_closure(classdata, c.index)) for c in classes]
     out = []
     for i1 in range(1, k):
+        x = classes[i1].representative
         for i2 in range(1, k):
+            counts = classdata.class_map.product_classes(i2, x)
             for i3 in range(1, k):
-                n = structure_constant_formula(
-                    T,
-                    classes[i1].label,
-                    classes[i2].label,
-                    classes[inverse_index[i3]].label,
-                ).n_value
-                if n == 0:
-                    continue
-                sigma = (
-                    power_closure(classdata, i1)
-                    | power_closure(classdata, i2)
-                    | power_closure(classdata, i3)
-                )
-                out.append(((i1, i2, i3), frozenset(sigma), n))
+                n = counts[i3]
+                if n:
+                    out.append(((i1, i2, i3), masks[i1] | masks[i2] | masks[i3], n))
     return out
 
 
-def _order_product(classdata: ClassData, t: tuple[int, int, int]) -> int:
-    prod = 1
-    for i in t:
-        prod *= classdata.classes[i].element_order
-    return prod
+def _type_pairs(classdata: ClassData, types, strategy: str):
+    """Yield the sigma-disjoint type index pairs a <= b in search order.
+
+    Types are in lexicographic order, so nested-index order is the order of
+    (types[a], types[b]): that is EXHAUSTIVE_CLASSES.  COPRIME_FIRST yields
+    the pairs whose element-order products are coprime in one pass, then the
+    rest in a second.  Sigma sets share the identity (bit 0) and nothing else
+    exactly when their masks meet in 1.
+    """
+    masks = [mask for _, mask, _ in types]
+    orders = [c.element_order for c in classdata.classes]
+    prods = [orders[i1] * orders[i2] * orders[i3] for (i1, i2, i3), _, _ in types]
+    passes = (True, False) if strategy == "COPRIME_FIRST" else (None,)
+    for coprime in passes:
+        for a, ma in enumerate(masks):
+            row = [b for b in range(a, len(masks)) if ma & masks[b] == 1]
+            if coprime is not None:
+                pa = prods[a]
+                row = [b for b in row if (gcd(pa, prods[b]) == 1) is coprime]
+            for b in row:
+                yield a, b
 
 
 class _TypeSearcher:
@@ -341,35 +361,14 @@ def search_beauville(
     classdata = G.conjugacy_data()
     if G.order == 1:
         return SearchResult(status=STATUS_NONE_EXHAUSTED)
-    T = character_table(G)
-    types = _class_types(G, classdata, T)
-    identity_index = 0
-
-    candidates: list[tuple[int, int]] = []
-    for a in range(len(types)):
-        ta, sig_a, _ = types[a]
-        for b in range(a, len(types)):
-            tb, sig_b, _ = types[b]
-            if sig_a & sig_b == {identity_index}:
-                candidates.append((a, b))
-
-    if strategy == "COPRIME_FIRST":
-        def sort_key(pair):
-            a, b = pair
-            coprime = gcd(
-                _order_product(classdata, types[a][0]),
-                _order_product(classdata, types[b][0]),
-            ) == 1
-            return (0 if coprime else 1, types[a][0], types[b][0])
-    else:
-        def sort_key(pair):
-            a, b = pair
-            return (types[a][0], types[b][0])
-
-    candidates.sort(key=sort_key)
+    if len(classdata.classes) > MAX_CLASSES:
+        raise CapacityError(
+            f"class-type search needs <= {MAX_CLASSES} classes, got {len(classdata.classes)}"
+        )
+    types = _class_types(classdata)
     searcher = _TypeSearcher(G, classdata, seed, budget)
 
-    for a, b in candidates:
+    for a, b in _type_pairs(classdata, types, strategy):
         w1 = searcher.witness(types[a][0])
         if w1 is None:
             continue

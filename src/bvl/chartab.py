@@ -276,19 +276,19 @@ class CharacterTable:
 
 
 def class_matrix(classdata: ClassData, i: int) -> list[list[int]]:
-    """Matrix A with A[j][l] = #{(x, y) in C_i x C_j : x*y = z_l} for fixed z_l."""
-    return classdata.class_map.class_matrix(i)
+    """Matrix A with A[j][l] = #{(x, y) in C_i x C_j : x*y = z_l} for fixed z_l.
 
-
-def class_mult_coefficient(G: PermGroup, ci: str, cj: str, ck: str) -> int:
-    """a_ijk = #{(x, y) in C_i x C_j with xy = z} for a fixed z in C_k."""
-    cd = G.conjugacy_data()
-    cmap = cd.class_map
-    i, j, k = (cd.by_label(lbl).index for lbl in (ci, cj, ck))
-    z = cd.classes[k].representative
-    if cd.classes[i].size <= cd.classes[j].size:
-        return sum(1 for x in cmap.elements_of(i) if cmap.class_of(x.inverse() * z) == j)
-    return sum(1 for y in cmap.elements_of(j) if cmap.class_of(z * y.inverse()) == i)
+    Column l counts the classes of x^-1 * z_l over the x^-1 of the class
+    inverse to C_i.
+    """
+    classes = classdata.classes
+    inv = classdata.by_label(classes[i].inverse_class).index
+    k = len(classes)
+    A = [[0] * k for _ in range(k)]
+    for l, c in enumerate(classes):
+        for j, n in classdata.class_map.product_classes(inv, c.representative).items():
+            A[j][l] = n
+    return A
 
 
 def character_table(G: PermGroup) -> CharacterTable:

@@ -407,21 +407,15 @@ class ClassMap:
             self._elements = grouped
         return self._elements[index]
 
-    def class_matrix(self, i: int) -> list[list[int]]:
-        """A[j][l] = #{x in class i : x^-1 * z_l in class j}, z_l the class representatives.
+    def product_classes(self, j: int, z: Permutation) -> Counter:
+        """How many y in class j have y * z in each class, keyed by class index.
 
-        The x^-1 run over the class inverse to class i.
+        This is the one class-product count: class matrices and structure
+        constants read their entries from it.
         """
         table = self._table
-        inv = table[self.classes[i].representative.inverse().images]
-        x_invs = [x.images for x in self.elements_of(inv)]
-        k = len(self.classes)
-        A = [[0] * k for _ in range(k)]
-        for l, c in enumerate(self.classes):
-            z = _pad(c.representative.images)
-            for j, n in Counter([table[x.translate(z)] for x in x_invs]).items():
-                A[j][l] = n
-        return A
+        right = _pad(z.images)
+        return Counter([table[y.images.translate(right)] for y in self.elements_of(j)])
 
 
 @dataclass

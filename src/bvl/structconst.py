@@ -94,17 +94,16 @@ def structure_constant_formula(
 def structure_constant_brute(
     G: PermGroup, classdata: ClassData, c1: str, c2: str, c3: str
 ) -> TripleCount:
-    """n(C1,C2,C3) by fixing the representative x of C1 and scanning C2."""
+    """n(C1,C2,C3) by fixing the representative x of C1 and scanning C2.
+
+    xyz = 1 with z in C3 means xy lies in the class inverse to C3, and yx is
+    conjugate to xy, so the count is one entry of the class products y * x.
+    """
     k1, k2, k3 = (classdata.by_label(c) for c in (c1, c2, c3))
     if k2.size > BRUTE_BUDGET:
         raise CapacityError(f"brute-force budget exceeded: |C2| = {k2.size}")
-    cmap = classdata.class_map
-    x = k1.representative
-    count = 0
-    for y in cmap.elements_of(k2.index):
-        z = (x * y).inverse()
-        if cmap.class_of(z) == k3.index:
-            count += 1
+    inv3 = classdata.by_label(k3.inverse_class).index
+    count = classdata.class_map.product_classes(k2.index, k1.representative)[inv3]
     return TripleCount(group=G.name, labels=(c1, c2, c3), n_value=count, method="BRUTE")
 
 

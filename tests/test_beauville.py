@@ -1,4 +1,6 @@
 import random
+import time
+from math import gcd
 
 import pytest
 
@@ -8,6 +10,8 @@ from bvl.beauville import (
     STATUS_NONE_EXHAUSTED,
     BeauvilleCertificate,
     NonIntegralGenusError,
+    _class_types,
+    _type_pairs,
     all_pairs_generate,
     genus_of_triple,
     is_generating_pair,
@@ -18,7 +22,9 @@ from bvl.beauville import (
     verify_certificate,
 )
 from bvl.catalog import build_group
+from bvl.chartab import character_table
 from bvl.permgroup import MembershipError, PermGroup, Permutation, subgroup_order
+from bvl.structconst import structure_constant_formula
 
 
 def cyc(degree, *cycles):
@@ -185,12 +191,81 @@ def test_coprime_orders_suffice():
     o1, o2 = cert.orders[:3], cert.orders[3:]
     prod1 = o1[0] * o1[1] * o1[2]
     prod2 = o2[0] * o2[1] * o2[2]
-    from math import gcd
-
     assert gcd(prod1, prod2) == 1
     pairs = [Permutation(arr) for arr in cert.pairs]
     cert2, reason = verify_beauville(G, (pairs[0], pairs[1]), (pairs[2], pairs[3]))
     assert cert2 is not None, reason
+
+
+def _sorted_pairs_reference(classdata, types, strategy):
+    """Build every sigma-disjoint type pair, then sort: the search order before streaming."""
+    sigma = [
+        frozenset().union(*(classdata.classes[i].power_row for i in t)) for t, _, _ in types
+    ]
+
+    def order_product(t):
+        prod = 1
+        for i in t:
+            prod *= classdata.classes[i].element_order
+        return prod
+
+    candidates = [
+        (a, b)
+        for a in range(len(types))
+        for b in range(a, len(types))
+        if sigma[a] & sigma[b] == {0}
+    ]
+    if strategy == "COPRIME_FIRST":
+        def sort_key(pair):
+            a, b = pair
+            coprime = gcd(order_product(types[a][0]), order_product(types[b][0])) == 1
+            return (0 if coprime else 1, types[a][0], types[b][0])
+    else:
+        def sort_key(pair):
+            a, b = pair
+            return (types[a][0], types[b][0])
+    return sorted(candidates, key=sort_key)
+
+
+@pytest.mark.parametrize("strategy", ["COPRIME_FIRST", "EXHAUSTIVE_CLASSES"])
+# In A5, L2:7 and L2:11 every sigma-disjoint pair is coprime, so the two
+# strategies agree there; A6 (3a and 3b) has non-coprime disjoint pairs too.
+@pytest.mark.parametrize("spec", ["A5", "L2:7", "L2:11", "A6"])
+def test_type_pair_stream_matches_sorted_reference(spec, strategy):
+    G = build_group(spec)
+    cd = G.conjugacy_data()
+    types = _class_types(cd)
+    streamed = list(_type_pairs(cd, types, strategy))
+    assert streamed == _sorted_pairs_reference(cd, types, strategy)
+
+
+@pytest.mark.parametrize("spec", ["A5", "L2:7", "L2:8", "file:m11.json"])
+def test_class_types_match_structure_constant_formula(spec):
+    G = build_group(spec)
+    cd = G.conjugacy_data()
+    T = character_table(G)
+    labels = [c.label for c in cd.classes]
+    expected = {}
+    for i1 in range(1, len(labels)):
+        for i2 in range(1, len(labels)):
+            for i3 in range(1, len(labels)):
+                inverse3 = cd.classes[i3].inverse_class
+                n = structure_constant_formula(T, labels[i1], labels[i2], inverse3).n_value
+                if n:
+                    expected[(i1, i2, i3)] = n
+    types = _class_types(cd)
+    assert [t for t, _, _ in types] == sorted(expected)
+    assert {t: n for t, _, n in types} == expected
+
+
+def test_search_l2_49_within_30_seconds():
+    start = time.perf_counter()
+    G = build_group("L2:49")
+    r = search_beauville(G, seed=3)
+    assert r.status == STATUS_CERTIFICATE
+    ok, reason = verify_certificate(G, r.certificate)
+    assert ok, reason
+    assert time.perf_counter() - start < 30
 
 
 def test_all_pairs_generate_examples():

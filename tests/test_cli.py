@@ -108,6 +108,38 @@ def test_beauville_verify_rejects_tampering(tmp_path, capsys):
     assert code == 1 and "REFUSED" in out
 
 
+def _coerced_entries(payload):
+    # the first pair's leading entries as a string and a float, and a bool seed
+    payload["pairs"][0][:2] = [str(payload["pairs"][0][0]), float(payload["pairs"][0][1])]
+    payload["seed"] = True
+
+
+@pytest.mark.parametrize(
+    "tamper",
+    [
+        _coerced_entries,
+        lambda payload: payload.update(pairs=5),
+        lambda payload: payload.update(group=5),
+        lambda payload: payload.update(hyperbolic=["yes", 0]),
+        lambda payload: payload.update(orders=payload["orders"][:5] + [True]),
+        lambda payload: payload.update(sigma_classes=[["1a", 2], ["1a"]]),
+        lambda payload: payload.update(seed=True),
+    ],
+    ids=[
+        "coerced-entries", "pairs-int", "group-int", "hyperbolic-str", "orders-bool",
+        "sigma-int", "seed-bool",
+    ],
+)
+def test_beauville_verify_refuses_malformed_fields(tmp_path, capsys, tamper):
+    cert = tmp_path / "cert.json"
+    run_cli(["beauville", "search", "--group", "L2:7", "--format", "json", "--out", str(cert)], capsys)
+    payload = json.loads(cert.read_text())
+    tamper(payload)
+    cert.write_text(json.dumps(payload))
+    code, out, err = run_cli(["beauville", "verify", "--cert", str(cert)], capsys)
+    assert code == 2 and "usage" in err and out == ""
+
+
 def test_genclasses_verify(capsys):
     code, out, _ = run_cli(
         ["genclasses", "verify", "--group", "A5", "--c", "5a", "--d", "3a", "--format", "json"],
@@ -148,13 +180,18 @@ def test_bad_group_spec_usage_error(capsys):
     assert code == 2
 
 
-def test_capacity_exit_code(capsys):
+def test_capacity_exit_code(tmp_path, capsys):
     code, _, err = run_cli(["chartab", "--group", "A12"], capsys)
     assert code == 3 and "capacity" in err
     # S10 (order 3,628,800) is past the class-enumeration bound: fail fast
     for command in ("classes", "chartab"):
         code, _, err = run_cli([command, "--group", "S10"], capsys)
         assert code == 3 and "capacity" in err
+    # the cyclic group of order 61 has 61 classes, one more than MAX_CLASSES
+    path = tmp_path / "c61.json"
+    path.write_text(json.dumps({"name": "C61", "degree": 61, "generators": [list(range(2, 62)) + [1]]}))
+    code, _, err = run_cli(["beauville", "search", "--group", f"file:{path}"], capsys)
+    assert code == 3 and "capacity" in err
 
 
 @pytest.mark.parametrize(
