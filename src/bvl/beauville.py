@@ -233,6 +233,8 @@ def verify_certificate(
         return False, "malformed-pairs"
     if any(p.degree != G.degree for p in perms):
         return False, "degree-mismatch"
+    if not all(G.contains(p) for p in perms):
+        return False, "element-outside-group"
     fresh, reason = verify_beauville(
         G, (perms[0], perms[1]), (perms[2], perms[3]),
         require_hyperbolic=require_hyperbolic, seed=cert.seed,

@@ -7,6 +7,12 @@ MAX_DEGREE (255) raise CapacityError.  Equal-length bytes sort like tuples of
 ints, so class labels and representatives do not depend on the storage.
 Products act left-to-right: (p * q) means apply p, then q.
 
+Stabilizer chains come from deterministic Schreier-Sims.  subgroup_order, and
+with it every generation test, passes the known order |G| as a target: the
+product of the basic orbit lengths built so far is a lower bound on the order
+of the generated subgroup, so construction stops as soon as it reaches |G|.
+Only a proper subgroup gets a complete chain.
+
 Conjugacy classes come from one path: enumerate the whole group, partition it
 into conjugation orbits and keep an element-to-class table.  Groups above
 CLASS_ORDER_BOUND (2,000,000; S10 is the smallest catalog group past it) raise
@@ -167,30 +173,51 @@ class Permutation:
 
 
 class _Level:
-    """One stabilizer-chain level: base point, own generators, Schreier data."""
+    """One stabilizer-chain level: base point, own generators, Schreier data.
 
-    __slots__ = ("point", "own_gens", "transversal", "orbit", "pair_done")
+    inverse[beta] is the inverse of transversal[beta], computed once when beta
+    joins the orbit; sifts and Schreier generators read it from there.
+    """
+
+    __slots__ = ("point", "own_gens", "transversal", "inverse", "orbit", "pair_done")
 
     def __init__(self, point: int, degree: int):
+        identity = Permutation.identity(degree)
         self.point = point
         self.own_gens: list[tuple[tuple[int, int], Permutation]] = []
-        self.transversal: dict[int, Permutation] = {point: Permutation.identity(degree)}
+        self.transversal: dict[int, Permutation] = {point: identity}
+        self.inverse: dict[int, Permutation] = {point: identity}
         self.orbit: list[int] = [point]
         self.pair_done: set[tuple[int, tuple[int, int]]] = set()
 
 
-class _Chain:
-    """Deterministic Schreier-Sims stabilizer chain."""
+class _TargetReached(Exception):
+    """Unwinds a _Chain construction once its orbit product reaches the target."""
 
-    def __init__(self, generators: list[Permutation], degree: int):
+
+class _Chain:
+    """Deterministic Schreier-Sims stabilizer chain.
+
+    With a target order (the order of a group known to contain the generated
+    one), construction stops as soon as the product of the basic orbit
+    lengths reaches it.  Every orbit built so far is an orbit of a subgroup
+    of the true point stabilizer, so that product is a lower bound on the
+    generated order; reaching the target proves the two groups equal, and
+    order() then returns the target exactly.  Without a target, or when the
+    target is never reached, the chain is complete.
+    """
+
+    def __init__(self, generators: list[Permutation], degree: int, target: int | None = None):
         self.degree = degree
+        self.target = target
         self.levels: list[_Level] = []
         for g in generators:
             self._insert(g)
-        i = len(self.levels) - 1
-        while i >= 0:
-            self._complete(i)
-            i -= 1
+        try:
+            for i in range(len(self.levels) - 1, -1, -1):
+                self._complete(i)
+        except _TargetReached:
+            pass
 
     # -- construction ------------------------------------------------------
 
@@ -224,9 +251,13 @@ class _Chain:
                 for _, s in gens:
                     img = s.images[beta]
                     if img not in lv.transversal:
-                        lv.transversal[img] = u * s
+                        w = u * s
+                        lv.transversal[img] = w
+                        lv.inverse[img] = w.inverse()
                         lv.orbit.append(img)
                         grew = True
+        if self.target is not None and self.order() >= self.target:
+            raise _TargetReached
 
     def _complete(self, i: int) -> None:
         """Schreier closure of level i, assuming deeper levels complete."""
@@ -242,8 +273,7 @@ class _Chain:
                     if key in lv.pair_done:
                         continue
                     lv.pair_done.add(key)
-                    target = lv.transversal[s.images[beta]]
-                    schreier = u * s * target.inverse()
+                    schreier = u * s * lv.inverse[s.images[beta]]
                     res, j = self._sift(schreier, i + 1)
                     if res.is_identity():
                         continue
@@ -266,11 +296,10 @@ class _Chain:
     def _sift(self, g: Permutation, start: int) -> tuple[Permutation, int]:
         for i in range(start, len(self.levels)):
             lv = self.levels[i]
-            img = g.images[lv.point]
-            u = lv.transversal.get(img)
-            if u is None:
+            u_inv = lv.inverse.get(g.images[lv.point])
+            if u_inv is None:
                 return g, i
-            g = g * u.inverse()
+            g = g * u_inv
         return g, len(self.levels)
 
     def contains(self, g: Permutation) -> bool:
@@ -339,12 +368,16 @@ class PermGroup:
 
 
 def subgroup_order(G: PermGroup, gens) -> int:
-    """Exact order of the subgroup generated by gens inside G."""
+    """Exact order of the subgroup generated by gens inside G.
+
+    |G| is the chain's target, so a generating set stops its construction
+    early (see _Chain); a proper subgroup gets a complete chain.
+    """
     gens = list(gens)
     for g in gens:
         if not G.contains(g):
             raise MembershipError(f"element {g!r} is not in the group")
-    return _Chain(gens, G.degree).order()
+    return _Chain(gens, G.degree, target=G.order).order()
 
 
 def is_transitive_on_group_domain(G: PermGroup, gens) -> bool:

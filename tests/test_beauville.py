@@ -175,6 +175,21 @@ def test_verify_rejects_wrong_degree_certificate():
     assert not ok and reason == "degree-mismatch"
 
 
+def test_verify_refuses_element_outside_group():
+    G = build_group("L2:7")
+    cert = search_beauville(G).certificate
+    x = cert.pairs[0]
+    x[:2] = x[1], x[0]  # an odd permutation, outside L2:7 < A8
+    ok, reason = verify_certificate(G, cert)
+    assert not ok and reason == "element-outside-group"
+    # direct API callers still get the exception
+    x, y, x2, y2 = (Permutation(arr) for arr in cert.pairs)
+    with pytest.raises(MembershipError):
+        verify_beauville(G, (x, y), (x2, y2))
+    with pytest.raises(MembershipError):
+        is_generating_pair(G, x, y)
+
+
 def test_search_seed_determinism():
     G1 = build_group("L2:11")
     G2 = build_group("L2:11")
@@ -268,6 +283,30 @@ def test_search_l2_49_within_30_seconds():
     assert time.perf_counter() - start < 30
 
 
+@pytest.mark.parametrize(
+    "spec,labels",
+    # every class pair of the small groups; in M11, 90 of the 990 (5a, 8a) pairs generate
+    [("A5", None), ("L2:7", None), ("A6", None), ("file:m11.json", ("5a", "8a"))],
+    ids=["A5", "L2:7", "A6", "M11-5a-8a"],
+)
+def test_subgroup_order_early_stop_matches_full_chain(spec, labels):
+    # subgroup_order stops once the orbit product reaches |G|; PermGroup builds
+    # the complete chain with no target, so the two must agree on every pair
+    G = build_group(spec)
+    cd = G.conjugacy_data()
+    if labels is None:
+        class_pairs = [(c, d) for c in cd.classes for d in cd.classes]
+    else:
+        class_pairs = [(cd.by_label(labels[0]), cd.by_label(labels[1]))]
+    generating = 0
+    for c, d_class in class_pairs:
+        for d in cd.class_map.elements_of(d_class.index):
+            order = subgroup_order(G, [c.representative, d])
+            assert order == PermGroup([c.representative, d]).order, (c.label, d)
+            generating += order == G.order
+    assert 0 < generating < sum(d.size for _, d in class_pairs)
+
+
 def test_all_pairs_generate_examples():
     A5 = build_group("A5")
     g = all_pairs_generate(A5, "5a", "3a")
@@ -309,6 +348,17 @@ def test_search_gen_classes_a5():
 def test_search_gen_classes_l2_11():
     pairs = search_gen_classes(build_group("L2:11"))
     assert ("6a", "5a") in pairs and ("6a", "5b") in pairs
+
+
+def test_search_gen_classes_m11_within_4_seconds():
+    start = time.perf_counter()
+    pairs = search_gen_classes(build_group("file:m11.json"))
+    assert pairs == [
+        ("4a", "11a"), ("4a", "11b"), ("8a", "11a"), ("8a", "11b"), ("8b", "11a"),
+        ("8b", "11b"), ("11a", "4a"), ("11a", "8a"), ("11a", "8b"), ("11b", "4a"),
+        ("11b", "8a"), ("11b", "8b"),
+    ]
+    assert time.perf_counter() - start < 4
 
 
 def test_search_gen_classes_trivial_group():

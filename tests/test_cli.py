@@ -108,6 +108,17 @@ def test_beauville_verify_rejects_tampering(tmp_path, capsys):
     assert code == 1 and "REFUSED" in out
 
 
+def test_beauville_verify_refuses_element_outside_group(tmp_path, capsys):
+    cert = tmp_path / "cert.json"
+    run_cli(["beauville", "search", "--group", "L2:7", "--format", "json", "--out", str(cert)], capsys)
+    payload = json.loads(cert.read_text())
+    x = payload["pairs"][0]
+    x[:2] = x[1], x[0]  # an odd permutation, outside L2:7 < A8
+    cert.write_text(json.dumps(payload))
+    code, out, err = run_cli(["beauville", "verify", "--cert", str(cert)], capsys)
+    assert (code, out, err) == (1, "certificate for L2:7: REFUSED: element-outside-group\n", "")
+
+
 def _coerced_entries(payload):
     # the first pair's leading entries as a string and a float, and a bool seed
     payload["pairs"][0][:2] = [str(payload["pairs"][0][0]), float(payload["pairs"][0][1])]
