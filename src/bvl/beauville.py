@@ -129,10 +129,7 @@ def power_closure(classdata: ClassData, class_index: int) -> frozenset[int]:
 
 
 def sigma_set(G: PermGroup, classdata: ClassData, x: Permutation, y: Permutation) -> SigmaSet:
-    """Sigma(x, y) as a set of covered classes, through power-map links."""
-    for g in (x, y):
-        if not G.contains(g):
-            raise MembershipError("sigma_set: element is not in the group")
+    """Sigma(x, y) as covered classes; class_of raises MembershipError outside G."""
     cmap = classdata.class_map
     covered: set[int] = set()
     for g in (x, y, x * y):
@@ -192,12 +189,11 @@ def verify_beauville(
     """Check both pairs generate and their sigma sets meet only in 1.
 
     Returns (certificate, None) on success, (None, reason) naming the first
-    failed condition otherwise.
+    failed condition otherwise.  An element outside G raises MembershipError
+    from is_generating_pair.
     """
     classdata = G.conjugacy_data()
     for idx, (x, y) in enumerate((pair1, pair2), start=1):
-        if not (G.contains(x) and G.contains(y)):
-            raise MembershipError(f"pair {idx}: element outside the group")
         if not is_generating_pair(G, x, y):
             return None, f"generation-pair{idx}"
     s1 = sigma_set(G, classdata, *pair1)
@@ -258,9 +254,9 @@ def _class_types(classdata: ClassData) -> list[tuple[tuple[int, int, int], int, 
     """All class-type triples with a nonzero pair count, in lexicographic order.
 
     A pair (x, y) has type (c1, c2, c3) when x is in C1, y in C2 and xy in C3.
-    With x the representative of C1 the count is #{y in C2 : yx in C3}, as yx
-    is conjugate to xy; it equals n(C1, C2, C3*) with C3* the inverse class of
-    C3.  Each type comes with its sigma set as a bitmask (bit i for class i).
+    With x the representative of C1 the count is T(c1, c2, c3*) / |C1|, with
+    C3* the class inverse to C3 and T from ClassMap.triple_counts.  Each type
+    comes with its sigma set as a bitmask (bit i for class i).
     Types touching the identity class are dropped: such a pair generates a
     cyclic subgroup, and a cyclic group is never the whole group here unless
     G itself is cyclic, in which case the powers of a generator meet every
@@ -269,13 +265,14 @@ def _class_types(classdata: ClassData) -> list[tuple[tuple[int, int, int], int, 
     classes = classdata.classes
     k = len(classes)
     masks = [sum(1 << i for i in power_closure(classdata, c.index)) for c in classes]
+    inverse = [c.power_row[-1] for c in classes]
     out = []
     for i1 in range(1, k):
-        x = classes[i1].representative
+        size = classes[i1].size
         for i2 in range(1, k):
-            counts = classdata.class_map.product_classes(i2, x)
+            row = classdata.class_map.triple_counts(i1, i2)
             for i3 in range(1, k):
-                n = counts[i3]
+                n = row[inverse[i3]] // size
                 if n:
                     out.append(((i1, i2, i3), masks[i1] | masks[i2] | masks[i3], n))
     return out
@@ -401,9 +398,7 @@ def search_beauville(
 # generating class pairs
 
 
-def all_pairs_generate(
-    G: PermGroup, c_labels, d_label: str, budget: int = DEFAULT_TYPE_BUDGET
-) -> GenClassCertificate:
+def all_pairs_generate(G: PermGroup, c_labels, d_label: str) -> GenClassCertificate:
     """Test G = <c, d> for the representative c of each class in C and every
     d in D; conjugation invariance of pair generation makes this exhaustive
     over C x D."""
@@ -411,10 +406,7 @@ def all_pairs_generate(
         c_labels = (c_labels,)
     c_labels = tuple(c_labels)
     classdata = G.conjugacy_data()
-    d_class = classdata.by_label(d_label)
-    if d_class.size > budget:
-        raise CapacityError(f"|D| = {d_class.size} exceeds the iteration budget {budget}")
-    d_elements = classdata.class_map.elements_of(d_class.index)
+    d_elements = classdata.class_map.elements_of(classdata.by_label(d_label).index)
     tested = 0
     for c_label in c_labels:
         c_rep = classdata.by_label(c_label).representative
@@ -439,7 +431,7 @@ def all_pairs_generate(
     )
 
 
-def search_gen_classes(G: PermGroup, budget: int = DEFAULT_TYPE_BUDGET) -> list[tuple[str, str]]:
+def search_gen_classes(G: PermGroup) -> list[tuple[str, str]]:
     """All ordered class pairs (C, D) for which every pair in C x D generates."""
     if G.order > 1_000_000:
         raise CapacityError(f"exhaustive class-pair search needs order <= 1e6, got {G.order}")
@@ -449,7 +441,7 @@ def search_gen_classes(G: PermGroup, budget: int = DEFAULT_TYPE_BUDGET) -> list[
     for i, c in enumerate(labels):
         for d in labels[i:]:
             # generation of <c, d> is symmetric, so one scan decides both orders
-            if all_pairs_generate(G, c, d, budget=budget).all_generate:
+            if all_pairs_generate(G, c, d).all_generate:
                 good.append((c, d))
                 if c != d:
                     good.append((d, c))

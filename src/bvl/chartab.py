@@ -278,17 +278,12 @@ class CharacterTable:
 def class_matrix(classdata: ClassData, i: int) -> list[list[int]]:
     """Matrix A with A[j][l] = #{(x, y) in C_i x C_j : x*y = z_l} for fixed z_l.
 
-    Column l counts the classes of x^-1 * z_l over the x^-1 of the class
-    inverse to C_i.
+    A[j][l] = T(i, j, l*) / |C_l| from ClassMap.triple_counts, with l* the
+    class inverse to C_l.
     """
     classes = classdata.classes
-    inv = classdata.by_label(classes[i].inverse_class).index
-    k = len(classes)
-    A = [[0] * k for _ in range(k)]
-    for l, c in enumerate(classes):
-        for j, n in classdata.class_map.product_classes(inv, c.representative).items():
-            A[j][l] = n
-    return A
+    rows = [classdata.class_map.triple_counts(i, j) for j in range(len(classes))]
+    return [[row[c.power_row[-1]] // c.size for c in classes] for row in rows]
 
 
 def character_table(G: PermGroup) -> CharacterTable:
@@ -346,7 +341,7 @@ def character_table(G: PermGroup) -> CharacterTable:
 
     # eigenvector coordinates are the central character values omega mod p
     size_inv = [pow(c.size, -1, p) for c in classes]
-    inverse_map = [cd.by_label(c.inverse_class).index for c in classes]
+    inverse_map = [c.power_row[-1] for c in classes]
     columns = []
     for B, _ in spaces:
         v = B[0]

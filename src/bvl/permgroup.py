@@ -22,6 +22,7 @@ CapacityError instead.
 from __future__ import annotations
 
 import random
+from array import array
 from collections import Counter
 from dataclasses import dataclass, field
 from math import gcd
@@ -412,7 +413,8 @@ class ConjugacyClass:
     element_order: int
     inverse_class: str = ""
     power_classes: dict[int, str] = field(default_factory=dict)
-    # class index of representative**i for every 0 <= i < element_order
+    # class index of representative**i for every 0 <= i < element_order;
+    # power_row[-1] is the index of the inverse class
     power_row: tuple[int, ...] = ()
 
 
@@ -423,6 +425,7 @@ class ClassMap:
         self.classes = classes
         self._table = table
         self._elements: list[list[Permutation]] | None = None
+        self._triples: dict[tuple[int, int], array] = {}
 
     def class_of(self, g: Permutation) -> int:
         """Index of the class containing g."""
@@ -440,15 +443,31 @@ class ClassMap:
             self._elements = grouped
         return self._elements[index]
 
-    def product_classes(self, j: int, z: Permutation) -> Counter:
-        """How many y in class j have y * z in each class, keyed by class index.
+    def triple_counts(self, a: int, b: int) -> array:
+        """Row over c of T(a, b, c) = #{(x, y, z) in C_a x C_b x C_c : xyz = 1}.
 
-        This is the one class-product count: class matrices and structure
-        constants read their entries from it.
+        T is invariant under every permutation of (a, b, c): xyz = 1 gives
+        yzx = 1 (rotation) and y * x * (x^-1 z x) = 1 (swap, z conjugated
+        inside C_c).  So one scan per unordered pair, memoised, serves every
+        ordering.  It runs over the smaller class C_s with the representative
+        r of the other class C_l: conjugating x to r gives T(l, s, c) =
+        |C_l| * #{y in C_s : y*r ~ r*y lies in the class inverse to C_c}.
+        Rows are int64 arrays (T <= |G|^2), so the memo holds no int objects.
         """
+        key = (a, b) if a <= b else (b, a)
+        row = self._triples.get(key)
+        if row is None:
+            row = self._triples[key] = self._scan(*key)
+        return row
+
+    def _scan(self, a: int, b: int) -> array:
+        """The triple_counts row of {a, b}: the one class-product counting loop."""
+        classes = self.classes
+        s, l = (a, b) if classes[a].size <= classes[b].size else (b, a)
         table = self._table
-        right = _pad(z.images)
-        return Counter([table[y.images.translate(right)] for y in self.elements_of(j)])
+        right = _pad(classes[l].representative.images)
+        counts = Counter([table[y.images.translate(right)] for y in self.elements_of(s)])
+        return array("q", [classes[l].size * counts[c.power_row[-1]] for c in classes])
 
 
 @dataclass
@@ -566,7 +585,7 @@ def _fill_power_maps(classes: list[ConjugacyClass], cmap: ClassMap) -> None:
             row.append(cmap.class_of(p))
             p = p * c.representative
         c.power_row = tuple(row)
-        c.inverse_class = classes[cmap.class_of(c.representative.inverse())].label
+        c.inverse_class = classes[row[-1]].label  # rep^(o-1) = rep^-1
         c.power_classes = {
             k: classes[c.power_row[k % c.element_order]].label
             for k in divisors(c.element_order)

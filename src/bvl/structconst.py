@@ -6,7 +6,8 @@ xyz = 1.  Two independent routes are provided: the character formula
     n = (|C2||C3| / |G|) * sum over irreducible chi of
         chi(C1) chi(C2) chi(C3) / chi(1)
 
-evaluated in exact cyclotomic arithmetic, and a brute-force count over C2.
+evaluated in exact cyclotomic arithmetic, and n = T(C1, C2, C3) / |C1| with
+T the triple count of ClassMap.triple_counts.
 The module also houses the nonvanishing scan for products of regular
 semisimple classes, the character-value bound check, and the point-count
 probe for triple varieties.
@@ -21,10 +22,9 @@ from math import gcd
 from .catalog import LieMeta
 from .chartab import CharacterTable, TableError
 from .cyclotomic import Cyclo
-from .permgroup import CapacityError, ClassData, PermGroup
+from .permgroup import ClassData, PermGroup
 
 BOUND_TOLERANCE = 1e-6
-BRUTE_BUDGET = 100_000_000
 
 
 @dataclass(frozen=True)
@@ -94,16 +94,9 @@ def structure_constant_formula(
 def structure_constant_brute(
     G: PermGroup, classdata: ClassData, c1: str, c2: str, c3: str
 ) -> TripleCount:
-    """n(C1,C2,C3) by fixing the representative x of C1 and scanning C2.
-
-    xyz = 1 with z in C3 means xy lies in the class inverse to C3, and yx is
-    conjugate to xy, so the count is one entry of the class products y * x.
-    """
+    """n(C1,C2,C3) = T(C1, C2, C3) / |C1|, counted by ClassMap.triple_counts."""
     k1, k2, k3 = (classdata.by_label(c) for c in (c1, c2, c3))
-    if k2.size > BRUTE_BUDGET:
-        raise CapacityError(f"brute-force budget exceeded: |C2| = {k2.size}")
-    inv3 = classdata.by_label(k3.inverse_class).index
-    count = classdata.class_map.product_classes(k2.index, k1.representative)[inv3]
+    count = classdata.class_map.triple_counts(k1.index, k2.index)[k3.index] // k1.size
     return TripleCount(group=G.name, labels=(c1, c2, c3), n_value=count, method="BRUTE")
 
 

@@ -1,0 +1,38 @@
+"""Byte-stable stdout and exit codes of representative CLI calls.
+
+Each digest is the sha256 of the call's stdout, recorded at commit 29093ca.
+A refactor that changes any byte of these outputs (a certificate, a class
+label, a character value, a count) fails here.
+"""
+
+import hashlib
+
+import pytest
+
+from bvl.cli import run
+
+GOLDEN = [
+    ("chartab --group file:m12.json --format json",
+     0, "a477de581aca778214a44e69534375a9ea9abcb4726c4c792307a7a5222832ae"),
+    ("beauville search --group L2:25 --format json --seed 3",
+     0, "07e7198a890002136d7194450732995938d1af5ff60f7e981161fe2ecfcc853f"),
+    ("beauville search --group L2:25 --format json --seed 7 --strategy exhaustive",
+     0, "213bb1fe74f2b86cab49bf4bea7b66ba83675cb27831dec1e14d3a2f77afad70"),
+    ("beauville search --group A6 --format json",
+     0, "767356afa5b1ac8a2c679e82bf77ad39c3f5e4fa6d5d04c9892a43fbf0e8c5c2"),
+    ("beauville search --group A5 --format json",
+     1, "46625f3c4dac8bd6e982890ef67ac251209f278cfd7e63d7ef5c34bb9f864c8a"),
+    ("struct --group A6 --classes 5a,5b,4a --method both",
+     0, "3382a2be658e7c710a65bfc3a6ed6998b01041f009c7764dbb5540540c8a802f"),
+    ("struct --group file:m11.json --classes 11a,8a,5a --method both",
+     0, "d4c4fb30cb51e48f6bbed958cc404a745adf5dc95c1c2deba8c549180c95c638"),
+    ("genclasses verify --group file:m11.json --c 11a --d 8a",
+     0, "ddb21c699be71aa2d9b2e9a615172495fc08c0a4a818a0256db1e907ed3f80ea"),
+]
+
+
+@pytest.mark.parametrize("argv,exit_code,digest", GOLDEN, ids=[g[0] for g in GOLDEN])
+def test_cli_output_is_byte_stable(argv, exit_code, digest, capsys):
+    code = run(argv.split())
+    out = capsys.readouterr().out
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == (exit_code, digest)

@@ -1,12 +1,16 @@
+import itertools
 import math
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bvl.permgroup as pg
+from bvl.beauville import _class_types
 from bvl.catalog import build_group, load_group_file
+from bvl.chartab import character_table
 from bvl.permgroup import (
     MAX_DEGREE,
     CapacityError,
@@ -243,6 +247,47 @@ def test_power_and_inverse_class_links():
             assert cd.class_map.class_of(rep**k) == cd.by_label(label).index
     five = cd.by_label("5a")
     assert cd.classes[five.power_row[2]].label == "5b"  # squaring swaps the 5-classes
+
+
+@pytest.mark.parametrize("spec", ["A5", "L2:7", "A6", "file:m11.json"])
+def test_triple_counts_symmetric(spec):
+    cmap = build_group(spec).conjugacy_data().class_map
+    k = len(cmap.classes)
+    for a, b, c in itertools.combinations_with_replacement(range(k), 3):
+        values = {cmap.triple_counts(p, q)[r] for p, q, r in itertools.permutations((a, b, c))}
+        assert len(values) == 1, (spec, a, b, c, values)
+
+
+@pytest.mark.parametrize("spec", ["A5", "L2:7"])
+def test_triple_counts_match_direct_count(spec):
+    # T(a, b, c) counts the (x, y) in C_a x C_b with (xy)^-1 in C_c
+    cd = build_group(spec).conjugacy_data()
+    cmap = cd.class_map
+    k = len(cd.classes)
+    for c in cd.classes:
+        assert cmap.class_of(c.representative.inverse()) == c.power_row[-1]
+    for a in range(k):
+        for b in range(k):
+            direct = [0] * k
+            for x in cmap.elements_of(a):
+                for y in cmap.elements_of(b):
+                    direct[cmap.class_of((x * y).inverse())] += 1
+            assert list(cmap.triple_counts(a, b)) == direct, (spec, a, b)
+
+
+def test_triple_counts_scan_each_unordered_pair_once(monkeypatch):
+    scans = Counter()
+    scan = pg.ClassMap._scan
+
+    def counted(self, a, b):
+        scans[frozenset((a, b))] += 1
+        return scan(self, a, b)
+
+    monkeypatch.setattr(pg.ClassMap, "_scan", counted)
+    G = build_group("L2:7")
+    _class_types(G.conjugacy_data())
+    character_table(G)
+    assert scans and max(scans.values()) == 1
 
 
 def test_centralizer_orders():
