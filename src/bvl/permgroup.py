@@ -385,8 +385,10 @@ def is_transitive_on_group_domain(G: PermGroup, gens) -> bool:
     """Orbit of point 1 under gens covers the whole domain.
 
     Cheap necessary condition for generating a transitive group; used to
-    short-circuit generation tests.
+    short-circuit generation tests.  False for gens of another degree.
     """
+    if any(g.degree != G.degree for g in gens):
+        return False
     seen = bytearray(G.degree + 1)
     seen[1] = 1
     stack = [1]

@@ -4,6 +4,7 @@ from math import gcd
 
 import pytest
 
+from bvl import beauville
 from bvl.beauville import (
     STATUS_CERTIFICATE,
     STATUS_NONE_BUDGET,
@@ -330,6 +331,62 @@ def test_all_pairs_generate_matches_full_double_loop():
             for d in cmap.elements_of(cd.by_label(d_lbl).index)
         )
         assert fixed == full, (c_lbl, d_lbl)
+
+
+def _plain_all_pairs(G, c_labels, d_label):
+    """(counterexample, pairs_tested) of a scan that tests every pair."""
+    cd = G.conjugacy_data()
+    tested = 0
+    for c_label in c_labels:
+        c = cd.by_label(c_label).representative
+        for d in cd.class_map.elements_of(cd.by_label(d_label).index):
+            tested += 1
+            if subgroup_order(G, [c, d]) != G.order:
+                return (c.to_list(), d.to_list()), tested
+    return None, tested
+
+
+@pytest.mark.parametrize("spec,c_labels,d_label", [
+    ("file:m11.json", ("2a",), "11a"),
+    ("file:m11.json", ("5a",), "8a"),
+    ("file:m11.json", ("8a",), "11a"),
+    ("file:m11.json", ("11a",), "8a"),
+    ("A6", ("5a", "5b"), "4a"),
+    ("L2:11", ("6a",), "5a"),
+])
+def test_all_pairs_generate_orbit_skipping_matches_plain_scan(spec, c_labels, d_label):
+    # one test per <c>-conjugation orbit of D: same verdict, counterexample and count
+    G = build_group(spec)
+    cert = all_pairs_generate(G, c_labels, d_label)
+    assert (cert.counterexample, cert.pairs_tested) == _plain_all_pairs(G, c_labels, d_label)
+
+
+@pytest.mark.parametrize("c_label,calls,pairs_tested", [
+    ("8a", 90, 720), ("4a", 180, 720), ("2a", 7, 11),
+])
+def test_all_pairs_generate_tests_one_pair_per_orbit(monkeypatch, c_label, calls, pairs_tested):
+    # no nontrivial power of c commutes with an element of order 11, so each
+    # <c>-orbit of 11a has o(c) elements: 720 / 8 = 90 and 720 / 4 = 180 tests
+    seen = []
+
+    def counting(G, x, y):
+        seen.append(y)
+        return is_generating_pair(G, x, y)
+
+    monkeypatch.setattr(beauville, "is_generating_pair", counting)
+    cert = all_pairs_generate(build_group("file:m11.json"), c_label, "11a")
+    assert (len(seen), cert.pairs_tested) == (calls, pairs_tested)
+
+
+def test_is_generating_pair_refuses_outsiders_at_the_transitivity_short_circuit():
+    # <(1 2), (3 4)> is intransitive, so the answer comes without a chain
+    G = build_group("A5")
+    with pytest.raises(MembershipError):
+        is_generating_pair(G, cyc(5, (1, 2)), cyc(5, (3, 4)))
+    with pytest.raises(ValueError, match="degree mismatch"):
+        is_generating_pair(G, cyc(6, (1, 2, 3)), cyc(6, (4, 5, 6)))
+    with pytest.raises(ValueError, match="degree mismatch"):
+        is_generating_pair(G, cyc(5, (1, 2, 3, 4, 5)), cyc(6, (1, 2, 3, 4, 5, 6)))
 
 
 def test_all_pairs_generate_multiple_c_classes():

@@ -1,6 +1,7 @@
 """Byte-stable stdout and exit codes of representative CLI calls.
 
-Each digest is the sha256 of the call's stdout, recorded at commit 29093ca.
+Each digest is the sha256 of the call's stdout, recorded at commit 29093ca;
+the two `genclasses` calls on M11 with `--format json` at 5320b59.
 A refactor that changes any byte of these outputs (a certificate, a class
 label, a character value, a count) fails here.
 """
@@ -28,6 +29,11 @@ GOLDEN = [
      0, "d4c4fb30cb51e48f6bbed958cc404a745adf5dc95c1c2deba8c549180c95c638"),
     ("genclasses verify --group file:m11.json --c 11a --d 8a",
      0, "ddb21c699be71aa2d9b2e9a615172495fc08c0a4a818a0256db1e907ed3f80ea"),
+    ("genclasses search --group file:m11.json --format json",
+     0, "a28b0be10236b6b5ac2198db754b24d6cc79686783b4509132c224998156f889"),
+    # a counterexample at pairs_tested 11: skipping covered pairs must keep it
+    ("genclasses verify --group file:m11.json --c 2a --d 11a --format json",
+     1, "d4c6ef652a3e5b3dc879ab114cdc68e692fc3ba3e1c2fbc0e0d748951a58739c"),
 ]
 
 
