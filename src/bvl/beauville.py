@@ -450,19 +450,25 @@ def all_pairs_generate(G: PermGroup, c_labels, d_label: str) -> GenClassCertific
 
 
 def search_gen_classes(G: PermGroup) -> list[tuple[str, str]]:
-    """All ordered class pairs (C, D) for which every pair in C x D generates."""
+    """All ordered class pairs (C, D) for which every pair in C x D generates.
+
+    Generation of <c, d> is symmetric, so one all_pairs_generate call decides
+    both orders of a class pair.  It makes about |D| / o(c) generation tests,
+    so each pair is scanned with c from the class that makes that smaller.
+    """
     if G.order > 1_000_000:
         raise CapacityError(f"exhaustive class-pair search needs order <= 1e6, got {G.order}")
     classdata = G.conjugacy_data()
-    labels = [c.label for c in classdata.classes if c.element_order > 1]
+    classes = [c for c in classdata.classes if c.element_order > 1]
     good: list[tuple[str, str]] = []
-    for i, c in enumerate(labels):
-        for d in labels[i:]:
-            # generation of <c, d> is symmetric, so one scan decides both orders
-            if all_pairs_generate(G, c, d).all_generate:
-                good.append((c, d))
-                if c != d:
-                    good.append((d, c))
+    for i, x in enumerate(classes):
+        for y in classes[i:]:
+            # |y| / o(x) > |x| / o(y): scan with c in y, d in x
+            c, d = (y, x) if y.size * y.element_order > x.size * x.element_order else (x, y)
+            if all_pairs_generate(G, c.label, d.label).all_generate:
+                good.append((x.label, y.label))
+                if x is not y:
+                    good.append((y.label, x.label))
     good.sort(key=lambda pair: (
         classdata.by_label(pair[0]).index, classdata.by_label(pair[1]).index
     ))

@@ -4,6 +4,13 @@ Class-multiplication matrices are split into common eigenspaces over a prime
 field F_p with p = 1 (mod exponent), p > 2*sqrt(|G|); eigenvalue data then
 lifts to exact cyclotomic character values through the discrete Fourier sum
 over power classes.  No floating point enters the construction.
+
+Only the pivot rows of each class matrix are built (Schneider 1990).  The
+class matrices commute, so every common eigenspace V of A_1..A_{i-1} is
+A_i-invariant.  V is held as a basis B in reduced row echelon form, and a
+vector of V is fixed by its coordinates at the pivot columns of B.  So the
+action of A_i on V is read off the rows j of A_i with j a pivot of B; the
+other rows are never needed and never scanned.
 """
 
 from __future__ import annotations
@@ -275,15 +282,20 @@ class CharacterTable:
         }
 
 
-def class_matrix(classdata: ClassData, i: int) -> list[list[int]]:
-    """Matrix A with A[j][l] = #{(x, y) in C_i x C_j : x*y = z_l} for fixed z_l.
+def class_matrix(classdata: ClassData, i: int, rows) -> list[list[int]]:
+    """Rows j in rows, in that order, of the matrix A with
+    A[j][l] = #{(x, y) in C_i x C_j : x*y = z_l} for a fixed z_l in C_l.
 
     A[j][l] = T(i, j, l*) / |C_l| from ClassMap.triple_counts, with l* the
-    class inverse to C_l.
+    class inverse to C_l; each row costs one scan of the class pair {i, j}.
+    character_table asks only for the pivot rows of its unsplit eigenspaces:
+    the eigenspaces are A-invariant, and a vector of such a space is fixed by
+    its pivot coordinates, so those rows alone give the action of A on it.
+    Pass range(k) for the whole matrix.
     """
     classes = classdata.classes
-    rows = [classdata.class_map.triple_counts(i, j) for j in range(len(classes))]
-    return [[row[c.power_row[-1]] // c.size for c in classes] for row in rows]
+    counts = [classdata.class_map.triple_counts(i, j) for j in rows]
+    return [[row[c.power_row[-1]] // c.size for c in classes] for row in counts]
 
 
 def character_table(G: PermGroup) -> CharacterTable:
@@ -308,17 +320,18 @@ def character_table(G: PermGroup) -> CharacterTable:
     for i in range(k):
         if all(len(B) == 1 for B, _ in spaces):
             break
-        A = class_matrix(cd, i)
+        need = sorted({j for B, piv in spaces if len(B) > 1 for j in piv})
+        A = dict(zip(need, class_matrix(cd, i, need)))
         new_spaces: list[tuple[list[list[int]], list[int]]] = []
         for B, piv in spaces:
             d = len(B)
             if d == 1:
                 new_spaces.append((B, piv))
                 continue
-            images = [
-                [sum(A[j][l] * b[l] for l in range(k)) % p for j in range(k)] for b in B
+            # R[r][s]: pivot coordinate piv[s] of A * B[r]
+            R = [
+                [sum(A[j][l] * b[l] for l in range(k)) % p for j in piv] for b in B
             ]
-            R = [[images[r][piv[s]] for s in range(d)] for r in range(d)]
             # transpose: eigen-coordinates act through R^T on coefficient vectors
             Rt = [[R[s][r] for s in range(d)] for r in range(d)]
             roots = _poly_roots(_charpoly(Rt, p), p)

@@ -14,7 +14,8 @@ of the generated subgroup, so construction stops as soon as it reaches |G|.
 Only a proper subgroup gets a complete chain.
 
 Conjugacy classes come from one path: enumerate the whole group, partition it
-into conjugation orbits and keep an element-to-class table.  Groups above
+into conjugation orbits and keep an element-to-class table.  The members of
+each class are stored per class and sorted only on request.  Groups above
 CLASS_ORDER_BOUND (2,000,000; S10 is the smallest catalog group past it) raise
 CapacityError instead.
 """
@@ -421,12 +422,19 @@ class ConjugacyClass:
 
 
 class ClassMap:
-    """Element-to-class lookup: a table over the whole group."""
+    """Element-to-class lookup: a table over the whole group.
 
-    def __init__(self, classes: list[ConjugacyClass], table: dict[bytes, int]):
+    The members of each class are stored per class as image bytes in no
+    particular order; elements_of sorts and wraps one class on its first
+    request.
+    """
+
+    def __init__(self, classes: list[ConjugacyClass], members: list[list[bytes]],
+                 table: dict[bytes, int]):
         self.classes = classes
+        self._members = members
         self._table = table
-        self._elements: list[list[Permutation]] | None = None
+        self._elements: list[list[Permutation] | None] = [None] * len(classes)
         self._triples: dict[tuple[int, int], array] = {}
 
     def class_of(self, g: Permutation) -> int:
@@ -438,12 +446,11 @@ class ClassMap:
 
     def elements_of(self, index: int) -> list[Permutation]:
         """All elements of the class, in ascending image order."""
-        if self._elements is None:
-            grouped: list[list[Permutation]] = [[] for _ in self.classes]
-            for images in sorted(self._table):
-                grouped[self._table[images]].append(Permutation._raw(images))
-            self._elements = grouped
-        return self._elements[index]
+        elements = self._elements[index]
+        if elements is None:
+            elements = [Permutation._raw(images) for images in sorted(self._members[index])]
+            self._elements[index] = elements
+        return elements
 
     def triple_counts(self, a: int, b: int) -> array:
         """Row over c of T(a, b, c) = #{(x, y, z) in C_a x C_b x C_c : xyz = 1}.
@@ -468,7 +475,7 @@ class ClassMap:
         s, l = (a, b) if classes[a].size <= classes[b].size else (b, a)
         table = self._table
         right = _pad(classes[l].representative.images)
-        counts = Counter([table[y.images.translate(right)] for y in self.elements_of(s)])
+        counts = Counter([table[y.translate(right)] for y in self._members[s]])
         return array("q", [classes[l].size * counts[c.power_row[-1]] for c in classes])
 
 
@@ -484,19 +491,19 @@ class ClassData:
         raise KeyError(f"unknown class label {label!r}")
 
 
-def _conjugation_orbit(G: PermGroup, images: bytes) -> set[bytes]:
+def _conjugation_orbit(G: PermGroup, images: bytes) -> list[bytes]:
     """Image bytes of the full conjugacy class of images, by generator closure."""
     gens = [(_pad(s.images), s.inverse().images) for s in G.generators]
     seen = {images}
-    stack = [images]
-    while stack:
-        v = _pad(stack.pop())
+    orbit = [images]
+    for v in orbit:  # breadth first: the loop also visits what it appends
+        v = _pad(v)
         for s, s_inv in gens:
             w = s_inv.translate(v).translate(s)  # s^-1 * v * s
             if w not in seen:
                 seen.add(w)
-                stack.append(w)
-    return seen
+                orbit.append(w)
+    return orbit
 
 
 def _enumerate_elements(G: PermGroup) -> set[bytes]:
@@ -539,6 +546,8 @@ def conjugacy_classes(G: PermGroup, bound: int = CLASS_ORDER_BOUND) -> ClassData
     """Complete conjugacy-class list with canonical labels and power maps.
 
     Enumerates the whole group and partitions it into conjugation orbits.
+    Each orbit is kept as its class's list of image bytes, unsorted; the
+    element-to-class table is written once, after the canonical sort.
     """
     if G.order > bound:
         raise CapacityError(
@@ -546,22 +555,24 @@ def conjugacy_classes(G: PermGroup, bound: int = CLASS_ORDER_BOUND) -> ClassData
         )
     remaining = _enumerate_elements(G)
     assert len(remaining) == G.order
-    table: dict[bytes, int] = {}
+    orbits: list[list[bytes]] = []
     raw: list[tuple[int, bytes, int]] = []  # (order, lex-least rep images, size)
     while remaining:
         orbit = _conjugation_orbit(G, remaining.pop())
-        remaining -= orbit
-        table.update(dict.fromkeys(orbit, len(raw)))
+        remaining.difference_update(orbit)
+        orbits.append(orbit)
         rep = min(orbit)
         raw.append((Permutation._raw(rep).order(), rep, len(orbit)))
+    del remaining  # an emptied set keeps its hash table; free it before the class table
     assert sum(size for _, _, size in raw) == G.order
 
     # canonical order: element order, then size, then lex-least representative
     perm_order = sorted(range(len(raw)), key=lambda i: (raw[i][0], raw[i][2], raw[i][1]))
     sorted_raw = [raw[i] for i in perm_order]
-    relabel = {old: new for new, old in enumerate(perm_order)}
-    for images in table:
-        table[images] = relabel[table[images]]
+    members = [orbits[i] for i in perm_order]
+    table: dict[bytes, int] = {}
+    for i, orbit in enumerate(members):
+        table.update(dict.fromkeys(orbit, i))
 
     labels = _assign_labels(sorted_raw)
     classes = [
@@ -574,7 +585,7 @@ def conjugacy_classes(G: PermGroup, bound: int = CLASS_ORDER_BOUND) -> ClassData
         )
         for i, (order_, rep, size) in enumerate(sorted_raw)
     ]
-    cmap = ClassMap(classes, table)
+    cmap = ClassMap(classes, members, table)
     _fill_power_maps(classes, cmap)
     return ClassData(classes=classes, class_map=cmap)
 

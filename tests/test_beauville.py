@@ -418,6 +418,30 @@ def test_search_gen_classes_m11_within_4_seconds():
     assert time.perf_counter() - start < 4
 
 
+def test_search_gen_classes_scans_each_pair_from_the_cheaper_side(monkeypatch):
+    # a class pair costs about |D| / o(c) generation tests; on M11 scanning
+    # every pair with c in the earlier class makes 855, the cheaper side 664
+    G = build_group("file:m11.json")
+    tests = []
+
+    def counting(G, x, y):
+        tests.append(y)
+        return is_generating_pair(G, x, y)
+
+    monkeypatch.setattr(beauville, "is_generating_pair", counting)
+    labels = [c.label for c in G.conjugacy_data().classes if c.element_order > 1]
+    earlier_first = set()
+    for i, c in enumerate(labels):
+        for d in labels[i:]:
+            if all_pairs_generate(G, c, d).all_generate:
+                earlier_first |= {(c, d), (d, c)}
+    unoriented = len(tests)
+    tests.clear()
+    pairs = search_gen_classes(G)
+    assert (unoriented, len(tests)) == (855, 664)
+    assert len(pairs) == len(earlier_first) and set(pairs) == earlier_first
+
+
 def test_search_gen_classes_trivial_group():
     trivial = PermGroup([], degree=3, name="trivial")
     assert search_gen_classes(trivial) == []

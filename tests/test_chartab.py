@@ -3,6 +3,7 @@ from math import gcd
 
 import pytest
 
+import bvl.permgroup as pg
 from bvl.catalog import build_group, load_group_file
 from bvl.chartab import (
     character_table,
@@ -40,7 +41,7 @@ def coefficient(G, ci, cj, ck):
     """a_ijk = #{(x, y) in C_i x C_j with xy = z} for a fixed z in C_k, from class_matrix."""
     cd = G.conjugacy_data()
     i, j, k = (cd.by_label(lbl).index for lbl in (ci, cj, ck))
-    return class_matrix(cd, i)[j][k]
+    return class_matrix(cd, i, [j])[0][k]
 
 
 def test_class_mult_coefficient_examples():
@@ -66,7 +67,7 @@ def test_class_mult_coefficient_independent_of_z():
         if base is None:
             base = count
         assert count == base
-    assert base == class_matrix(cd, i)[j][k]
+    assert base == class_matrix(cd, i, [j])[0][k]
 
 
 def test_dixon_consistency_small_groups():
@@ -77,7 +78,7 @@ def test_dixon_consistency_small_groups():
         T = character_table(G)
         k = len(cd.classes)
         for i in range(k):
-            A = class_matrix(cd, i)
+            A = class_matrix(cd, i, range(k))
             for j in range(k):
                 for l in range(k):
                     total = Cyclo.zero(T.conductor)
@@ -158,6 +159,33 @@ def test_class_matrix_row_sums():
     G = build_group("A5")
     cd = G.conjugacy_data()
     for i in range(len(cd.classes)):
-        A = class_matrix(cd, i)
+        A = class_matrix(cd, i, range(len(cd.classes)))
         for l in range(len(cd.classes)):
             assert sum(A[j][l] for j in range(len(cd.classes))) == cd.classes[i].size
+
+
+@pytest.mark.parametrize("spec", ["A5", "L2:7", "file:m11.json"])
+def test_class_matrix_rows_match_whole_matrix(spec):
+    cd = build_group(spec).conjugacy_data()
+    k = len(cd.classes)
+    rows = [k - 1, 0, k // 2]
+    for i in range(k):
+        picked = class_matrix(cd, i, rows)
+        whole = class_matrix(cd, i, range(k))
+        assert picked == [whole[j] for j in rows], (spec, i)
+
+
+def test_character_table_scans_only_pivot_rows(monkeypatch):
+    # the whole class matrices of M12 would scan 119 of its 120 class pairs;
+    # the pivot rows of the eigenspaces still to split need 48
+    scans = []
+    scan = pg.ClassMap._scan
+
+    def counted(self, a, b):
+        scans.append(frozenset((a, b)))
+        return scan(self, a, b)
+
+    monkeypatch.setattr(pg.ClassMap, "_scan", counted)
+    T = character_table(load_group_file("m12.json"))
+    assert len(T.degrees) == 15
+    assert 0 < len(set(scans)) == len(scans) <= 48

@@ -1,7 +1,9 @@
 """Byte-stable stdout and exit codes of representative CLI calls.
 
 Each digest is the sha256 of the call's stdout, recorded at commit 29093ca;
-the two `genclasses` calls on M11 with `--format json` at 5320b59.
+the two `genclasses` calls on M11 with `--format json` at 5320b59; the
+`chartab` calls on A9 and L2:49, whose eigenspace splits take many steps and
+give irrational characters, at 1ca8ecd.
 A refactor that changes any byte of these outputs (a certificate, a class
 label, a character value, a count) fails here.
 """
@@ -15,6 +17,10 @@ from bvl.cli import run
 GOLDEN = [
     ("chartab --group file:m12.json --format json",
      0, "a477de581aca778214a44e69534375a9ea9abcb4726c4c792307a7a5222832ae"),
+    ("chartab --group A9 --format json",
+     0, "560bb03deeca627d4b5f4d2f3f19cdd088154038a289e67c4b7dce333906863c"),
+    ("chartab --group L2:49 --format json",
+     0, "d4897f18afcd0c6290a55681ab87af236b41d90fe7e9f3d52a8bbdbc8edcdb77"),
     ("beauville search --group L2:25 --format json --seed 3",
      0, "07e7198a890002136d7194450732995938d1af5ff60f7e981161fe2ecfcc853f"),
     ("beauville search --group L2:25 --format json --seed 7 --strategy exhaustive",

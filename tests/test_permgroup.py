@@ -290,6 +290,22 @@ def test_triple_counts_scan_each_unordered_pair_once(monkeypatch):
     assert scans and max(scans.values()) == 1
 
 
+@pytest.mark.parametrize("spec", ["A6", "file:m11.json"])
+def test_elements_of_sorted_per_class_and_covering_the_group(spec):
+    G = build_group(spec)
+    cmap = G.conjugacy_data().class_map
+    seen = Counter()
+    for i, c in enumerate(cmap.classes):
+        elements = cmap.elements_of(i)
+        images = [g.images for g in elements]
+        assert images == sorted(images) and len(images) == c.size
+        assert c.representative in elements
+        assert all(cmap.class_of(g) == i and g.order() == c.element_order for g in elements)
+        seen.update(images)
+    assert set(seen.values()) == {1}
+    assert set(seen) == pg._enumerate_elements(G)
+
+
 def test_centralizer_orders():
     A5 = build_group("A5")
     assert centralizer_order(A5, cyc(5, (1, 2, 3, 4, 5))) == 5
