@@ -13,11 +13,14 @@ product of the basic orbit lengths built so far is a lower bound on the order
 of the generated subgroup, so construction stops as soon as it reaches |G|.
 Only a proper subgroup gets a complete chain.
 
-Conjugacy classes come from one path: enumerate the whole group, partition it
-into conjugation orbits and keep an element-to-class table.  The members of
-each class are stored per class and sorted only on request.  Groups above
-CLASS_ORDER_BOUND (2,000,000; S10 is the smallest catalog group past it) raise
-CapacityError instead.
+Conjugacy classes come from one path: one walk over the complete stabilizer
+chain lists every element once (each is uniquely x * u, u in the first
+transversal, x in the point stabilizer), and each element not yet in the
+element-to-class table seeds its conjugation orbit, closed under a generating
+pair of G (any generating set gives the same orbits) and written straight into
+that table.  The members of each class are stored per class and sorted only
+on request.  Groups above CLASS_ORDER_BOUND (2,000,000; S10 is the smallest
+catalog group past it) raise CapacityError instead.
 """
 
 from __future__ import annotations
@@ -30,7 +33,8 @@ from math import gcd
 
 from .numtheory import divisors
 
-# Largest group order whose elements conjugacy_classes enumerates.
+# Largest group order whose elements conjugacy_classes walks and sorts into
+# conjugation orbits.
 CLASS_ORDER_BOUND = 2_000_000
 
 # Largest degree whose points fit in one byte each.
@@ -43,6 +47,10 @@ _PAD = bytes(range(256))
 
 class CapacityError(RuntimeError):
     """Raised when a computation exceeds its configured size bound."""
+
+
+class EnumerationError(RuntimeError):
+    """Raised when class enumeration does not account for every group element."""
 
 
 class MembershipError(ValueError):
@@ -491,37 +499,64 @@ class ClassData:
         raise KeyError(f"unknown class label {label!r}")
 
 
-def _conjugation_orbit(G: PermGroup, images: bytes) -> list[bytes]:
-    """Image bytes of the full conjugacy class of images, by generator closure."""
-    gens = [(_pad(s.images), s.inverse().images) for s in G.generators]
-    seen = {images}
+def _conjugators(G: PermGroup) -> tuple[Permutation, ...]:
+    """A generating set of G to conjugate by: a random generating pair if found.
+
+    Pairs are drawn with a fixed seed and accepted only when subgroup_order
+    proves they generate G; after a few misses (or with at most two
+    generators already) G.generators is returned.
+    """
+    if len(G.generators) <= 2:
+        return G.generators
+    rng = random.Random(0)
+    for _ in range(8):
+        pair = (G.random_element(rng), G.random_element(rng))
+        if subgroup_order(G, pair) == G.order:
+            return pair
+    return G.generators
+
+
+def _conjugation_orbit(conjugators, images: bytes, table: dict[bytes, int],
+                       index: int) -> list[bytes]:
+    """Image bytes of the conjugacy class of images, by closure under conjugators.
+
+    Every new member is entered in table with value index, so table doubles
+    as the orbit's seen-set; an element already there is never revisited.
+    """
+    tail = _PAD[len(images):]
+    pairs = [(_pad(s.images), s.inverse().images) for s in conjugators]
+    table[images] = index
     orbit = [images]
     for v in orbit:  # breadth first: the loop also visits what it appends
-        v = _pad(v)
-        for s, s_inv in gens:
+        v += tail
+        for s, s_inv in pairs:
             w = s_inv.translate(v).translate(s)  # s^-1 * v * s
-            if w not in seen:
-                seen.add(w)
+            if w not in table:
+                table[w] = index
                 orbit.append(w)
     return orbit
 
 
-def _enumerate_elements(G: PermGroup) -> set[bytes]:
-    """Image bytes of every group element, by closure under the generators."""
-    ident = _PAD[: G.degree + 1]
-    seen = {ident}
-    frontier = [ident]
-    gens = [_pad(g.images) for g in G.generators]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for e in gens:
-                w = v.translate(e)
-                if w not in seen:
-                    seen.add(w)
-                    nxt.append(w)
-        frontier = nxt
-    return seen
+def _chain_elements(G: PermGroup):
+    """Image bytes of every element of G, each exactly once, from its chain.
+
+    G's chain is complete, so each element is uniquely x * u with u in the
+    level-0 transversal and x in the stabilizer of the first base point.  The
+    stabilizer's elements are built as a list, level by level from the
+    deepest; the products with u are yielded lazily.
+    """
+    levels = G._chain.levels
+    stabilizer = [_PAD[: G.degree + 1]]
+    if not levels:
+        yield from stabilizer
+        return
+    for lv in reversed(levels[1:]):
+        pads = [_pad(u.images) for u in lv.transversal.values()]
+        stabilizer = [x.translate(t) for t in pads for x in stabilizer]
+    for u in levels[0].transversal.values():
+        t = _pad(u.images)
+        for x in stabilizer:
+            yield x.translate(t)
 
 
 def _assign_labels(raw: list[tuple[int, bytes, int]]) -> list[str]:
@@ -545,32 +580,37 @@ def _assign_labels(raw: list[tuple[int, bytes, int]]) -> list[str]:
 def conjugacy_classes(G: PermGroup, bound: int = CLASS_ORDER_BOUND) -> ClassData:
     """Complete conjugacy-class list with canonical labels and power maps.
 
-    Enumerates the whole group and partitions it into conjugation orbits.
-    Each orbit is kept as its class's list of image bytes, unsorted; the
-    element-to-class table is written once, after the canonical sort.
+    Walks the elements of G once (_chain_elements); each one not yet in the
+    element-to-class table seeds a conjugation orbit that enters its members
+    there under a provisional index.  Each orbit is kept as its class's list
+    of image bytes, unsorted; after the canonical sort the table values are
+    rewritten once with the final indices.
     """
     if G.order > bound:
         raise CapacityError(
             f"conjugacy classes need order <= {bound}, group has order {G.order}"
         )
-    remaining = _enumerate_elements(G)
-    assert len(remaining) == G.order
+    conjugators = _conjugators(G)
+    table: dict[bytes, int] = {}
     orbits: list[list[bytes]] = []
     raw: list[tuple[int, bytes, int]] = []  # (order, lex-least rep images, size)
-    while remaining:
-        orbit = _conjugation_orbit(G, remaining.pop())
-        remaining.difference_update(orbit)
+    for images in _chain_elements(G):
+        if images in table:
+            continue
+        orbit = _conjugation_orbit(conjugators, images, table, len(orbits))
         orbits.append(orbit)
         rep = min(orbit)
         raw.append((Permutation._raw(rep).order(), rep, len(orbit)))
-    del remaining  # an emptied set keeps its hash table; free it before the class table
-    assert sum(size for _, _, size in raw) == G.order
+    # explicit, not assert: python -O must not strip the exactness check
+    if len(table) != G.order or sum(size for _, _, size in raw) != G.order:
+        raise EnumerationError(
+            f"class enumeration found {len(table)} elements, group has order {G.order}"
+        )
 
     # canonical order: element order, then size, then lex-least representative
     perm_order = sorted(range(len(raw)), key=lambda i: (raw[i][0], raw[i][2], raw[i][1]))
     sorted_raw = [raw[i] for i in perm_order]
     members = [orbits[i] for i in perm_order]
-    table: dict[bytes, int] = {}
     for i, orbit in enumerate(members):
         table.update(dict.fromkeys(orbit, i))
 
@@ -609,4 +649,4 @@ def centralizer_order(G: PermGroup, g: Permutation) -> int:
     """|C_G(g)| = |G| / |class of g|."""
     if not G.contains(g):
         raise MembershipError("element is not in the group")
-    return G.order // len(_conjugation_orbit(G, g.images))
+    return G.order // len(_conjugation_orbit(G.generators, g.images, {}, 0))

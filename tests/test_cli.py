@@ -240,6 +240,13 @@ def test_internal_error_exit_code(monkeypatch, capsys):
     assert code == 4 and "error: internal:" in err
 
 
+def test_incomplete_class_enumeration_is_internal_error(monkeypatch, capsys):
+    # an explicit check, not an assert: it must survive python -O
+    monkeypatch.setattr("bvl.permgroup._chain_elements", lambda G: iter([G.identity().images]))
+    code, _, err = run_cli(["classes", "--group", "A5"], capsys)
+    assert code == 4 and "error: internal: EnumerationError:" in err
+
+
 def test_search_fault_is_internal_not_a_verdict(monkeypatch, capsys):
     # a search whose pair fails re-verification is a bug, not "no structure"
     monkeypatch.setattr(

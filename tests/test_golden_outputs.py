@@ -3,7 +3,9 @@
 Each digest is the sha256 of the call's stdout, recorded at commit 29093ca;
 the two `genclasses` calls on M11 with `--format json` at 5320b59; the
 `chartab` calls on A9 and L2:49, whose eigenspace splits take many steps and
-give irrational characters, at 1ca8ecd.
+give irrational characters, at 1ca8ecd; the `classes` calls on M12 and L2:32,
+whose conjugation orbits are closed under a generating pair instead of the
+group's 3 and 10 generators, at 124ab09.
 A refactor that changes any byte of these outputs (a certificate, a class
 label, a character value, a count) fails here.
 """
@@ -21,6 +23,10 @@ GOLDEN = [
      0, "560bb03deeca627d4b5f4d2f3f19cdd088154038a289e67c4b7dce333906863c"),
     ("chartab --group L2:49 --format json",
      0, "d4897f18afcd0c6290a55681ab87af236b41d90fe7e9f3d52a8bbdbc8edcdb77"),
+    ("classes --group file:m12.json --format json",
+     0, "47f3d79f316005c311def01a374a97f3a3dd409dd7b38c90b1bc507ef18e967b"),
+    ("classes --group L2:32 --format json",
+     0, "4f4a25ea0c87041d1a84da06b6e48504237a94380b503d5d84be60d8f5ba77de"),
     ("beauville search --group L2:25 --format json --seed 3",
      0, "07e7198a890002136d7194450732995938d1af5ff60f7e981161fe2ecfcc853f"),
     ("beauville search --group L2:25 --format json --seed 7 --strategy exhaustive",

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import random
 from collections import Counter
@@ -25,6 +26,28 @@ from bvl.permgroup import (
 
 def cyc(degree, *cycles):
     return Permutation.from_cycles(degree, cycles)
+
+
+def closure(G):
+    """Image bytes of every element of G, by breadth-first closure under its generators."""
+    seen = {G.identity().images}
+    frontier = [G.identity()]
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for s in G.generators:
+                w = v * s
+                if w.images not in seen:
+                    seen.add(w.images)
+                    nxt.append(w)
+        frontier = nxt
+    return seen
+
+
+def file_group(tmp_path, name, degree, generators):
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps({"name": name, "degree": degree, "generators": generators}))
+    return build_group(f"file:{path}")
 
 
 def test_permutation_basics():
@@ -185,7 +208,7 @@ def test_conjugacy_classes_a5():
 
 def test_conjugacy_classes_a5_against_naive_partition():
     G = build_group("A5")
-    elements = [Permutation._raw(t) for t in pg._enumerate_elements(G)]
+    elements = [Permutation._raw(t) for t in closure(G)]
     all_elems = set(e.images for e in elements)
     # naive quadratic partition: conjugate by every group element
     seen = {}
@@ -303,7 +326,59 @@ def test_elements_of_sorted_per_class_and_covering_the_group(spec):
         assert all(cmap.class_of(g) == i and g.order() == c.element_order for g in elements)
         seen.update(images)
     assert set(seen.values()) == {1}
-    assert set(seen) == pg._enumerate_elements(G)
+    assert set(seen) == closure(G)
+
+
+@pytest.mark.parametrize("spec", ["A5", "L2:7", "file:m11.json", "cyclic", "trivial"])
+def test_chain_elements_yield_each_element_once(spec, tmp_path):
+    if spec == "cyclic":
+        G = file_group(tmp_path, "C7", 7, [[2, 3, 4, 5, 6, 7, 1]])
+        assert len(G._chain.levels) == 1
+    elif spec == "trivial":
+        G = PermGroup([], degree=4)
+        assert G.order == 1 and not G._chain.levels
+    else:
+        G = build_group(spec)
+    elements = list(pg._chain_elements(G))
+    assert len(elements) == len(set(elements)) == G.order
+    assert set(elements) == closure(G)
+
+
+def class_snapshot(G):
+    cd = conjugacy_classes(G)
+    classes = [(c.label, c.representative, c.size, c.element_order, c.power_row)
+               for c in cd.classes]
+    return classes, cd.class_map._table
+
+
+@pytest.mark.parametrize("spec", ["L2:25", "L3:3", "L2:32", "file:m12.json"])
+def test_conjugating_pair_gives_the_classes_of_the_generators(spec, monkeypatch):
+    G = build_group(spec)
+    pair = pg._conjugators(G)
+    assert len(G.generators) > 2 and len(pair) == 2
+    assert subgroup_order(G, pair) == G.order
+    chosen = class_snapshot(G)
+    monkeypatch.setattr(pg, "_conjugators", lambda G: G.generators)
+    assert class_snapshot(G) == chosen
+
+
+def test_conjugators_fall_back_to_generators_when_no_pair_generates(tmp_path):
+    # C2 x C2 x C2 needs three generators
+    G = file_group(tmp_path, "C2cubed", 6, [[2, 1, 3, 4, 5, 6], [1, 2, 4, 3, 5, 6],
+                                            [1, 2, 3, 4, 6, 5]])
+    assert G.order == 8
+    assert pg._conjugators(G) == G.generators
+
+
+def test_conjugators_keep_two_generators_without_drawing(monkeypatch):
+    G = build_group("A5")
+    assert len(G.generators) == 2
+
+    def no_draw(rng):
+        raise AssertionError("a 2-generator group needs no random pair")
+
+    monkeypatch.setattr(G, "random_element", no_draw)
+    assert pg._conjugators(G) is G.generators
 
 
 def test_centralizer_orders():
