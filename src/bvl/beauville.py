@@ -144,15 +144,11 @@ def sigma_set(G: PermGroup, classdata: ClassData, x: Permutation, y: Permutation
 def is_generating_pair(G: PermGroup, x: Permutation, y: Permutation) -> bool:
     """G = <x, y>.  x and y are sifted through G's chain once, here or in
     subgroup_order; either raises MembershipError outside G."""
-    if not is_transitive_on_group_domain(G, (x, y)) and _group_is_transitive(G):
+    if G.is_transitive and not is_transitive_on_group_domain(G, (x, y)):
         if not (G.contains(x) and G.contains(y)):
             raise MembershipError("is_generating_pair: element is not in the group")
         return False
     return subgroup_order(G, [x, y]) == G.order
-
-
-def _group_is_transitive(G: PermGroup) -> bool:
-    return is_transitive_on_group_domain(G, G.generators)
 
 
 def genus_of_triple(group_order: int, a: int, b: int, c: int) -> tuple[int, bool]:

@@ -7,11 +7,13 @@ MAX_DEGREE (255) raise CapacityError.  Equal-length bytes sort like tuples of
 ints, so class labels and representatives do not depend on the storage.
 Products act left-to-right: (p * q) means apply p, then q.
 
-Stabilizer chains come from deterministic Schreier-Sims.  subgroup_order, and
+Stabilizer chains come from one deterministic Schreier-Sims engine (_Chain)
+on Schreier vectors: transversal elements are built on first use, and
+Schreier generators are taken from the top level down.  subgroup_order, and
 with it every generation test, passes the known order |G| as a target: the
 product of the basic orbit lengths built so far is a lower bound on the order
 of the generated subgroup, so construction stops as soon as it reaches |G|.
-Only a proper subgroup gets a complete chain.
+Only a proper subgroup, or a PermGroup, gets a complete chain.
 
 Conjugacy classes come from one path: one walk over the complete stabilizer
 chain lists every element once (each is uniquely x * u, u in the first
@@ -29,7 +31,8 @@ import random
 from array import array
 from collections import Counter
 from dataclasses import dataclass, field
-from math import gcd
+from itertools import islice
+from math import gcd, prod
 
 from .numtheory import divisors
 
@@ -183,38 +186,76 @@ class Permutation:
 
 
 class _Level:
-    """One stabilizer-chain level: base point, own generators, Schreier data.
+    """One stabilizer-chain level on a Schreier vector.
 
-    inverse[beta] is the inverse of transversal[beta], computed once when beta
-    joins the orbit; sifts and Schreier generators read it from there.
+    gens holds this level's strong generators and every deeper level's, in
+    the order found; orbit and gens only grow.  edge[beta] = (parent point,
+    generator index) is the Schreier vector: beta = parent^gens[index].  The
+    transversal element u(beta), mapping the base point to beta, and its
+    inverse are built from edge on first use and memoised.  done[p] counts
+    the generators already paired with orbit[p] into Schreier generators.
     """
 
-    __slots__ = ("point", "own_gens", "transversal", "inverse", "orbit", "pair_done")
+    __slots__ = ("point", "gens", "orbit", "edge", "done", "_u", "_u_inv")
 
     def __init__(self, point: int, degree: int):
         identity = Permutation.identity(degree)
         self.point = point
-        self.own_gens: list[tuple[tuple[int, int], Permutation]] = []
-        self.transversal: dict[int, Permutation] = {point: identity}
-        self.inverse: dict[int, Permutation] = {point: identity}
+        self.gens: list[Permutation] = []
         self.orbit: list[int] = [point]
-        self.pair_done: set[tuple[int, tuple[int, int]]] = set()
+        self.edge: dict[int, tuple[int, int] | None] = {point: None}
+        self.done: list[int] = [0]
+        self._u: dict[int, Permutation] = {point: identity}
+        self._u_inv: dict[int, Permutation] = {point: identity}
 
+    def add_generator(self, s: Permutation) -> None:
+        """Append s to gens and close the orbit: old points need only s, new ones every generator."""
+        self.gens.append(s)
+        edge, orbit, old = self.edge, self.orbit, len(self.orbit)
+        for beta in orbit[:old]:
+            if s.images[beta] not in edge:
+                edge[s.images[beta]] = (beta, len(self.gens) - 1)
+                orbit.append(s.images[beta])
+        for beta in islice(orbit, old, None):  # also visits the points appended meanwhile
+            for k, t in enumerate(self.gens):
+                if t.images[beta] not in edge:
+                    edge[t.images[beta]] = (beta, k)
+                    orbit.append(t.images[beta])
+        self.done += [0] * (len(orbit) - old)
 
-class _TargetReached(Exception):
-    """Unwinds a _Chain construction once its orbit product reaches the target."""
+    def u(self, beta: int) -> Permutation:
+        u = self._u.get(beta)
+        if u is None:
+            parent, k = self.edge[beta]
+            u = self._u[beta] = self.u(parent) * self.gens[k]
+        return u
+
+    def u_inv(self, beta: int) -> Permutation:
+        v = self._u_inv.get(beta)
+        if v is None:
+            v = self._u_inv[beta] = self.u(beta).inverse()
+        return v
 
 
 class _Chain:
-    """Deterministic Schreier-Sims stabilizer chain.
+    """Schreier-Sims stabilizer chain on Schreier vectors, top level first.
+
+    Schreier generators u(beta) * s * u(beta^s)^-1 are taken from level 0
+    down, one per (orbit position, generator index) pair, and sifted through
+    the deeper levels; a tree-edge pair gives 1 and is skipped.  A nontrivial
+    residue joins the level where its sift stopped (a new level if it fixes
+    every base point) and every level above; the orbits it can grow are
+    closed at once, then the target is checked.  Each residue grows the orbit
+    of its level or adds a level, so construction terminates.
 
     With a target order (the order of a group known to contain the generated
-    one), construction stops as soon as the product of the basic orbit
-    lengths reaches it.  Every orbit built so far is an orbit of a subgroup
-    of the true point stabilizer, so that product is a lower bound on the
-    generated order; reaching the target proves the two groups equal, and
-    order() then returns the target exactly.  Without a target, or when the
-    target is never reached, the chain is complete.
+    one), construction stops once the product of the basic orbit lengths
+    reaches it.  Level i's generators fix the first i base points, so each
+    orbit is an orbit of a subgroup of the true point stabilizer and the
+    product is a lower bound on the generated order: reaching the target
+    proves the two groups equal.  Otherwise sweeps repeat until one finds no
+    new pair; every Schreier generator has then sifted to 1, so the chain is
+    complete and order() is exact.
     """
 
     def __init__(self, generators: list[Permutation], degree: int, target: int | None = None):
@@ -222,110 +263,61 @@ class _Chain:
         self.target = target
         self.levels: list[_Level] = []
         for g in generators:
-            self._insert(g)
-        try:
-            for i in range(len(self.levels) - 1, -1, -1):
-                self._complete(i)
-        except _TargetReached:
-            pass
+            if self._add_residue(*self._sift(g, 0), 0):
+                return
+        progressed = True
+        while progressed:
+            progressed = False
+            for i, lv in enumerate(self.levels):  # also visits levels added meanwhile
+                for p, beta in enumerate(lv.orbit):
+                    while lv.done[p] < len(lv.gens):
+                        k = lv.done[p]
+                        lv.done[p] = k + 1
+                        progressed = True
+                        s = lv.gens[k]
+                        img = s.images[beta]
+                        if lv.edge[img] == (beta, k):
+                            continue
+                        res, j = self._sift(lv.u(beta) * s * lv.u_inv(img), i + 1)
+                        if self._add_residue(res, j, i + 1):
+                            return
 
-    # -- construction ------------------------------------------------------
+    def _add_residue(self, res: Permutation, j: int, start: int) -> bool:
+        """Add a residue that stopped at level j; True once the target is reached.
 
-    def _insert(self, g: Permutation) -> bool:
-        """Sift g and add a nontrivial residue to the chain. True if added."""
-        res, j = self._sift(g, 0)
+        A residue sifted from level start = i + 1 lies in the group generated at
+        level i, so it cannot grow the orbits of levels 0..i: it is only appended.
+        """
         if res.is_identity():
             return False
         if j == len(self.levels):
-            point = next(i for i in range(1, self.degree + 1) if res.images[i] != i)
+            point = next(k for k in range(1, self.degree + 1) if res.images[k] != k)
             self.levels.append(_Level(point, self.degree))
-        lv = self.levels[j]
-        token = (j, len(lv.own_gens))
-        lv.own_gens.append((token, res))
-        return True
-
-    def _gen_set(self, i: int) -> list[tuple[tuple[int, int], Permutation]]:
-        out = []
-        for lv in self.levels[i:]:
-            out.extend(lv.own_gens)
-        return out
-
-    def _extend_orbit(self, i: int) -> None:
-        lv = self.levels[i]
-        gens = self._gen_set(i)
-        grew = True
-        while grew:
-            grew = False
-            for beta in lv.orbit:
-                u = lv.transversal[beta]
-                for _, s in gens:
-                    img = s.images[beta]
-                    if img not in lv.transversal:
-                        w = u * s
-                        lv.transversal[img] = w
-                        lv.inverse[img] = w.inverse()
-                        lv.orbit.append(img)
-                        grew = True
-        if self.target is not None and self.order() >= self.target:
-            raise _TargetReached
-
-    def _complete(self, i: int) -> None:
-        """Schreier closure of level i, assuming deeper levels complete."""
-        lv = self.levels[i]
-        while True:
-            self._extend_orbit(i)
-            gens = self._gen_set(i)
-            progressed = False
-            for beta in list(lv.orbit):
-                u = lv.transversal[beta]
-                for token, s in gens:
-                    key = (beta, token)
-                    if key in lv.pair_done:
-                        continue
-                    lv.pair_done.add(key)
-                    schreier = u * s * lv.inverse[s.images[beta]]
-                    res, j = self._sift(schreier, i + 1)
-                    if res.is_identity():
-                        continue
-                    if j == len(self.levels):
-                        point = next(
-                            k for k in range(1, self.degree + 1) if res.images[k] != k
-                        )
-                        self.levels.append(_Level(point, self.degree))
-                    deep = self.levels[j]
-                    token2 = (j, len(deep.own_gens))
-                    deep.own_gens.append((token2, res))
-                    for l in range(len(self.levels) - 1, i, -1):
-                        self._complete(l)
-                    progressed = True
-            if not progressed:
-                return
-
-    # -- queries -----------------------------------------------------------
+        for lv in self.levels[:start]:
+            lv.gens.append(res)
+        for lv in self.levels[start : j + 1]:
+            lv.add_generator(res)
+        return self.target is not None and self.order() >= self.target
 
     def _sift(self, g: Permutation, start: int) -> tuple[Permutation, int]:
         for i in range(start, len(self.levels)):
             lv = self.levels[i]
-            u_inv = lv.inverse.get(g.images[lv.point])
-            if u_inv is None:
+            beta = g.images[lv.point]
+            if beta not in lv.edge:
                 return g, i
-            g = g * u_inv
+            g = g * lv.u_inv(beta)
         return g, len(self.levels)
 
     def contains(self, g: Permutation) -> bool:
-        res, _ = self._sift(g, 0)
-        return res.is_identity()
+        return self._sift(g, 0)[0].is_identity()
 
     def order(self) -> int:
-        n = 1
-        for lv in self.levels:
-            n *= len(lv.orbit)
-        return n
+        return prod(len(lv.orbit) for lv in self.levels)
 
     def random_element(self, rng: random.Random) -> Permutation:
         g = Permutation.identity(self.degree)
         for lv in self.levels:
-            g = g * lv.transversal[rng.choice(lv.orbit)]
+            g = g * lv.u(rng.choice(lv.orbit))
         return g
 
 
@@ -350,11 +342,17 @@ class PermGroup:
         self.name = name
         self.spec_string = name  # builders overwrite with a parseable spec
         self._chain = _Chain(gens, degree)
+        levels = self._chain.levels
         self.order = self._chain.order()
-        self.base = [lv.point for lv in self._chain.levels]
-        self.strong_generators = [g for lv in self._chain.levels for _, g in lv.own_gens]
-        self.basic_orbit_sizes = [len(lv.orbit) for lv in self._chain.levels]
+        self.base = [lv.point for lv in levels]
+        self.strong_generators = list(levels[0].gens) if levels else []
+        self.basic_orbit_sizes = [len(lv.orbit) for lv in levels]
         self._classdata: ClassData | None = None
+
+    @property
+    def is_transitive(self) -> bool:
+        """The first basic orbit is the whole domain, or the domain is one point."""
+        return self.degree == 1 or self.basic_orbit_sizes[:1] == [self.degree]
 
     def identity(self) -> Permutation:
         return Permutation.identity(self.degree)
@@ -551,10 +549,10 @@ def _chain_elements(G: PermGroup):
         yield from stabilizer
         return
     for lv in reversed(levels[1:]):
-        pads = [_pad(u.images) for u in lv.transversal.values()]
+        pads = [_pad(lv.u(beta).images) for beta in lv.orbit]
         stabilizer = [x.translate(t) for t in pads for x in stabilizer]
-    for u in levels[0].transversal.values():
-        t = _pad(u.images)
+    for beta in levels[0].orbit:
+        t = _pad(levels[0].u(beta).images)
         for x in stabilizer:
             yield x.translate(t)
 

@@ -1,5 +1,6 @@
 import random
 import time
+from collections import Counter
 from math import gcd
 
 import pytest
@@ -440,6 +441,24 @@ def test_search_gen_classes_scans_each_pair_from_the_cheaper_side(monkeypatch):
     pairs = search_gen_classes(G)
     assert (unoriented, len(tests)) == (855, 664)
     assert len(pairs) == len(earlier_first) and set(pairs) == earlier_first
+
+
+def test_search_gen_classes_m11_work_gate(monkeypatch):
+    # a bound on work, not time, so it holds on any host: permutation products
+    # and inverses of the M11 search once the class data exists (56,981 with
+    # Schreier vectors worked top level first; the recursive chain with eager
+    # transversals made 137,521)
+    G = build_group("file:m11.json")
+    G.conjugacy_data()
+    calls = Counter()
+    for name in ("__mul__", "inverse"):
+        def counted(*args, _method=getattr(Permutation, name), _name=name):
+            calls[_name] += 1
+            return _method(*args)
+
+        monkeypatch.setattr(Permutation, name, counted)
+    search_gen_classes(G)
+    assert sum(calls.values()) <= 70_000, calls
 
 
 def test_search_gen_classes_trivial_group():

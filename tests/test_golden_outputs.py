@@ -5,7 +5,9 @@ the two `genclasses` calls on M11 with `--format json` at 5320b59; the
 `chartab` calls on A9 and L2:49, whose eigenspace splits take many steps and
 give irrational characters, at 1ca8ecd; the `classes` calls on M12 and L2:32,
 whose conjugation orbits are closed under a generating pair instead of the
-group's 3 and 10 generators, at 124ab09.
+group's 3 and 10 generators, at 124ab09; the `group` calls on L3:5 and M12,
+whose base and strong generator count come from the Schreier-vector chain
+worked top level first, when that chain replaced the recursive one.
 A refactor that changes any byte of these outputs (a certificate, a class
 label, a character value, a count) fails here.
 """
@@ -17,6 +19,10 @@ import pytest
 from bvl.cli import run
 
 GOLDEN = [
+    ("group --group L3:5 --format json",
+     0, "b998a63703264c740ae2626a4a459c16c8a1bcabff624f69577afccd5a5069b9"),
+    ("group --group file:m12.json --format json",
+     0, "f94da8fa7cb5e200d4eaceb44fe0ace28e88ef136bb895635e3a331405088f61"),
     ("chartab --group file:m12.json --format json",
      0, "a477de581aca778214a44e69534375a9ea9abcb4726c4c792307a7a5222832ae"),
     ("chartab --group A9 --format json",

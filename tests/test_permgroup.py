@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import bvl.permgroup as pg
 from bvl.beauville import _class_types
-from bvl.catalog import build_group, load_group_file
+from bvl.catalog import ALT_RANGE, PSL2_RANGE, PSL3_VALUES, SYM_RANGE, build_group, load_group_file
 from bvl.chartab import character_table
 from bvl.permgroup import (
     MAX_DEGREE,
@@ -20,25 +20,33 @@ from bvl.permgroup import (
     Permutation,
     centralizer_order,
     conjugacy_classes,
+    is_transitive_on_group_domain,
     subgroup_order,
 )
+from bvl.numtheory import is_prime_power
 
 
 def cyc(degree, *cycles):
     return Permutation.from_cycles(degree, cycles)
 
 
-def closure(G):
-    """Image bytes of every element of G, by breadth-first closure under its generators."""
-    seen = {G.identity().images}
-    frontier = [G.identity()]
+def closure(generators, degree):
+    """Image bytes of every element of <generators>, by breadth-first closure.
+
+    Plain bytes.translate products, no stabilizer chain: the reference that
+    chain orders and membership are checked against.
+    """
+    identity = bytes(range(degree + 1))
+    pads = [g.images + bytes(range(degree + 1, 256)) for g in generators]
+    seen = {identity}
+    frontier = [identity]
     while frontier:
         nxt = []
         for v in frontier:
-            for s in G.generators:
-                w = v * s
-                if w.images not in seen:
-                    seen.add(w.images)
+            for pad in pads:
+                w = v.translate(pad)
+                if w not in seen:
+                    seen.add(w)
                     nxt.append(w)
         frontier = nxt
     return seen
@@ -208,7 +216,7 @@ def test_conjugacy_classes_a5():
 
 def test_conjugacy_classes_a5_against_naive_partition():
     G = build_group("A5")
-    elements = [Permutation._raw(t) for t in closure(G)]
+    elements = [Permutation._raw(t) for t in closure(G.generators, G.degree)]
     all_elems = set(e.images for e in elements)
     # naive quadratic partition: conjugate by every group element
     seen = {}
@@ -326,7 +334,7 @@ def test_elements_of_sorted_per_class_and_covering_the_group(spec):
         assert all(cmap.class_of(g) == i and g.order() == c.element_order for g in elements)
         seen.update(images)
     assert set(seen.values()) == {1}
-    assert set(seen) == closure(G)
+    assert set(seen) == closure(G.generators, G.degree)
 
 
 @pytest.mark.parametrize("spec", ["A5", "L2:7", "file:m11.json", "cyclic", "trivial"])
@@ -341,7 +349,7 @@ def test_chain_elements_yield_each_element_once(spec, tmp_path):
         G = build_group(spec)
     elements = list(pg._chain_elements(G))
     assert len(elements) == len(set(elements)) == G.order
-    assert set(elements) == closure(G)
+    assert set(elements) == closure(G.generators, G.degree)
 
 
 def class_snapshot(G):
@@ -400,6 +408,85 @@ def test_subgroup_order_examples():
     assert subgroup_order(A5, [A5.identity()]) == 1
     with pytest.raises(MembershipError):
         subgroup_order(A5, [cyc(5, (1, 2))])
+
+
+def catalog_specs():
+    return (
+        [f"A{n}" for n in range(ALT_RANGE[0], ALT_RANGE[1] + 1)]
+        + [f"S{n}" for n in range(SYM_RANGE[0], SYM_RANGE[1] + 1)]
+        + [f"L2:{q}" for q in range(PSL2_RANGE[0], PSL2_RANGE[1] + 1) if is_prime_power(q)]
+        + [f"L3:{q}" for q in PSL3_VALUES]
+        + ["file:m11.json", "file:m12.json"]
+    )
+
+
+@pytest.fixture(scope="module")
+def catalog_groups():
+    return [build_group(spec) for spec in catalog_specs()]
+
+
+def test_chain_transversals_and_strong_generators(catalog_groups):
+    for G in catalog_groups:
+        levels = G._chain.levels
+        assert G.strong_generators == (levels[0].gens if levels else [])
+        for i, lv in enumerate(levels):
+            for beta in lv.orbit:
+                assert lv.u(beta).images[lv.point] == beta, (G.name, i, beta)
+                assert (lv.u(beta) * lv.u_inv(beta)).is_identity()
+            for s in lv.gens:
+                assert all(s.images[b] == b for b in G.base[:i]), (G.name, i)
+                for beta in lv.orbit:  # complete: every Schreier generator sifts to 1
+                    schreier = lv.u(beta) * s * lv.u_inv(s.images[beta])
+                    res, _ = G._chain._sift(schreier, i + 1)
+                    assert res.is_identity(), (G.name, i, beta)
+
+
+def test_is_transitive_reads_the_first_basic_orbit(catalog_groups, tmp_path):
+    c2_cubed = file_group(tmp_path, "C2cubed", 6, [[2, 1, 3, 4, 5, 6], [1, 2, 4, 3, 5, 6],
+                                                   [1, 2, 3, 4, 6, 5]])
+    others = [PermGroup([], degree=4), PermGroup([], degree=1), c2_cubed]
+    for G in catalog_groups + others:
+        assert G.is_transitive == is_transitive_on_group_domain(G, G.generators), G
+    assert [G.is_transitive for G in others] == [False, True, False]
+
+
+def check_against_closure(G, gens, probes):
+    """Chain order, early-stopped order and membership all agree with the closure."""
+    elements = closure(gens, G.degree)
+    H = PermGroup(gens)
+    assert H.order == subgroup_order(G, gens) == len(elements), gens
+    for g in probes:
+        assert H.contains(g) == (g.images in elements), (gens, g)
+    return H.order
+
+
+@pytest.mark.parametrize("spec", ["A5", "L2:7"])
+def test_chain_matches_closure_on_every_class_pair(spec):
+    G = build_group(spec)
+    elements = [Permutation._raw(images) for images in sorted(closure(G.generators, G.degree))]
+    orders = set()
+    for c in G.conjugacy_data().classes:
+        for d in elements:
+            orders.add(check_against_closure(G, [c.representative, d], elements))
+    assert G.order in orders and min(orders) == 1
+
+
+@pytest.mark.parametrize("spec", ["A6", "file:m11.json"])
+def test_chain_matches_closure_on_random_sets(spec):
+    G = build_group(spec)
+    rng = random.Random(11)
+    probes = [G.random_element(rng) for _ in range(40)]
+    stabilizer = [g for g in (G.random_element(rng) for _ in range(400)) if g.images[1] == 1]
+    orders = set()
+    for size in (2, 3):
+        for _ in range(3):
+            gens = [G.random_element(rng) for _ in range(size)]
+            orders.add(check_against_closure(G, gens, probes + [gens[0] * gens[-1]]))
+            gens = rng.sample(stabilizer, size)  # inside a point stabilizer: proper
+            orders.add(check_against_closure(G, gens, probes + [gens[-1] * gens[0]]))
+        x = rng.choice(probes)
+        orders.add(check_against_closure(G, [x ** k for k in range(1, size + 1)], probes))
+    assert G.order in orders and len(orders) > 2
 
 
 def test_conjugacy_capacity_error():
