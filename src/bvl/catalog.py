@@ -1,8 +1,9 @@
 """Constructors for the group families at desk scale.
 
-Alternating and symmetric groups in natural action, PSL2(q) on the projective
-line, PSL3(q) on the projective plane, and JSON group files.  Matrix groups
-never escape this module: every builder returns a permutation group.
+Alternating and symmetric groups in natural action, PSL_n(q) on the points of
+PG(n-1, q) for n = 2, 3 (one builder for both ranks), and JSON group files.
+Matrix groups never escape this module: every builder returns a permutation
+group.
 """
 
 from __future__ import annotations
@@ -10,7 +11,8 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
-from math import gcd
+from itertools import permutations, product
+from math import factorial, gcd, prod
 from pathlib import Path
 
 from .numtheory import DomainError, is_prime_power, poly_divmod
@@ -20,6 +22,9 @@ ALT_RANGE = (3, 12)
 SYM_RANGE = (3, 12)
 PSL2_RANGE = (4, 49)
 PSL3_VALUES = (2, 3, 5)
+
+# n of the families PSL_n(q), built on the points of PG(n-1, q)
+_LINEAR_DIM = {"PSL2": 2, "PSL3": 3}
 
 
 @dataclass(frozen=True)
@@ -36,10 +41,8 @@ class GroupSpec:
             return f"A{self.n}"
         if self.family == "SYM":
             return f"S{self.n}"
-        if self.family == "PSL2":
-            return f"L2:{self.q}"
-        if self.family == "PSL3":
-            return f"L3:{self.q}"
+        if self.family in _LINEAR_DIM:
+            return f"L{_LINEAR_DIM[self.family]}:{self.q}"
         return f"file:{self.path}"
 
 
@@ -167,78 +170,40 @@ def _find_irreducible(p: int, f: int) -> list[int]:
     raise ArithmeticError(f"no irreducible of degree {f} over F_{p}")
 
 
-def _psl2_group(q: int) -> PermGroup:
-    """PSL2(q) acting on the q+1 points of the projective line.
+def _psl_group(n: int, q: int) -> PermGroup:
+    """PSL_n(q) acting on the (q^n - 1)/(q - 1) points of PG(n-1, q).
 
-    Point i <= q is [elem(i-1) : 1]; point q+1 is [1 : 0].  The permutation
-    action of SL2(q) factors through the center, so the group built here is
-    PSL2(q) itself.
+    A point is its vector scaled so that its last nonzero coordinate is 1.
+    Points are numbered from 1 by the position of that coordinate, last
+    position first, then lexicographically: [a : 1] is a + 1 on the line and
+    (a, b, 1) is a*q + b + 1 in the plane.  The generators are the elementary
+    transvections E_rs(t), t over the F_p-basis of F_q.  They generate SL_n(q),
+    whose action on points factors through the scalars, so the group built
+    here is PSL_n(q) itself for every q.
     """
     F = GF(q)
+    points = [
+        head + (1,) + (0,) * (n - 1 - k)
+        for k in reversed(range(n))  # position of the last nonzero coordinate
+        for head in product(range(q), repeat=k)
+    ]
+    index = {v: i for i, v in enumerate(points, start=1)}
 
-    def point_index(x: int, y: int) -> int:
-        if y != 0:
-            return F.mul[x][F.inv[y]] + 1
-        return q + 1
+    def point_index(w: list[int]) -> int:
+        c = F.inv[next(x for x in reversed(w) if x)]
+        return index[tuple(F.mul[c][x] for x in w)]
 
-    def matrix_to_perm(m: tuple[int, int, int, int]) -> Permutation:
-        a, b, c, d = m
-        images = [0] * (q + 2)
-        for i in range(1, q + 2):
-            if i <= q:
-                x, y = i - 1, 1
-            else:
-                x, y = 1, 0
-            nx = F.add[F.mul[a][x]][F.mul[b][y]]
-            ny = F.add[F.mul[c][x]][F.mul[d][y]]
-            images[i] = point_index(nx, ny)
+    def transvection(r: int, s: int, t: int) -> Permutation:
+        """v -> v + t * v[s] * e_r, the action of the matrix 1 + t * E_rs."""
+        images = [0]
+        for v in points:
+            w = list(v)
+            w[r] = F.add[v[r]][F.mul[t][v[s]]]
+            images.append(point_index(w))
         return Permutation(images)
 
-    gens = []
-    for t in F.basis():
-        gens.append(matrix_to_perm((1, t, 0, 1)))
-        gens.append(matrix_to_perm((1, 0, t, 1)))
-    return PermGroup(gens, degree=q + 1, name=f"L2:{q}")
-
-
-def _psl3_group(q: int) -> PermGroup:
-    """PSL3(q) = SL3(q) (for gcd(3, q-1) = 1) on the q^2+q+1 plane points."""
-    F = GF(q)
-
-    def point_index(v: tuple[int, int, int]) -> int:
-        x, y, z = v
-        if z != 0:
-            zi = F.inv[z]
-            return F.mul[x][zi] * q + F.mul[y][zi] + 1
-        if y != 0:
-            yi = F.inv[y]
-            return q * q + F.mul[x][yi] + 1
-        return q * q + q + 1
-
-    points = [(a, b, 1) for a in range(q) for b in range(q)]
-    points += [(a, 1, 0) for a in range(q)]
-    points += [(1, 0, 0)]
-
-    def matrix_to_perm(m) -> Permutation:
-        images = [0] * (q * q + q + 2)
-        for i, (x, y, z) in enumerate(points, start=1):
-            w = tuple(
-                F.add[F.add[F.mul[m[r][0]][x]][F.mul[m[r][1]][y]]][F.mul[m[r][2]][z]]
-                for r in range(3)
-            )
-            images[i] = point_index(w)
-        return Permutation(images)
-
-    gens = []
-    for r in range(3):
-        for s in range(3):
-            if r == s:
-                continue
-            for t in F.basis():
-                m = [[1 if i == j else 0 for j in range(3)] for i in range(3)]
-                m[r][s] = t
-                gens.append(matrix_to_perm(m))
-    return PermGroup(gens, degree=q * q + q + 1, name=f"L3:{q}")
+    gens = [transvection(r, s, t) for t in F.basis() for r, s in permutations(range(n), 2)]
+    return PermGroup(gens, degree=len(points), name=f"L{n}:{q}")
 
 
 def _alternating_group(n: int) -> PermGroup:
@@ -332,13 +297,11 @@ def build_group(spec: GroupSpec | str) -> PermGroup:
             raise DomainError(
                 f"L2 parameter must be a prime power in {PSL2_RANGE}, got {spec.q}"
             )
-        return _psl2_group(spec.q)
+        return _psl_group(2, spec.q)
     if spec.family == "PSL3":
         if spec.q not in PSL3_VALUES:
             raise DomainError(f"L3 parameter must be one of {PSL3_VALUES}, got {spec.q}")
-        if gcd(3, spec.q - 1) != 1:
-            raise DomainError(f"L3 needs gcd(3, q-1) = 1, got q = {spec.q}")
-        return _psl3_group(spec.q)
+        return _psl_group(3, spec.q)
     if spec.family == "FILE":
         return load_group_file(spec.path)
     raise DomainError(f"unknown family {spec.family!r}")
@@ -348,31 +311,23 @@ def lie_meta(spec: GroupSpec | str) -> LieMeta | None:
     """Dimension, rank and Weyl-group order for the Lie-type families."""
     if isinstance(spec, str):
         spec = parse_spec(spec)
-    if spec.family == "PSL2":
-        p, _ = is_prime_power(spec.q)
-        return LieMeta(dim_G=3, rank=1, weyl_order=2, defining_prime=p, q=spec.q)
-    if spec.family == "PSL3":
-        p, _ = is_prime_power(spec.q)
-        return LieMeta(dim_G=8, rank=2, weyl_order=6, defining_prime=p, q=spec.q)
-    return None
+    n = _LINEAR_DIM.get(spec.family)
+    if n is None:
+        return None
+    p, _ = is_prime_power(spec.q)
+    return LieMeta(
+        dim_G=n * n - 1, rank=n - 1, weyl_order=factorial(n), defining_prime=p, q=spec.q
+    )
 
 
 def classical_order(spec: GroupSpec) -> int:
     """Textbook order formula for the family; used as a build cross-check."""
     if spec.family == "ALT":
-        out = 1
-        for i in range(2, spec.n + 1):
-            out *= i
-        return out // 2
+        return factorial(spec.n) // 2
     if spec.family == "SYM":
-        out = 1
-        for i in range(2, spec.n + 1):
-            out *= i
-        return out
-    if spec.family == "PSL2":
+        return factorial(spec.n)
+    n = _LINEAR_DIM.get(spec.family)
+    if n is not None:
         q = spec.q
-        return q * (q * q - 1) // gcd(2, q - 1)
-    if spec.family == "PSL3":
-        q = spec.q
-        return q**3 * (q**3 - 1) * (q**2 - 1) // gcd(3, q - 1)
+        return q ** (n * (n - 1) // 2) * prod(q**i - 1 for i in range(2, n + 1)) // gcd(n, q - 1)
     raise DomainError("no order formula for FILE specs")

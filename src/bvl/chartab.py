@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from .cyclotomic import Conductor, Cyclo
-from .numtheory import factorize, is_prime, poly_divmod, poly_trim
+from .numtheory import divisors, factorize, is_prime, poly_divmod, poly_trim
 from .permgroup import CapacityError, ClassData, PermGroup
 
 MAX_CLASSES = 60
@@ -53,34 +53,6 @@ def _primitive_root(p: int) -> int:
         if all(pow(w, (p - 1) // r, p) != 1 for r in phi_factors):
             return w
     raise TableError(f"no primitive root mod {p}")
-
-
-def _sqrt_mod(a: int, p: int) -> int:
-    """A square root of a mod p (Tonelli-Shanks); a must be a QR."""
-    a %= p
-    if a == 0:
-        return 0
-    if pow(a, (p - 1) // 2, p) != 1:
-        raise TableError(f"{a} is not a square mod {p}")
-    if p % 4 == 3:
-        return pow(a, (p + 1) // 4, p)
-    q, s = p - 1, 0
-    while q % 2 == 0:
-        q //= 2
-        s += 1
-    z = 2
-    while pow(z, (p - 1) // 2, p) == 1:
-        z += 1
-    m, c, t, r = s, pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
-    while t != 1:
-        i, t2 = 0, t
-        while t2 != 1:
-            t2 = t2 * t2 % p
-            i += 1
-        b = pow(c, 1 << (m - i - 1), p)
-        m, c = i, b * b % p
-        t, r = t * c % p, r * b % p
-    return r
 
 
 # polynomials over F_p: ascending coefficient lists
@@ -361,13 +333,17 @@ def character_table(G: PermGroup) -> CharacterTable:
         v0_inv = pow(v[0], -1, p)
         columns.append([x * v0_inv % p for x in v])
 
+    # chi(1)^2 = |G|/s mod p.  chi(1) divides |G| and chi(1)^2 <= |G| < (p/2)^2,
+    # so two such divisors with equal squares mod p are equal (d = +-d' mod p
+    # and both lie below p/2): the square picks chi(1) out of the divisors.
+    degree_of_square = {d * d % p: d for d in divisors(G.order) if d * d <= G.order}
     table_mod_p = []
     degrees = []
     for u in columns:
         s = sum(u[l] * u[inverse_map[l]] * size_inv[l] for l in range(k)) % p
-        d2 = G.order * pow(s, -1, p) % p
-        d = _sqrt_mod(d2, p)
-        d = min(d, p - d)
+        d = degree_of_square.get(G.order * pow(s, -1, p) % p)
+        if d is None:
+            raise TableError("degree reconstruction failed (no divisor of |G| fits)")
         degrees.append(d)
         table_mod_p.append([d * u[l] * size_inv[l] % p for l in range(k)])
     if sum(d * d for d in degrees) != G.order:

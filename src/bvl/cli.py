@@ -15,6 +15,7 @@ from pathlib import Path
 
 from . import __version__
 from .beauville import (
+    DEFAULT_TYPE_BUDGET,
     STATUS_CERTIFICATE,
     STATUS_NONE_EXHAUSTED,
     BeauvilleCertificate,
@@ -46,13 +47,12 @@ def _json_bytes(payload: dict) -> str:
 
 
 def _emit(args, payload: dict, text: str) -> None:
-    if getattr(args, "format", "text") == "json":
+    if args.format == "json":
         sys.stdout.write(_json_bytes(payload))
     else:
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
-    out = getattr(args, "out", None)
-    if out:
-        Path(out).write_text(_json_bytes(payload))
+    if args.out:
+        Path(args.out).write_text(_json_bytes(payload))
 
 
 def _group_of(args):
@@ -348,13 +348,12 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--strategy", choices=("coprime", "exhaustive"), default="coprime")
     ps.add_argument("--require-hyperbolic", action="store_true")
     ps.add_argument("--seed", type=int, default=0)
-    ps.add_argument("--budget", type=int, default=10_000_000)
+    ps.add_argument("--budget", type=int, default=DEFAULT_TYPE_BUDGET)
     ps.set_defaults(func=_cmd_beauville_search)
     pv = bsub.add_parser("verify")
     pv.add_argument("--cert", required=True, help="certificate JSON file")
     pv.add_argument("--require-hyperbolic", action="store_true")
-    pv.add_argument("--format", choices=("text", "json"), default="text")
-    pv.add_argument("--out")
+    _add_common(pv, group_flag=False)
     pv.set_defaults(func=_cmd_beauville_verify)
 
     p = sub.add_parser("genclasses", help="all-pairs generating class pairs")
@@ -371,8 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("zsigmondy", help="cyclotomic value and Zsigmondy primitive part")
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--out")
+    _add_common(p, group_flag=False)
     p.set_defaults(func=_cmd_zsigmondy)
 
     return parser

@@ -192,11 +192,10 @@ class _Level:
     the order found; orbit and gens only grow.  edge[beta] = (parent point,
     generator index) is the Schreier vector: beta = parent^gens[index].  The
     transversal element u(beta), mapping the base point to beta, and its
-    inverse are built from edge on first use and memoised.  done[p] counts
-    the generators already paired with orbit[p] into Schreier generators.
+    inverse are built from edge on first use and memoised.
     """
 
-    __slots__ = ("point", "gens", "orbit", "edge", "done", "_u", "_u_inv")
+    __slots__ = ("point", "gens", "orbit", "edge", "_u", "_u_inv")
 
     def __init__(self, point: int, degree: int):
         identity = Permutation.identity(degree)
@@ -204,7 +203,6 @@ class _Level:
         self.gens: list[Permutation] = []
         self.orbit: list[int] = [point]
         self.edge: dict[int, tuple[int, int] | None] = {point: None}
-        self.done: list[int] = [0]
         self._u: dict[int, Permutation] = {point: identity}
         self._u_inv: dict[int, Permutation] = {point: identity}
 
@@ -221,7 +219,6 @@ class _Level:
                 if t.images[beta] not in edge:
                     edge[t.images[beta]] = (beta, k)
                     orbit.append(t.images[beta])
-        self.done += [0] * (len(orbit) - old)
 
     def u(self, beta: int) -> Permutation:
         u = self._u.get(beta)
@@ -253,9 +250,18 @@ class _Chain:
     reaches it.  Level i's generators fix the first i base points, so each
     orbit is an orbit of a subgroup of the true point stabilizer and the
     product is a lower bound on the generated order: reaching the target
-    proves the two groups equal.  Otherwise sweeps repeat until one finds no
-    new pair; every Schreier generator has then sifted to 1, so the chain is
-    complete and order() is exact.
+    proves the two groups equal.
+
+    Otherwise one top-down sweep completes the chain.  Orbits are closed
+    under their generators before their level is swept, and a residue of a
+    level-i Schreier generator lies in H_i, the group generated at level i,
+    and fixes the first i + 1 base points.  So it is only appended to levels
+    0..i: H_0..H_i do not change, and no level's orbit grows during its own
+    sweep.  By Schreier's lemma, the Schreier generators of level i's orbit
+    and of the generators it held when its sweep began generate the
+    stabilizer of its base point in H_i.  Each of them has sifted to 1
+    through the deeper levels, so that stabilizer is H_{i+1}, and order()
+    is exact.
     """
 
     def __init__(self, generators: list[Permutation], degree: int, target: int | None = None):
@@ -265,22 +271,15 @@ class _Chain:
         for g in generators:
             if self._add_residue(*self._sift(g, 0), 0):
                 return
-        progressed = True
-        while progressed:
-            progressed = False
-            for i, lv in enumerate(self.levels):  # also visits levels added meanwhile
-                for p, beta in enumerate(lv.orbit):
-                    while lv.done[p] < len(lv.gens):
-                        k = lv.done[p]
-                        lv.done[p] = k + 1
-                        progressed = True
-                        s = lv.gens[k]
-                        img = s.images[beta]
-                        if lv.edge[img] == (beta, k):
-                            continue
-                        res, j = self._sift(lv.u(beta) * s * lv.u_inv(img), i + 1)
-                        if self._add_residue(res, j, i + 1):
-                            return
+        for i, lv in enumerate(self.levels):  # also visits levels added meanwhile
+            for beta in lv.orbit:
+                for k, s in enumerate(lv.gens):  # also visits generators added meanwhile
+                    img = s.images[beta]
+                    if lv.edge[img] == (beta, k):
+                        continue
+                    res, j = self._sift(lv.u(beta) * s * lv.u_inv(img), i + 1)
+                    if self._add_residue(res, j, i + 1):
+                        return
 
     def _add_residue(self, res: Permutation, j: int, start: int) -> bool:
         """Add a residue that stopped at level j; True once the target is reached.

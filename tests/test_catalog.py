@@ -1,9 +1,11 @@
+import hashlib
 import json
 
 import pytest
 
 from bvl.catalog import (
     GF,
+    PSL3_VALUES,
     GroupSpec,
     build_group,
     classical_order,
@@ -66,6 +68,19 @@ def test_orders_match_classical_formulas():
     for text in specs:
         spec = parse_spec(text)
         assert build_group(spec).order == classical_order(spec), text
+
+
+def test_linear_group_generators_are_byte_stable():
+    # sha256 over the generator image bytes of every L2 and L3 catalog group,
+    # recorded at 8a16018 from the separate PSL2 and PSL3 builders: point
+    # labels and generator order must not move.
+    specs = [f"L2:{q}" for q in PSL2_PARAMS] + [f"L3:{q}" for q in PSL3_VALUES]
+    h = hashlib.sha256()
+    for text in specs:
+        for g in build_group(text).generators:
+            h.update(g.images)
+    assert len(specs) == 24
+    assert h.hexdigest() == "5b6289dc93da39a205df8222e489ceb8676419ef3d3aad982f64eaf4fa303309"
 
 
 def test_out_of_range_parameters_rejected():

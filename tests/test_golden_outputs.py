@@ -7,7 +7,10 @@ give irrational characters, at 1ca8ecd; the `classes` calls on M12 and L2:32,
 whose conjugation orbits are closed under a generating pair instead of the
 group's 3 and 10 generators, at 124ab09; the `group` calls on L3:5 and M12,
 whose base and strong generator count come from the Schreier-vector chain
-worked top level first, when that chain replaced the recursive one.
+worked top level first, when that chain replaced the recursive one; the
+`group` calls on L2:49, L2:32 and L2:27, whose fields are not prime and whose
+generators interleave the two transvection kinds, at 8a16018, before one
+builder replaced the separate PSL2 and PSL3 constructions.
 A refactor that changes any byte of these outputs (a certificate, a class
 label, a character value, a count) fails here.
 """
@@ -21,6 +24,12 @@ from bvl.cli import run
 GOLDEN = [
     ("group --group L3:5 --format json",
      0, "b998a63703264c740ae2626a4a459c16c8a1bcabff624f69577afccd5a5069b9"),
+    ("group --group L2:49 --format json",
+     0, "b3ec10c936e35c2da95ee0972047027e45bd55ebf7dcb740e8753a1ac7edca64"),
+    ("group --group L2:32 --format json",
+     0, "6d016d6deece4c16a4e00fa62bca52e84a99adfaf2c20286c6d1cef482912f51"),
+    ("group --group L2:27 --format json",
+     0, "0d865db9861496429a5731219c662ab603d848b1b8ea6d2aa3d4a8e9b1250cd1"),
     ("group --group file:m12.json --format json",
      0, "f94da8fa7cb5e200d4eaceb44fe0ace28e88ef136bb895635e3a331405088f61"),
     ("chartab --group file:m12.json --format json",
