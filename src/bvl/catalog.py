@@ -254,6 +254,8 @@ def load_group_file(path: str | Path) -> PermGroup:
         payload = json.loads(p.read_text())
     except FileNotFoundError:
         raise DomainError(f"group file not found: {path}") from None
+    except OSError as exc:  # a directory, or a file that cannot be read
+        raise DomainError(f"group file {path}: cannot read ({exc.strerror})") from None
     except json.JSONDecodeError as exc:
         raise DomainError(f"group file {path}: invalid JSON ({exc})") from None
     if not isinstance(payload, dict):

@@ -236,7 +236,11 @@ def _cmd_beauville_search(args) -> int:
 
 
 def _cmd_beauville_verify(args) -> int:
-    raw = json.loads(Path(args.cert).read_text())
+    try:
+        text = Path(args.cert).read_text()
+    except OSError as exc:  # missing, a directory, or unreadable
+        raise DomainError(f"certificate {args.cert}: cannot read ({exc.strerror})") from None
+    raw = json.loads(text)
     cert = BeauvilleCertificate.from_json_dict(raw)
     G = build_group(parse_spec(cert.group))
     ok, reason = verify_certificate(G, cert, require_hyperbolic=args.require_hyperbolic)

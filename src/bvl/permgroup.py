@@ -15,13 +15,15 @@ product of the basic orbit lengths built so far is a lower bound on the order
 of the generated subgroup, so construction stops as soon as it reaches |G|.
 Only a proper subgroup, or a PermGroup, gets a complete chain.
 
-Conjugacy classes come from one path: one walk over the complete stabilizer
-chain lists every element once (each is uniquely x * u, u in the first
-transversal, x in the point stabilizer), and each element not yet in the
-element-to-class table seeds its conjugation orbit, closed under a generating
-pair of G (any generating set gives the same orbits) and written straight into
-that table.  The members of each class are stored per class and sorted only
-on request.  Groups above CLASS_ORDER_BOUND (2,000,000; S10 is the smallest
+Conjugacy classes come from one path: a walk over the complete stabilizer
+chain draws the elements of G, each at most once (each is uniquely x * u, u
+in the first transversal, x in the point stabilizer), and each element not
+yet in the element-to-class table seeds its conjugation orbit, closed under a
+generating pair of G (any generating set gives the same orbits) and written
+straight into that table.  The walk stops as soon as the table holds |G|
+elements: the orbits are whole classes and pairwise disjoint, so by then they
+cover G.  The members of each class are stored per class and sorted only on
+request.  Groups above CLASS_ORDER_BOUND (2,000,000; S10 is the smallest
 catalog group past it) raise CapacityError instead.
 """
 
@@ -31,7 +33,7 @@ import random
 from array import array
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import islice, repeat
 from math import gcd, prod
 
 from .numtheory import divisors
@@ -577,11 +579,18 @@ def _assign_labels(raw: list[tuple[int, bytes, int]]) -> list[str]:
 def conjugacy_classes(G: PermGroup, bound: int = CLASS_ORDER_BOUND) -> ClassData:
     """Complete conjugacy-class list with canonical labels and power maps.
 
-    Walks the elements of G once (_chain_elements); each one not yet in the
+    Walks the elements of G (_chain_elements); each one not yet in the
     element-to-class table seeds a conjugation orbit that enters its members
-    there under a provisional index.  Each orbit is kept as its class's list
-    of image bytes, unsorted; after the canonical sort the table values are
-    rewritten once with the final indices.
+    there under a provisional index.  The walk stops once the table holds
+    |G| elements, and the classes found are then all of them: each orbit is
+    the closure of an element of G under a generating set of G
+    (_conjugators), so it is a whole G-class; a seed is taken only when it is
+    not yet in the table, so the orbits are disjoint; and disjoint orbits
+    whose sizes add up to |G| cover G.  On M12 the last class turns up at
+    element 8,600 of 95,040; in an abelian group every class is a single
+    element and the walk runs to the end.  Each orbit is kept as its class's
+    list of image bytes, unsorted; after the canonical sort the table values
+    are rewritten once with the final indices.
     """
     if G.order > bound:
         raise CapacityError(
@@ -598,6 +607,8 @@ def conjugacy_classes(G: PermGroup, bound: int = CLASS_ORDER_BOUND) -> ClassData
         orbits.append(orbit)
         rep = min(orbit)
         raw.append((Permutation._raw(rep).order(), rep, len(orbit)))
+        if len(table) == G.order:
+            break
     # explicit, not assert: python -O must not strip the exactness check
     if len(table) != G.order or sum(size for _, _, size in raw) != G.order:
         raise EnumerationError(
@@ -609,7 +620,7 @@ def conjugacy_classes(G: PermGroup, bound: int = CLASS_ORDER_BOUND) -> ClassData
     sorted_raw = [raw[i] for i in perm_order]
     members = [orbits[i] for i in perm_order]
     for i, orbit in enumerate(members):
-        table.update(dict.fromkeys(orbit, i))
+        table.update(zip(orbit, repeat(i)))
 
     labels = _assign_labels(sorted_raw)
     classes = [

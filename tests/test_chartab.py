@@ -189,3 +189,20 @@ def test_character_table_scans_only_pivot_rows(monkeypatch):
     T = character_table(load_group_file("m12.json"))
     assert len(T.degrees) == 15
     assert 0 < len(set(scans)) == len(scans) <= 48
+
+
+def test_character_table_splits_with_the_cheapest_class_matrices_first(monkeypatch):
+    # a scan of the class pair {a, b} runs over min(|C_a|, |C_b|) elements;
+    # taking the class matrices in ascending |C| / o(C) scans 29,104 on M12,
+    # class-index order 85,504
+    scanned = []
+    scan = pg.ClassMap._scan
+
+    def counted(self, a, b):
+        scanned.append(min(self.classes[a].size, self.classes[b].size))
+        return scan(self, a, b)
+
+    monkeypatch.setattr(pg.ClassMap, "_scan", counted)
+    T = character_table(load_group_file("m12.json"))
+    assert len(T.degrees) == 15
+    assert 0 < sum(scanned) <= 29104

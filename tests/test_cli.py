@@ -231,6 +231,16 @@ def test_degree_above_255_is_capacity_error(tmp_path, capsys):
     assert code == 3 and "capacity" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["group", "--group", "file:"],  # the empty path resolves to the working directory
+    ["classes", "--group", "file:{dir}"],
+    ["beauville", "verify", "--cert", "{dir}"],
+])
+def test_unreadable_input_path_is_usage_error(argv, tmp_path, capsys):
+    code, out, err = run_cli([a.format(dir=tmp_path) for a in argv], capsys)
+    assert (code, out) == (2, "") and err.startswith("error: usage:"), err
+
+
 def test_internal_error_exit_code(monkeypatch, capsys):
     def broken_table(G):
         raise TableError("class matrices failed to split the class algebra")

@@ -10,7 +10,11 @@ whose base and strong generator count come from the Schreier-vector chain
 worked top level first, when that chain replaced the recursive one; the
 `group` calls on L2:49, L2:32 and L2:27, whose fields are not prime and whose
 generators interleave the two transvection kinds, at 8a16018, before one
-builder replaced the separate PSL2 and PSL3 constructions.
+builder replaced the separate PSL2 and PSL3 constructions; the `classes`
+call on A8, whose class walk finds its last class latest of the groups
+measured (at 14% of the group), and the `chartab` call on L3:3, whose
+eigenspace split changes order, at 20e747e, before the walk stopped once its
+classes cover the group and the split took the cheapest class matrices first.
 A refactor that changes any byte of these outputs (a certificate, a class
 label, a character value, a count) fails here.
 """
@@ -42,6 +46,10 @@ GOLDEN = [
      0, "47f3d79f316005c311def01a374a97f3a3dd409dd7b38c90b1bc507ef18e967b"),
     ("classes --group L2:32 --format json",
      0, "4f4a25ea0c87041d1a84da06b6e48504237a94380b503d5d84be60d8f5ba77de"),
+    ("classes --group A8 --format json",
+     0, "e30ac40c83fe8a2f9e478c432e8db70d0dbec68b9dae08aad8f0f80771454056"),
+    ("chartab --group L3:3 --format json",
+     0, "7084bf9c5743a49d7db47978e3e4f219d99e99a7f5220e35c77418a6743fa9b0"),
     ("beauville search --group L2:25 --format json --seed 3",
      0, "07e7198a890002136d7194450732995938d1af5ff60f7e981161fe2ecfcc853f"),
     ("beauville search --group L2:25 --format json --seed 7 --strategy exhaustive",

@@ -214,22 +214,58 @@ def test_conjugacy_classes_a5():
     ]
 
 
-def test_conjugacy_classes_a5_against_naive_partition():
-    G = build_group("A5")
+def naive_classes(G):
+    """The conjugacy classes of G as sets of image bytes, conjugating by every element."""
     elements = [Permutation._raw(t) for t in closure(G.generators, G.degree)]
-    all_elems = set(e.images for e in elements)
-    # naive quadratic partition: conjugate by every group element
-    seen = {}
-    sizes = []
+    classes = set()
+    seen = set()
     for e in elements:
-        if e.images in seen:
-            continue
-        orbit = {(h.inverse() * e * h).images for h in elements}
-        assert orbit <= all_elems
-        for o in orbit:
-            seen[o] = True
-        sizes.append(len(orbit))
-    assert sorted(sizes) == sorted(c.size for c in G.conjugacy_data().classes)
+        if e.images not in seen:
+            orbit = frozenset((h.inverse() * e * h).images for h in elements)
+            seen |= orbit
+            classes.add(orbit)
+    return classes
+
+
+def count_draws(monkeypatch):
+    """Patch _chain_elements to append every element it yields to the returned list."""
+    drawn = []
+    walk = pg._chain_elements
+
+    def counted(G):
+        for images in walk(G):
+            drawn.append(images)
+            yield images
+
+    monkeypatch.setattr(pg, "_chain_elements", counted)
+    return drawn
+
+
+@pytest.mark.parametrize("spec", ["A5", "C7", "S4", "C2xS3"])
+def test_conjugacy_classes_against_naive_partition(spec, tmp_path, monkeypatch):
+    # central and one-element classes: the walk must not stop before the last one
+    if spec == "C7":
+        G = file_group(tmp_path, "C7", 7, [[2, 3, 4, 5, 6, 7, 1]])
+    elif spec == "C2xS3":
+        G = file_group(tmp_path, "C2xS3", 5, [cyc(5, (1, 2, 3)).to_list(),
+                                              cyc(5, (1, 2)).to_list(), cyc(5, (4, 5)).to_list()])
+    else:
+        G = build_group(spec)
+    drawn = count_draws(monkeypatch)
+    cmap = conjugacy_classes(G).class_map
+    classes = {frozenset(g.images for g in cmap.elements_of(i)) for i in range(len(cmap.classes))}
+    assert classes == naive_classes(G)
+    assert set(cmap._table) == closure(G.generators, G.degree)
+    if spec == "C7":  # abelian: every class is one element, so the walk runs to the end
+        assert len(drawn) == G.order == 7
+
+
+def test_class_walk_stops_once_the_classes_cover_the_group(monkeypatch):
+    # M12's last class turns up at element 8,600 of 95,040
+    drawn = count_draws(monkeypatch)
+    G = load_group_file("m12.json")
+    assert sum(c.size for c in conjugacy_classes(G).classes) == G.order == 95040
+    assert len(set(drawn)) == len(drawn) <= 9000
 
 
 def test_conjugacy_classes_s3():
