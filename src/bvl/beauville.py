@@ -8,7 +8,10 @@ certification work at class-type granularity, with pair enumeration inside a
 type fixing the first component to the class representative (simultaneous
 conjugation makes this lossless).  An all-pairs generation scan goes further:
 conjugating by z in <c> fixes c, so <c, z^-1 d z> = z^-1 <c, d> z and one test
-decides the whole <c>-conjugation orbit of d.
+decides the whole <c>-conjugation orbit of d.  The class-pair search folds
+further: for k coprime to o(c), <c^k, d> = <c, d> and x -> x^k maps C onto
+the class C^k bijectively, so one all-pairs scan decides (C^k, D^l) for all
+such k and l, the whole Galois orbit of the class pair.
 """
 
 from __future__ import annotations
@@ -451,17 +454,34 @@ def search_gen_classes(G: PermGroup) -> list[tuple[str, str]]:
     Generation of <c, d> is symmetric, so one all_pairs_generate call decides
     both orders of a class pair.  It makes about |D| / o(c) generation tests,
     so each pair is scanned with c from the class that makes that smaller.
+
+    One call also decides the pair's whole Galois orbit.  For k coprime to
+    o(c), c^k generates the same cyclic group as c, so <c^k, d> = <c, d>, and
+    x -> x^k maps C onto the class C^k (power_row[k]) bijectively.  So (C, D)
+    and (C^k, D^l) get the same verdict for every k coprime to o(C) and l
+    coprime to o(D).  Each class is keyed by its rational class, the least
+    index among its Galois conjugates, and the verdict is memoised per
+    unordered pair of keys; the first class pair met in the loop decides it.
     """
     if G.order > 1_000_000:
         raise CapacityError(f"exhaustive class-pair search needs order <= 1e6, got {G.order}")
     classdata = G.conjugacy_data()
     classes = [c for c in classdata.classes if c.element_order > 1]
+    rational = {
+        c.index: min(c.power_row[k] for k in range(1, c.element_order)
+                     if gcd(k, c.element_order) == 1)
+        for c in classes
+    }
+    verdicts: dict[tuple[int, int], bool] = {}
     good: list[tuple[str, str]] = []
     for i, x in enumerate(classes):
         for y in classes[i:]:
-            # |y| / o(x) > |x| / o(y): scan with c in y, d in x
-            c, d = (y, x) if y.size * y.element_order > x.size * x.element_order else (x, y)
-            if all_pairs_generate(G, c.label, d.label).all_generate:
+            key = tuple(sorted((rational[x.index], rational[y.index])))
+            if key not in verdicts:
+                # |y| / o(x) > |x| / o(y): scan with c in y, d in x
+                c, d = (y, x) if y.size * y.element_order > x.size * x.element_order else (x, y)
+                verdicts[key] = all_pairs_generate(G, c.label, d.label).all_generate
+            if verdicts[key]:
                 good.append((x.label, y.label))
                 if x is not y:
                     good.append((y.label, x.label))

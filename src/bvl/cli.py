@@ -47,12 +47,16 @@ def _json_bytes(payload: dict) -> str:
 
 
 def _emit(args, payload: dict, text: str) -> None:
+    """Write --out first, so a path that cannot be written prints nothing."""
+    if args.out:
+        try:
+            Path(args.out).write_text(_json_bytes(payload))
+        except OSError as exc:  # a directory, a missing parent, or unwritable
+            raise DomainError(f"--out {args.out}: cannot write ({exc.strerror})") from None
     if args.format == "json":
         sys.stdout.write(_json_bytes(payload))
     else:
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
-    if args.out:
-        Path(args.out).write_text(_json_bytes(payload))
 
 
 def _group_of(args):

@@ -13,7 +13,12 @@ Schreier generators are taken from the top level down.  subgroup_order, and
 with it every generation test, passes the known order |G| as a target: the
 product of the basic orbit lengths built so far is a lower bound on the order
 of the generated subgroup, so construction stops as soon as it reaches |G|.
-Only a proper subgroup, or a PermGroup, gets a complete chain.
+Only a proper subgroup, or a PermGroup, gets a complete chain.  Inside the
+chain elements stay image bytes, never Permutation objects: each level keeps
+its generators with their padded translate tables and memoises u(beta)^-1 as
+a ready table (bytes.maketrans of u(beta)), so a product, an inversion and a
+sift step are one C call each with no padded copy.  PermGroup wraps the
+strong generators once.
 
 Conjugacy classes come from one path: a walk over the complete stabilizer
 chain draws the elements of G, each at most once (each is uniquely x * u, u
@@ -115,7 +120,8 @@ class Permutation:
     def apply(self, point: int) -> int:
         return self.images[point]
 
-    # __mul__ and inverse inline _pad and _raw: they are the Schreier-Sims hot path.
+    # __mul__ and inverse inline _pad and _raw: they are on the per-pair paths
+    # of the witness search and all_pairs_generate.
     def __mul__(self, other: "Permutation") -> "Permutation":
         e = other.images
         p = object.__new__(Permutation)
@@ -188,51 +194,60 @@ class Permutation:
 
 
 class _Level:
-    """One stabilizer-chain level on a Schreier vector.
+    """One stabilizer-chain level on a Schreier vector, in image bytes.
 
-    gens holds this level's strong generators and every deeper level's, in
-    the order found; orbit and gens only grow.  edge[beta] = (parent point,
-    generator index) is the Schreier vector: beta = parent^gens[index].  The
-    transversal element u(beta), mapping the base point to beta, and its
-    inverse are built from edge on first use and memoised.
+    gens holds this level's strong generators and every deeper level's, as
+    image bytes in the order found, and tables their padded translate tables;
+    orbit and gens only grow.  edge[beta] = (parent point, generator index)
+    is the Schreier vector: beta = parent^gens[index].  The transversal
+    element u(beta), mapping the base point to beta, is built from edge on
+    first use as u(parent) translated by one generator table, and memoised as
+    image bytes; u_inv(beta) is memoised as the padded table of its inverse,
+    ready to translate by.
     """
 
-    __slots__ = ("point", "gens", "orbit", "edge", "_u", "_u_inv")
+    __slots__ = ("point", "gens", "tables", "orbit", "edge", "_u", "_u_inv")
 
     def __init__(self, point: int, degree: int):
-        identity = Permutation.identity(degree)
         self.point = point
-        self.gens: list[Permutation] = []
+        self.gens: list[bytes] = []
+        self.tables: list[bytes] = []
         self.orbit: list[int] = [point]
         self.edge: dict[int, tuple[int, int] | None] = {point: None}
-        self._u: dict[int, Permutation] = {point: identity}
-        self._u_inv: dict[int, Permutation] = {point: identity}
+        self._u: dict[int, bytes] = {point: _PAD[: degree + 1]}
+        self._u_inv: dict[int, bytes] = {point: _PAD}
 
-    def add_generator(self, s: Permutation) -> None:
-        """Append s to gens and close the orbit: old points need only s, new ones every generator."""
+    def append(self, s: bytes) -> None:
+        """Append s to gens without closing the orbit."""
         self.gens.append(s)
+        self.tables.append(_pad(s))
+
+    def add_generator(self, s: bytes) -> None:
+        """Append s to gens and close the orbit: old points need only s, new ones every generator."""
+        self.append(s)
         edge, orbit, old = self.edge, self.orbit, len(self.orbit)
         for beta in orbit[:old]:
-            if s.images[beta] not in edge:
-                edge[s.images[beta]] = (beta, len(self.gens) - 1)
-                orbit.append(s.images[beta])
+            if s[beta] not in edge:
+                edge[s[beta]] = (beta, len(self.gens) - 1)
+                orbit.append(s[beta])
         for beta in islice(orbit, old, None):  # also visits the points appended meanwhile
             for k, t in enumerate(self.gens):
-                if t.images[beta] not in edge:
-                    edge[t.images[beta]] = (beta, k)
-                    orbit.append(t.images[beta])
+                if t[beta] not in edge:
+                    edge[t[beta]] = (beta, k)
+                    orbit.append(t[beta])
 
-    def u(self, beta: int) -> Permutation:
+    def u(self, beta: int) -> bytes:
         u = self._u.get(beta)
         if u is None:
             parent, k = self.edge[beta]
-            u = self._u[beta] = self.u(parent) * self.gens[k]
+            u = self._u[beta] = self.u(parent).translate(self.tables[k])
         return u
 
-    def u_inv(self, beta: int) -> Permutation:
+    def u_inv(self, beta: int) -> bytes:
         v = self._u_inv.get(beta)
         if v is None:
-            v = self._u_inv[beta] = self.u(beta).inverse()
+            u = self.u(beta)
+            v = self._u_inv[beta] = bytes.maketrans(u, _PAD[: len(u)])
         return v
 
 
@@ -269,57 +284,59 @@ class _Chain:
     def __init__(self, generators: list[Permutation], degree: int, target: int | None = None):
         self.degree = degree
         self.target = target
+        self.identity = _PAD[: degree + 1]
         self.levels: list[_Level] = []
         for g in generators:
-            if self._add_residue(*self._sift(g, 0), 0):
+            if self._add_residue(*self._sift(g.images, 0), 0):
                 return
         for i, lv in enumerate(self.levels):  # also visits levels added meanwhile
             for beta in lv.orbit:
+                u = lv.u(beta)
                 for k, s in enumerate(lv.gens):  # also visits generators added meanwhile
-                    img = s.images[beta]
+                    img = s[beta]
                     if lv.edge[img] == (beta, k):
                         continue
-                    res, j = self._sift(lv.u(beta) * s * lv.u_inv(img), i + 1)
-                    if self._add_residue(res, j, i + 1):
+                    schreier = u.translate(lv.tables[k]).translate(lv.u_inv(img))
+                    if self._add_residue(*self._sift(schreier, i + 1), i + 1):
                         return
 
-    def _add_residue(self, res: Permutation, j: int, start: int) -> bool:
+    def _add_residue(self, res: bytes, j: int, start: int) -> bool:
         """Add a residue that stopped at level j; True once the target is reached.
 
         A residue sifted from level start = i + 1 lies in the group generated at
         level i, so it cannot grow the orbits of levels 0..i: it is only appended.
         """
-        if res.is_identity():
+        if res == self.identity:
             return False
         if j == len(self.levels):
-            point = next(k for k in range(1, self.degree + 1) if res.images[k] != k)
+            point = next(k for k in range(1, self.degree + 1) if res[k] != k)
             self.levels.append(_Level(point, self.degree))
         for lv in self.levels[:start]:
-            lv.gens.append(res)
+            lv.append(res)
         for lv in self.levels[start : j + 1]:
             lv.add_generator(res)
         return self.target is not None and self.order() >= self.target
 
-    def _sift(self, g: Permutation, start: int) -> tuple[Permutation, int]:
+    def _sift(self, g: bytes, start: int) -> tuple[bytes, int]:
         for i in range(start, len(self.levels)):
             lv = self.levels[i]
-            beta = g.images[lv.point]
+            beta = g[lv.point]
             if beta not in lv.edge:
                 return g, i
-            g = g * lv.u_inv(beta)
+            g = g.translate(lv.u_inv(beta))
         return g, len(self.levels)
 
     def contains(self, g: Permutation) -> bool:
-        return self._sift(g, 0)[0].is_identity()
+        return self._sift(g.images, 0)[0] == self.identity
 
     def order(self) -> int:
         return prod(len(lv.orbit) for lv in self.levels)
 
     def random_element(self, rng: random.Random) -> Permutation:
-        g = Permutation.identity(self.degree)
+        g = self.identity
         for lv in self.levels:
-            g = g * lv.u(rng.choice(lv.orbit))
-        return g
+            g = g.translate(_pad(lv.u(rng.choice(lv.orbit))))
+        return Permutation._raw(g)
 
 
 class PermGroup:
@@ -346,7 +363,7 @@ class PermGroup:
         levels = self._chain.levels
         self.order = self._chain.order()
         self.base = [lv.point for lv in levels]
-        self.strong_generators = list(levels[0].gens) if levels else []
+        self.strong_generators = [Permutation._raw(s) for s in levels[0].gens] if levels else []
         self.basic_orbit_sizes = [len(lv.orbit) for lv in levels]
         self._classdata: ClassData | None = None
 
@@ -550,10 +567,10 @@ def _chain_elements(G: PermGroup):
         yield from stabilizer
         return
     for lv in reversed(levels[1:]):
-        pads = [_pad(lv.u(beta).images) for beta in lv.orbit]
+        pads = [_pad(lv.u(beta)) for beta in lv.orbit]
         stabilizer = [x.translate(t) for t in pads for x in stabilizer]
     for beta in levels[0].orbit:
-        t = _pad(levels[0].u(beta).images)
+        t = _pad(levels[0].u(beta))
         for x in stabilizer:
             yield x.translate(t)
 

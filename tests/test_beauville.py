@@ -25,7 +25,7 @@ from bvl.beauville import (
 )
 from bvl.catalog import build_group
 from bvl.chartab import character_table
-from bvl.permgroup import MembershipError, PermGroup, Permutation, subgroup_order
+from bvl.permgroup import MembershipError, PermGroup, Permutation, _Chain, subgroup_order
 from bvl.structconst import structure_constant_formula
 
 
@@ -421,7 +421,8 @@ def test_search_gen_classes_m11_within_4_seconds():
 
 def test_search_gen_classes_scans_each_pair_from_the_cheaper_side(monkeypatch):
     # a class pair costs about |D| / o(c) generation tests; on M11 scanning
-    # every pair with c in the earlier class makes 855, the cheaper side 664
+    # every pair with c in the earlier class makes 855, the cheaper side 664,
+    # and the cheaper side once per Galois orbit of class pairs 249
     G = build_group("file:m11.json")
     tests = []
 
@@ -439,7 +440,7 @@ def test_search_gen_classes_scans_each_pair_from_the_cheaper_side(monkeypatch):
     unoriented = len(tests)
     tests.clear()
     pairs = search_gen_classes(G)
-    assert (unoriented, len(tests)) == (855, 664)
+    assert (unoriented, len(tests)) == (855, 249)
     assert len(pairs) == len(earlier_first) and set(pairs) == earlier_first
 
 
@@ -459,6 +460,62 @@ def test_search_gen_classes_m11_work_gate(monkeypatch):
         monkeypatch.setattr(Permutation, name, counted)
     search_gen_classes(G)
     assert sum(calls.values()) <= 70_000, calls
+
+
+def test_search_gen_classes_m11_sift_gate(monkeypatch):
+    # a bound on work, not time: sifts through any stabilizer chain in the
+    # M11 search once the class data exists (8,622 deciding every class pair,
+    # 3,146 deciding one pair per Galois orbit)
+    G = build_group("file:m11.json")
+    G.conjugacy_data()
+    calls = []
+    sift = _Chain._sift
+
+    def counted(self, g, start):
+        calls.append(start)
+        return sift(self, g, start)
+
+    monkeypatch.setattr(_Chain, "_sift", counted)
+    search_gen_classes(G)
+    assert len(calls) <= 3_300, len(calls)
+
+
+def unfolded_gen_classes(G):
+    """search_gen_classes without the fold: every unordered nontrivial class pair."""
+    classes = [c for c in G.conjugacy_data().classes if c.element_order > 1]
+    good = set()
+    for i, x in enumerate(classes):
+        for y in classes[i:]:
+            if all_pairs_generate(G, x.label, y.label).all_generate:
+                good |= {(x.label, y.label), (y.label, x.label)}
+    return good
+
+
+# A7 has classes of equal order that are not Galois conjugate (3a, 3b)
+# with different verdicts, so keying by element order alone fails there
+@pytest.mark.parametrize("spec", ["A5", "L2:11", "A6", "L2:25", "A7"])
+def test_search_gen_classes_fold_matches_unfolded_reference(spec):
+    G = build_group(spec)
+    pairs = search_gen_classes(G)
+    assert len(pairs) == len(set(pairs)) and set(pairs) == unfolded_gen_classes(G)
+
+
+def test_search_gen_classes_m11_decides_each_galois_orbit_once(monkeypatch):
+    G = build_group("file:m11.json")
+    calls = []
+
+    def counting(G, c_label, d_label):
+        calls.append((c_label, d_label))
+        return all_pairs_generate(G, c_label, d_label)
+
+    monkeypatch.setattr(beauville, "all_pairs_generate", counting)
+    pairs = search_gen_classes(G)
+    assert len(calls) == 28  # of 45 unordered nontrivial class pairs
+    # 8a, 8b and 11a, 11b are Galois conjugate; 5a is rational
+    for c, d, verdict in [("5a", "8a", False), ("5a", "8b", False),
+                          ("11a", "8a", True), ("11b", "8b", True)]:
+        assert all_pairs_generate(G, c, d).all_generate is verdict
+        assert ((c, d) in pairs) is verdict and ((d, c) in pairs) is verdict
 
 
 def test_search_gen_classes_trivial_group():

@@ -241,6 +241,14 @@ def test_unreadable_input_path_is_usage_error(argv, tmp_path, capsys):
     assert (code, out) == (2, "") and err.startswith("error: usage:"), err
 
 
+@pytest.mark.parametrize("out_path", ["{dir}", "{dir}/missing/out.json"])
+def test_unwritable_out_path_is_usage_error(out_path, tmp_path, capsys):
+    # --out is written before stdout, so a failed write prints nothing
+    argv = ["group", "--group", "A5", "--format", "json", "--out", out_path.format(dir=tmp_path)]
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (2, "") and err.startswith("error: usage:"), err
+
+
 def test_internal_error_exit_code(monkeypatch, capsys):
     def broken_table(G):
         raise TableError("class matrices failed to split the class algebra")

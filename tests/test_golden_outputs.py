@@ -14,7 +14,11 @@ builder replaced the separate PSL2 and PSL3 constructions; the `classes`
 call on A8, whose class walk finds its last class latest of the groups
 measured (at 14% of the group), and the `chartab` call on L3:3, whose
 eigenspace split changes order, at 20e747e, before the walk stopped once its
-classes cover the group and the split took the cheapest class matrices first.
+classes cover the group and the split took the cheapest class matrices first;
+the `genclasses search` calls on A8, L2:25 and L2:49, whose class pairs fall
+into many Galois orbits (L2:49 most of all: 351 class pairs, 66 orbits), at
+cd41268, before each orbit was decided by one scan and the stabilizer chain
+moved to image bytes.
 A refactor that changes any byte of these outputs (a certificate, a class
 label, a character value, a count) fails here.
 """
@@ -66,6 +70,12 @@ GOLDEN = [
      0, "ddb21c699be71aa2d9b2e9a615172495fc08c0a4a818a0256db1e907ed3f80ea"),
     ("genclasses search --group file:m11.json --format json",
      0, "a28b0be10236b6b5ac2198db754b24d6cc79686783b4509132c224998156f889"),
+    ("genclasses search --group A8 --format json",
+     0, "895c5e3cdcd6ce3195e8aeeb6ddaebe9ed8ec17959664f7768700214081ae707"),
+    ("genclasses search --group L2:25 --format json",
+     0, "aa790b0c80b1640805461a9e7e9dce0714aa2ae8c670dbf0b2a721f4ed850407"),
+    ("genclasses search --group L2:49 --format json",
+     0, "6f2b3ed63f93a1293ca01ae1449a2940a75924ad5b5ff32f13228b2a88ccc418"),
     # a counterexample at pairs_tested 11: skipping covered pairs must keep it
     ("genclasses verify --group file:m11.json --c 2a --d 11a --format json",
      1, "d4c6ef652a3e5b3dc879ab114cdc68e692fc3ba3e1c2fbc0e0d748951a58739c"),

@@ -462,19 +462,23 @@ def catalog_groups():
 
 
 def test_chain_transversals_and_strong_generators(catalog_groups):
+    # the chain holds image bytes: u(beta) is an element's images, u_inv(beta)
+    # and tables[k] are padded translate tables
     for G in catalog_groups:
         levels = G._chain.levels
-        assert G.strong_generators == (levels[0].gens if levels else [])
+        identity = G.identity().images
+        assert [g.images for g in G.strong_generators] == (levels[0].gens if levels else [])
         for i, lv in enumerate(levels):
+            assert lv.tables == [s + bytes(range(len(s), 256)) for s in lv.gens]
             for beta in lv.orbit:
-                assert lv.u(beta).images[lv.point] == beta, (G.name, i, beta)
-                assert (lv.u(beta) * lv.u_inv(beta)).is_identity()
-            for s in lv.gens:
-                assert all(s.images[b] == b for b in G.base[:i]), (G.name, i)
+                assert lv.u(beta)[lv.point] == beta, (G.name, i, beta)
+                assert lv.u(beta).translate(lv.u_inv(beta)) == identity
+            for k, s in enumerate(lv.gens):
+                assert all(s[b] == b for b in G.base[:i]), (G.name, i)
                 for beta in lv.orbit:  # complete: every Schreier generator sifts to 1
-                    schreier = lv.u(beta) * s * lv.u_inv(s.images[beta])
+                    schreier = lv.u(beta).translate(lv.tables[k]).translate(lv.u_inv(s[beta]))
                     res, _ = G._chain._sift(schreier, i + 1)
-                    assert res.is_identity(), (G.name, i, beta)
+                    assert res == identity, (G.name, i, beta)
 
 
 def test_is_transitive_reads_the_first_basic_orbit(catalog_groups, tmp_path):
