@@ -17,7 +17,6 @@ such k and l, the whole Galois orbit of the class pair.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
@@ -44,27 +43,29 @@ class NonIntegralGenusError(ValueError):
     """The branching data is impossible for the given group order."""
 
 
-@dataclass(frozen=True)
 class SigmaSet:
     """Classes covered by the powers of x, y and xy, with their total size."""
 
-    x: Permutation
-    y: Permutation
-    covered: frozenset[int]
-    covered_labels: tuple[str, ...]
-    element_count: int
+    def __init__(self, *, x: Permutation, y: Permutation, covered: frozenset[int],
+                 covered_labels: tuple[str, ...], element_count: int):
+        self.x = x
+        self.y = y
+        self.covered = covered
+        self.covered_labels = covered_labels
+        self.element_count = element_count
 
 
-@dataclass
 class BeauvilleCertificate:
     """Two generating pairs whose sigma sets meet only in the identity."""
 
-    group: str
-    pairs: list[list[int]]  # four 1-based image arrays: x1, y1, x2, y2
-    orders: list[int]  # o(x1), o(y1), o(x1 y1), o(x2), o(y2), o(x2 y2)
-    sigma_classes: list[list[str]]
-    hyperbolic: list[bool]
-    seed: int
+    def __init__(self, *, group: str, pairs: list[list[int]], orders: list[int],
+                 sigma_classes: list[list[str]], hyperbolic: list[bool], seed: int):
+        self.group = group
+        self.pairs = pairs  # four 1-based image arrays: x1, y1, x2, y2
+        self.orders = orders  # o(x1), o(y1), o(x1 y1), o(x2), o(y2), o(x2 y2)
+        self.sigma_classes = sigma_classes
+        self.hyperbolic = hyperbolic
+        self.seed = seed
 
     def to_json_dict(self) -> dict:
         return {
@@ -104,28 +105,30 @@ class BeauvilleCertificate:
         return cls(**{key: payload[key] for key in checks})
 
 
-@dataclass
 class GenClassCertificate:
     """Exhaustive all-pairs generation verdict for classes C (or a set) and D."""
 
-    group: str
-    c_labels: tuple[str, ...]
-    d_label: str
-    exhaustive: bool
-    pairs_tested: int  # pairs decided: tested, or covered by a tested <c>-conjugate
-    counterexample: tuple[list[int], list[int]] | None = None
+    def __init__(self, *, group: str, c_labels: tuple[str, ...], d_label: str, exhaustive: bool,
+                 pairs_tested: int, counterexample: tuple[list[int], list[int]] | None = None):
+        self.group = group
+        self.c_labels = c_labels
+        self.d_label = d_label
+        self.exhaustive = exhaustive
+        self.pairs_tested = pairs_tested  # pairs decided: tested, or covered by a tested <c>-conjugate
+        self.counterexample = counterexample
 
     @property
     def all_generate(self) -> bool:
         return self.exhaustive and self.counterexample is None
 
 
-@dataclass
 class SearchResult:
-    status: str
-    certificate: BeauvilleCertificate | None = None
-    types_examined: int = 0
-    pair_tests: int = 0
+    def __init__(self, *, status: str, certificate: BeauvilleCertificate | None = None,
+                 types_examined: int = 0, pair_tests: int = 0):
+        self.status = status
+        self.certificate = certificate
+        self.types_examined = types_examined
+        self.pair_tests = pair_tests
 
 
 def power_closure(classdata: ClassData, class_index: int) -> frozenset[int]:
@@ -144,14 +147,28 @@ def sigma_set(G: PermGroup, classdata: ClassData, x: Permutation, y: Permutation
     return SigmaSet(x=x, y=y, covered=frozenset(covered), covered_labels=labels, element_count=count)
 
 
-def is_generating_pair(G: PermGroup, x: Permutation, y: Permutation) -> bool:
-    """G = <x, y>.  x and y are sifted through G's chain once, here or in
-    subgroup_order; either raises MembershipError outside G."""
+def _generates(G: PermGroup, x: Permutation, y: Permutation) -> bool:
+    """G = <x, y>, for x and y known to lie in G: no membership sift.
+
+    An intransitive pair cannot generate a transitive G; any other pair goes
+    to subgroup_order, which stops once its chain reaches |G|.
+    """
     if G.is_transitive and not is_transitive_on_group_domain(G, (x, y)):
-        if not (G.contains(x) and G.contains(y)):
-            raise MembershipError("is_generating_pair: element is not in the group")
         return False
     return subgroup_order(G, [x, y]) == G.order
+
+
+def is_generating_pair(G: PermGroup, x: Permutation, y: Permutation) -> bool:
+    """G = <x, y>; MembershipError if x or y lies outside G.
+
+    subgroup_order sifts x and y through G's chain; a pair that _generates
+    refuses without reaching it is sifted here.
+    """
+    if _generates(G, x, y):
+        return True
+    if not (G.contains(x) and G.contains(y)):
+        raise MembershipError("is_generating_pair: element is not in the group")
+    return False
 
 
 def genus_of_triple(group_order: int, a: int, b: int, c: int) -> tuple[int, bool]:
@@ -304,7 +321,13 @@ def _type_pairs(classdata: ClassData, types, strategy: str):
 
 
 class _TypeSearcher:
-    """Finds (and memoizes) a generating pair of a given class type."""
+    """Finds (and memoizes) a generating pair of a given class type.
+
+    x is the representative of C1 and y walks C2 in a seeded shuffle, one
+    pair test per position.  The class of xy is read from a row memoised per
+    (i1, i2) (ClassMap.product_classes), and class members lie in G, so the
+    generation test skips the membership sift.
+    """
 
     def __init__(self, G: PermGroup, classdata: ClassData, seed: int, budget: int):
         self.G = G
@@ -312,6 +335,7 @@ class _TypeSearcher:
         self.seed = seed
         self.budget = budget
         self.cache: dict[tuple[int, int, int], tuple[Permutation, Permutation] | None] = {}
+        self.rows: dict[tuple[int, int], bytes] = {}
         self.budget_hit = False
         self.pair_tests = 0
 
@@ -322,21 +346,20 @@ class _TypeSearcher:
         cmap = self.classdata.class_map
         x = self.classdata.classes[i1].representative
         candidates = cmap.elements_of(i2)
+        row = self.rows.get((i1, i2))
+        if row is None:
+            row = self.rows[i1, i2] = cmap.product_classes(i1, i2)
         order = list(range(len(candidates)))
         rng = random.Random(self.seed * 1_000_003 + i1 * 3721 + i2 * 61 + i3)
         rng.shuffle(order)
         found = None
         tests = 0
-        for pos in order:
-            tests += 1
+        for tests, pos in enumerate(order, 1):
             if tests > self.budget:
                 self.budget_hit = True
                 break
-            y = candidates[pos]
-            if cmap.class_of(x * y) != i3:
-                continue
-            if is_generating_pair(self.G, x, y):
-                found = (x, y)
+            if row[pos] == i3 and _generates(self.G, x, candidates[pos]):
+                found = (x, candidates[pos])
                 break
         self.pair_tests += tests
         self.cache[t] = found

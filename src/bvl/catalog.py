@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
 from itertools import permutations, product
 from math import factorial, gcd, prod
 from pathlib import Path
@@ -27,14 +26,17 @@ PSL3_VALUES = (2, 3, 5)
 _LINEAR_DIM = {"PSL2": 2, "PSL3": 3}
 
 
-@dataclass(frozen=True)
 class GroupSpec:
     """Parsed group specification: family plus one parameter."""
 
-    family: str  # ALT | SYM | PSL2 | PSL3 | FILE
-    n: int = 0
-    q: int = 0
-    path: str = ""
+    def __init__(self, *, family: str, n: int = 0, q: int = 0, path: str = ""):
+        self.family = family  # ALT | SYM | PSL2 | PSL3 | FILE
+        self.n = n
+        self.q = q
+        self.path = path
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, GroupSpec) and vars(self) == vars(other)
 
     def __str__(self) -> str:
         if self.family == "ALT":
@@ -46,15 +48,18 @@ class GroupSpec:
         return f"file:{self.path}"
 
 
-@dataclass(frozen=True)
 class LieMeta:
     """Lie-theoretic metadata of the ambient simple algebraic group."""
 
-    dim_G: int
-    rank: int
-    weyl_order: int
-    defining_prime: int
-    q: int
+    def __init__(self, *, dim_G: int, rank: int, weyl_order: int, defining_prime: int, q: int):
+        self.dim_G = dim_G
+        self.rank = rank
+        self.weyl_order = weyl_order
+        self.defining_prime = defining_prime
+        self.q = q
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, LieMeta) and vars(self) == vars(other)
 
 
 def parse_spec(text: str) -> GroupSpec:

@@ -16,7 +16,6 @@ other rows are never needed and never scanned.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from math import gcd
 
 from .cyclotomic import Conductor, Cyclo
@@ -208,23 +207,27 @@ def _nullspace(M: list[list[int]], p: int) -> list[list[int]]:
 # table construction
 
 
-@dataclass
 class CharacterTable:
     """Exact irreducible character table with class and character indexing."""
 
-    group_name: str
-    group_order: int
-    class_labels: list[str]
-    class_sizes: list[int]
-    class_orders: list[int]
-    inverse_map: list[int]
-    power_rows: list[tuple[int, ...]]
-    conductor: int
-    prime: int
-    primitive_root: int
-    zeta_mod_p: int
-    degrees: list[int]
-    rows: list[list[Cyclo]]
+    def __init__(self, *, group_name: str, group_order: int, class_labels: list[str],
+                 class_sizes: list[int], class_orders: list[int], inverse_map: list[int],
+                 power_rows: list[tuple[int, ...]], conductor: int, prime: int,
+                 primitive_root: int, zeta_mod_p: int, degrees: list[int],
+                 rows: list[list[Cyclo]]):
+        self.group_name = group_name
+        self.group_order = group_order
+        self.class_labels = class_labels
+        self.class_sizes = class_sizes
+        self.class_orders = class_orders
+        self.inverse_map = inverse_map
+        self.power_rows = power_rows
+        self.conductor = conductor
+        self.prime = prime
+        self.primitive_root = primitive_root
+        self.zeta_mod_p = zeta_mod_p
+        self.degrees = degrees
+        self.rows = rows
 
     def index_of(self, label: str) -> int:
         try:

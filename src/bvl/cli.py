@@ -27,7 +27,7 @@ from .beauville import (
 from .catalog import build_group, lie_meta, parse_spec
 from .chartab import TableError, character_table, verify_orthogonality
 from .numtheory import DomainError, zsigmondy_part
-from .permgroup import CapacityError
+from .permgroup import CapacityError, MembershipError
 from .structconst import (
     char_bound_check,
     point_count_probe,
@@ -395,8 +395,12 @@ def run(argv) -> int:
     except CapacityError as exc:
         print(f"error: capacity: {exc}", file=sys.stderr)
         return EXIT_CAPACITY
-    except (KeyError, ValueError, FileNotFoundError) as exc:
-        # DomainError and MembershipError are ValueErrors
+    except MembershipError as exc:
+        # user-supplied elements are checked with G.contains first, so this
+        # one comes from inside a computation
+        print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
+    except (KeyError, ValueError, FileNotFoundError) as exc:  # DomainError is a ValueError
         print(f"error: usage: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:

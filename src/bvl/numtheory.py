@@ -7,7 +7,6 @@ factoring routines are sized for the toolkit's inputs (values up to roughly
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 
@@ -151,7 +150,6 @@ def cyclotomic_poly_eval(n: int, q: int) -> int:
     return value
 
 
-@dataclass(frozen=True)
 class ZsigmondyResult:
     """The primitive part of Phi_n(q) together with its prime support.
 
@@ -160,11 +158,13 @@ class ZsigmondyResult:
     dividing q**n - 1 but no earlier q**k - 1.
     """
 
-    q: int
-    n: int
-    phi_value: int
-    primitive_part: int
-    primitive_primes: frozenset[int]
+    def __init__(self, *, q: int, n: int, phi_value: int, primitive_part: int,
+                 primitive_primes: frozenset[int]):
+        self.q = q
+        self.n = n
+        self.phi_value = phi_value
+        self.primitive_part = primitive_part
+        self.primitive_primes = primitive_primes
 
 
 def _check_prime_power(q: int) -> tuple[int, int]:

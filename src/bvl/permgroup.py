@@ -37,9 +37,8 @@ from __future__ import annotations
 import random
 from array import array
 from collections import Counter
-from dataclasses import dataclass, field
 from itertools import islice, repeat
-from math import gcd, prod
+from math import gcd, lcm, prod
 
 from .numtheory import divisors
 
@@ -429,20 +428,21 @@ def is_transitive_on_group_domain(G: PermGroup, gens) -> bool:
     return count == G.degree
 
 
-@dataclass
 class ConjugacyClass:
     """One conjugacy class with canonical label and power-map links."""
 
-    label: str
-    index: int
-    representative: Permutation
-    size: int
-    element_order: int
-    inverse_class: str = ""
-    power_classes: dict[int, str] = field(default_factory=dict)
-    # class index of representative**i for every 0 <= i < element_order;
-    # power_row[-1] is the index of the inverse class
-    power_row: tuple[int, ...] = ()
+    def __init__(self, *, label: str, index: int, representative: Permutation, size: int,
+                 element_order: int):
+        self.label = label
+        self.index = index
+        self.representative = representative
+        self.size = size
+        self.element_order = element_order
+        self.inverse_class = ""
+        self.power_classes: dict[int, str] = {}
+        # class index of representative**i for every 0 <= i < element_order;
+        # power_row[-1] is the index of the inverse class
+        self.power_row: tuple[int, ...] = ()
 
 
 class ClassMap:
@@ -481,20 +481,49 @@ class ClassMap:
 
         T is invariant under every permutation of (a, b, c): xyz = 1 gives
         yzx = 1 (rotation) and y * x * (x^-1 z x) = 1 (swap, z conjugated
-        inside C_c).  So one scan per unordered pair, memoised, serves every
-        ordering.  It runs over the smaller class C_s with the representative
-        r of the other class C_l: conjugating x to r gives T(l, s, c) =
-        |C_l| * #{y in C_s : y*r ~ r*y lies in the class inverse to C_c}.
-        Rows are int64 arrays (T <= |G|^2), so the memo holds no int objects.
+        inside C_c).  So one row per unordered pair, memoised, serves every
+        ordering.  Rows are int64 arrays (T <= |G|^2), so the memo holds no
+        int objects.
+
+        T is also Galois-invariant.  For k coprime to the exponent e of G,
+        sigma_k(i) = power_row_i[k mod o_i] permutes the classes, keeping
+        their sizes (g -> g^k maps C_i onto C_sigma(i) bijectively).  By
+        Frobenius, T(a, b, c) = |C_a||C_b||C_c| / |G| * sum over chi of
+        chi(a) chi(b) chi(c) / chi(1); zeta_e -> zeta_e^k sends chi(g) to
+        chi(g^k) and fixes the rational sum, so T(sigma a, sigma b, sigma c)
+        = T(a, b, c).  So only the least sorted image pair of each Galois
+        orbit of unordered pairs is scanned, and a pair {a, b} that sigma
+        takes there reads row[c] = base[sigma c].  sigma_k moves {a, b}
+        through k mod m, m = lcm(o_a, o_b), so the orbit is walked over the
+        units mod m, and the k found is lifted to a unit k + tm mod e.
         """
         key = (a, b) if a <= b else (b, a)
         row = self._triples.get(key)
         if row is None:
-            row = self._triples[key] = self._scan(*key)
+            ra, rb = self.classes[a].power_row, self.classes[b].power_row
+            m = lcm(len(ra), len(rb))
+            rep, k = min((tuple(sorted((ra[j % len(ra)], rb[j % len(rb)]))), j)
+                         for j in range(1, m + 1) if gcd(j, m) == 1)
+            base = self._triples.get(rep)
+            if base is None:
+                base = self._triples[rep] = self._scan(*rep)
+            if rep == key:
+                row = base
+            else:
+                e = lcm(*(len(c.power_row) for c in self.classes))
+                while gcd(k, e) > 1:
+                    k += m
+                row = array("q", [base[c.power_row[k % len(c.power_row)]] for c in self.classes])
+            self._triples[key] = row
         return row
 
     def _scan(self, a: int, b: int) -> array:
-        """The triple_counts row of {a, b}: the one class-product counting loop."""
+        """The triple_counts row of {a, b}: the one class-product counting loop.
+
+        It runs over the smaller class C_s with the representative r of the
+        other class C_l: conjugating x to r gives T(l, s, c) =
+        |C_l| * #{y in C_s : y*r ~ r*y lies in the class inverse to C_c}.
+        """
         classes = self.classes
         s, l = (a, b) if classes[a].size <= classes[b].size else (b, a)
         table = self._table
@@ -502,11 +531,21 @@ class ClassMap:
         counts = Counter([table[y.translate(right)] for y in self._members[s]])
         return array("q", [classes[l].size * counts[c.power_row[-1]] for c in classes])
 
+    def product_classes(self, a: int, b: int) -> bytes:
+        """Class index of y * r for each y of elements_of(b), r the representative of class a.
 
-@dataclass
+        y * r = r^-1 (r * y) r, so each entry is also the class of r * y.
+        One byte per entry: at most 256 classes.
+        """
+        table = self._table
+        right = _pad(self.classes[a].representative.images)
+        return bytes([table[y.images.translate(right)] for y in self.elements_of(b)])
+
+
 class ClassData:
-    classes: list[ConjugacyClass]
-    class_map: ClassMap
+    def __init__(self, *, classes: list[ConjugacyClass], class_map: ClassMap):
+        self.classes = classes
+        self.class_map = class_map
 
     def by_label(self, label: str) -> ConjugacyClass:
         for c in self.classes:

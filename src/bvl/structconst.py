@@ -15,7 +15,6 @@ probe for triple varieties.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
@@ -27,46 +26,48 @@ from .permgroup import ClassData, PermGroup
 BOUND_TOLERANCE = 1e-6
 
 
-@dataclass(frozen=True)
 class TripleCount:
     """A structure-constant value, tagged with the route that produced it."""
 
-    group: str
-    labels: tuple[str, str, str]
-    n_value: int
-    method: str  # FORMULA or BRUTE
+    def __init__(self, *, group: str, labels: tuple[str, str, str], n_value: int, method: str):
+        self.group = group
+        self.labels = labels
+        self.n_value = n_value
+        self.method = method  # FORMULA or BRUTE
 
 
-@dataclass
 class BoundReport:
     """Max |chi(s)| per regular semisimple class against the Weyl bound."""
 
-    group: str
-    per_class_max: dict[str, float]
-    bound: int
-    passed: bool
+    def __init__(self, *, group: str, per_class_max: dict[str, float], bound: int, passed: bool):
+        self.group = group
+        self.per_class_max = per_class_max
+        self.bound = bound
+        self.passed = passed
 
 
-@dataclass
 class PointCountReport:
     """Exact F_q-point count of a triple variety next to its leading term."""
 
-    group: str
-    labels: tuple[str, str, str]
-    n_value: int
-    class_size: int
-    exact_count: int
-    predicted: int
-    ratio: Fraction
+    def __init__(self, *, group: str, labels: tuple[str, str, str], n_value: int,
+                 class_size: int, exact_count: int, predicted: int, ratio: Fraction):
+        self.group = group
+        self.labels = labels
+        self.n_value = n_value
+        self.class_size = class_size
+        self.exact_count = exact_count
+        self.predicted = predicted
+        self.ratio = ratio
 
 
-@dataclass
 class GowScanReport:
-    group: str
-    regular_classes: list[str]
-    semisimple_classes: list[str]
-    triples_checked: int
-    violations: list[tuple[str, str, str]]
+    def __init__(self, *, group: str, regular_classes: list[str], semisimple_classes: list[str],
+                 triples_checked: int, violations: list[tuple[str, str, str]]):
+        self.group = group
+        self.regular_classes = regular_classes
+        self.semisimple_classes = semisimple_classes
+        self.triples_checked = triples_checked
+        self.violations = violations
 
     @property
     def all_positive(self) -> bool:

@@ -192,6 +192,41 @@ def test_verify_refuses_element_outside_group():
         is_generating_pair(G, x, y)
 
 
+def _reference_witness(G, classdata, t, seed, budget):
+    # the witness loop before product-class rows: x * y per position, and
+    # the public generation test
+    i1, i2, i3 = t
+    cmap = classdata.class_map
+    x = classdata.classes[i1].representative
+    candidates = cmap.elements_of(i2)
+    order = list(range(len(candidates)))
+    random.Random(seed * 1_000_003 + i1 * 3721 + i2 * 61 + i3).shuffle(order)
+    tests = 0
+    for pos in order:
+        tests += 1
+        if tests > budget:
+            return None, tests, True
+        y = candidates[pos]
+        if cmap.class_of(x * y) == i3 and is_generating_pair(G, x, y):
+            return (x, y), tests, False
+    return None, tests, False
+
+
+@pytest.mark.parametrize("seed,budget", [(0, 10_000_000), (7, 10_000_000), (0, 5)])
+def test_type_witness_matches_reference_loop(seed, budget):
+    G = build_group("L2:25")
+    classdata = G.conjugacy_data()
+    searcher = beauville._TypeSearcher(G, classdata, seed, budget)
+    for t, _, _ in _class_types(classdata):
+        before = searcher.pair_tests
+        found = searcher.witness(t)
+        expected, tests, hit = _reference_witness(G, classdata, t, seed, budget)
+        assert (found, searcher.pair_tests - before) == (expected, tests), t
+        if hit:
+            assert searcher.budget_hit, t
+    assert searcher.budget_hit == (budget == 5)
+
+
 def test_search_seed_determinism():
     G1 = build_group("L2:11")
     G2 = build_group("L2:11")

@@ -6,6 +6,7 @@ import pytest
 
 from bvl.chartab import TableError
 from bvl.cli import run
+from bvl.permgroup import MembershipError
 
 
 def run_cli(argv, capsys):
@@ -256,6 +257,18 @@ def test_internal_error_exit_code(monkeypatch, capsys):
     monkeypatch.setattr("bvl.cli.character_table", broken_table)
     code, _, err = run_cli(["chartab", "--group", "A5"], capsys)
     assert code == 4 and "error: internal:" in err
+
+
+def test_membership_error_inside_a_computation_is_internal(monkeypatch, capsys):
+    # user elements are checked with G.contains first: this one is a fault
+    def broken(G, gens):
+        raise MembershipError("element is not in the group")
+
+    monkeypatch.setattr("bvl.beauville.subgroup_order", broken)
+    code, out, err = run_cli(["genclasses", "verify", "--group", "A5", "--c", "5a", "--d", "3a"], capsys)
+    assert code == 4 and "error: internal: MembershipError:" in err and out == ""
+    code, _, err = run_cli(["genclasses", "verify", "--group", "A5", "--c", "5a", "--d", "9z"], capsys)
+    assert code == 2 and "error: usage:" in err
 
 
 def test_incomplete_class_enumeration_is_internal_error(monkeypatch, capsys):

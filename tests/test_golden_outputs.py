@@ -18,7 +18,11 @@ classes cover the group and the split took the cheapest class matrices first;
 the `genclasses search` calls on A8, L2:25 and L2:49, whose class pairs fall
 into many Galois orbits (L2:49 most of all: 351 class pairs, 66 orbits), at
 cd41268, before each orbit was decided by one scan and the stabilizer chain
-moved to image bytes.
+moved to image bytes; the `beauville search` calls on L3:5 and on L2:49 with
+`--seed 5`, which decide many class types (L3:5 scans 435 class pairs in 113
+Galois orbits), at 986d200, before the class-type table was folded by the
+Galois action and the witness search read product classes from one row per
+class pair.
 A refactor that changes any byte of these outputs (a certificate, a class
 label, a character value, a count) fails here.
 """
@@ -60,6 +64,10 @@ GOLDEN = [
      0, "213bb1fe74f2b86cab49bf4bea7b66ba83675cb27831dec1e14d3a2f77afad70"),
     ("beauville search --group A6 --format json",
      0, "767356afa5b1ac8a2c679e82bf77ad39c3f5e4fa6d5d04c9892a43fbf0e8c5c2"),
+    ("beauville search --group L3:5 --format json",
+     0, "f2a6afa33143225ef5362aa1c766d2e409b9d38eb48f5875e295e8407c825497"),
+    ("beauville search --group L2:49 --format json --seed 5",
+     0, "e9a9539ddeac403b241f8976cbbd67075963431fdade4afcbbe76117ae2ec2c9"),
     ("beauville search --group A5 --format json",
      1, "46625f3c4dac8bd6e982890ef67ac251209f278cfd7e63d7ef5c34bb9f864c8a"),
     ("struct --group A6 --classes 5a,5b,4a --method both",

@@ -357,6 +357,33 @@ def test_triple_counts_scan_each_unordered_pair_once(monkeypatch):
     assert scans and max(scans.values()) == 1
 
 
+@pytest.mark.parametrize("spec", ["L2:25", "L2:49", "file:m11.json", "A7", "L3:3"])
+def test_galois_folded_rows_match_direct_scans(spec):
+    # every row not scanned is read through a Galois permutation of classes
+    cmap = build_group(spec).conjugacy_data().class_map
+    k = len(cmap.classes)
+    for a, b in itertools.combinations_with_replacement(range(k), 2):
+        assert cmap.triple_counts(a, b) == cmap._scan(a, b), (spec, a, b)
+
+
+@pytest.mark.parametrize("spec,scans,pairs", [("L2:25", 40, 105), ("L2:49", 80, 351)])
+def test_class_types_scan_once_per_galois_orbit(monkeypatch, spec, scans, pairs):
+    # the class types read every unordered pair of nontrivial classes
+    scanned = []
+    scan = pg.ClassMap._scan
+
+    def counted(self, a, b):
+        scanned.append((a, b))
+        return scan(self, a, b)
+
+    monkeypatch.setattr(pg.ClassMap, "_scan", counted)
+    cd = build_group(spec).conjugacy_data()
+    _class_types(cd)
+    k = len(cd.classes)
+    assert (len(scanned), (k - 1) * k // 2) == (scans, pairs)
+    assert len(set(scanned)) == len(scanned)
+
+
 @pytest.mark.parametrize("spec", ["A6", "file:m11.json"])
 def test_elements_of_sorted_per_class_and_covering_the_group(spec):
     G = build_group(spec)
