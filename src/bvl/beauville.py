@@ -147,14 +147,15 @@ def sigma_set(G: PermGroup, classdata: ClassData, x: Permutation, y: Permutation
     return SigmaSet(x=x, y=y, covered=frozenset(covered), covered_labels=labels, element_count=count)
 
 
-def _generates(G: PermGroup, x: Permutation, y: Permutation) -> bool:
+def _generates(G: PermGroup, x: Permutation, y: Permutation) -> bool | None:
     """G = <x, y>, for x and y known to lie in G: no membership sift.
 
-    An intransitive pair cannot generate a transitive G; any other pair goes
-    to subgroup_order, which stops once its chain reaches |G|.
+    An intransitive pair cannot generate a transitive G: None says that this
+    check refused it.  Any other pair goes to subgroup_order, which sifts x
+    and y and stops once its chain reaches |G|: True or False.
     """
     if G.is_transitive and not is_transitive_on_group_domain(G, (x, y)):
-        return False
+        return None
     return subgroup_order(G, [x, y]) == G.order
 
 
@@ -162,13 +163,12 @@ def is_generating_pair(G: PermGroup, x: Permutation, y: Permutation) -> bool:
     """G = <x, y>; MembershipError if x or y lies outside G.
 
     subgroup_order sifts x and y through G's chain; a pair that _generates
-    refuses without reaching it is sifted here.
+    refuses before reaching it is sifted here.
     """
-    if _generates(G, x, y):
-        return True
-    if not (G.contains(x) and G.contains(y)):
+    answer = _generates(G, x, y)
+    if answer is None and not (G.contains(x) and G.contains(y)):
         raise MembershipError("is_generating_pair: element is not in the group")
-    return False
+    return bool(answer)
 
 
 def genus_of_triple(group_order: int, a: int, b: int, c: int) -> tuple[int, bool]:

@@ -23,13 +23,14 @@ strong generators once.
 Conjugacy classes come from one path: a walk over the complete stabilizer
 chain draws the elements of G, each at most once (each is uniquely x * u, u
 in the first transversal, x in the point stabilizer), and each element not
-yet in the element-to-class table seeds its conjugation orbit, closed under a
-generating pair of G (any generating set gives the same orbits) and written
-straight into that table.  The walk stops as soon as the table holds |G|
-elements: the orbits are whole classes and pairwise disjoint, so by then they
-cover G.  The members of each class are stored per class and sorted only on
-request.  Groups above CLASS_ORDER_BOUND (2,000,000; S10 is the smallest
-catalog group past it) raise CapacityError instead.
+yet in the element-to-class table seeds a conjugation walk under a
+generating pair of G, written straight into that table.  It conjugates one
+of each pair {w, w^-1} and enters w^-1 beside it, so it finds a class and
+its inverse class at half the conjugations.  The draws stop once the table
+holds |G| elements: the classes are disjoint, so by then they cover G.  The
+members of each class are stored per class and sorted only on request.
+Groups above CLASS_ORDER_BOUND (2,000,000; S10 is the smallest catalog group
+past it) raise CapacityError instead.
 """
 
 from __future__ import annotations
@@ -572,24 +573,43 @@ def _conjugators(G: PermGroup) -> tuple[Permutation, ...]:
 
 
 def _conjugation_orbit(conjugators, images: bytes, table: dict[bytes, int],
-                       index: int) -> list[bytes]:
-    """Image bytes of the conjugacy class of images, by closure under conjugators.
+                       index: int) -> tuple[list[bytes], bool]:
+    """The class C of images and C^-1, walking one of each pair {w, w^-1}.
 
-    Every new member is entered in table with value index, so table doubles
-    as the orbit's seen-set; an element already there is never revisited.
+    Returns (members, real); members alternates w, w^-1.  A new conjugate w
+    is entered in table under index and walked; w^-1 is entered under
+    index + 1 and not walked.  table holds whole pairs, so w^-1 is new when
+    w is, and whole classes, so a conjugate is new, a w or a w^-1.  As
+    (s^-1 v s)^-1 = s^-1 v^-1 s, members is closed under conjugators: it is
+    C u C^-1.  C = C^-1 exactly when images is its own inverse or a
+    conjugate lands on a w^-1 (if C = C^-1, the w are half of it, so not
+    closed).  Otherwise the w are closed, so they are C, and the w^-1 are
+    C^-1 at no cost in conjugations.
     """
-    tail = _PAD[len(images):]
-    pairs = [(_pad(s.images), s.inverse().images) for s in conjugators]
+    n = len(images)
+    tail, identity = _PAD[n:], _PAD[:n]
+    pairs = [(s.inverse().images.translate, _pad(s.images)) for s in conjugators]
+    partner = index + 1
+    inverse = bytes.maketrans(images, identity)[:n]
+    real = inverse == images
     table[images] = index
-    orbit = [images]
-    for v in orbit:  # breadth first: the loop also visits what it appends
+    table[inverse] = partner
+    members = [images, inverse]
+    get, append, maketrans = table.get, members.append, bytes.maketrans
+    for v in islice(members, 0, None, 2):  # breadth first: also visits the w appended meanwhile
         v += tail
-        for s, s_inv in pairs:
-            w = s_inv.translate(v).translate(s)  # s^-1 * v * s
-            if w not in table:
+        for s_inv_times, s in pairs:
+            w = s_inv_times(v).translate(s)  # s^-1 * v * s
+            t = get(w)
+            if t is None:
+                inverse = maketrans(w, identity)[:n]
                 table[w] = index
-                orbit.append(w)
-    return orbit
+                table[inverse] = partner
+                append(w)
+                append(inverse)
+            elif t == partner:
+                real = True
+    return members, real
 
 
 def _chain_elements(G: PermGroup):
@@ -636,17 +656,13 @@ def conjugacy_classes(G: PermGroup, bound: int = CLASS_ORDER_BOUND) -> ClassData
     """Complete conjugacy-class list with canonical labels and power maps.
 
     Walks the elements of G (_chain_elements); each one not yet in the
-    element-to-class table seeds a conjugation orbit that enters its members
-    there under a provisional index.  The walk stops once the table holds
-    |G| elements, and the classes found are then all of them: each orbit is
-    the closure of an element of G under a generating set of G
-    (_conjugators), so it is a whole G-class; a seed is taken only when it is
-    not yet in the table, so the orbits are disjoint; and disjoint orbits
-    whose sizes add up to |G| cover G.  On M12 the last class turns up at
-    element 8,600 of 95,040; in an abelian group every class is a single
-    element and the walk runs to the end.  Each orbit is kept as its class's
-    list of image bytes, unsorted; after the canonical sort the table values
-    are rewritten once with the final indices.
+    element-to-class table seeds _conjugation_orbit, which enters its class
+    and the inverse class there under provisional indices.  These are whole
+    G-classes (the conjugators generate G), disjoint (a seed is taken only
+    when not in the table), so the walk stops once the table holds |G|
+    elements: on M12 at element 8,600 of 95,040.  Members are kept per class,
+    unsorted; after the canonical sort the table values are rewritten once
+    with the final indices.
     """
     if G.order > bound:
         raise CapacityError(
@@ -659,10 +675,17 @@ def conjugacy_classes(G: PermGroup, bound: int = CLASS_ORDER_BOUND) -> ClassData
     for images in _chain_elements(G):
         if images in table:
             continue
-        orbit = _conjugation_orbit(conjugators, images, table, len(orbits))
-        orbits.append(orbit)
-        rep = min(orbit)
-        raw.append((Permutation._raw(rep).order(), rep, len(orbit)))
+        walk, real = _conjugation_orbit(conjugators, images, table, len(orbits))
+        if not real:  # walk alternates the members of C and of C^-1
+            found = (walk[0::2], walk[1::2])
+        elif walk[1] == images:  # every member is its own inverse
+            found = (walk[0::2],)
+        else:
+            found = (walk,)
+        for orbit in found:
+            orbits.append(orbit)
+            rep = min(orbit)
+            raw.append((Permutation._raw(rep).order(), rep, len(orbit)))
         if len(table) == G.order:
             break
     # explicit, not assert: python -O must not strip the exactness check
@@ -695,12 +718,15 @@ def conjugacy_classes(G: PermGroup, bound: int = CLASS_ORDER_BOUND) -> ClassData
 
 
 def _fill_power_maps(classes: list[ConjugacyClass], cmap: ClassMap) -> None:
+    table = cmap._table
     for c in classes:
+        images = c.representative.images
+        step = _pad(images)
+        p = _PAD[: len(images)]
         row = []
-        p = Permutation.identity(c.representative.degree)
         for _ in range(c.element_order):
-            row.append(cmap.class_of(p))
-            p = p * c.representative
+            row.append(table[p])
+            p = p.translate(step)  # rep^k * rep
         c.power_row = tuple(row)
         c.inverse_class = classes[row[-1]].label  # rep^(o-1) = rep^-1
         c.power_classes = {
@@ -710,7 +736,6 @@ def _fill_power_maps(classes: list[ConjugacyClass], cmap: ClassMap) -> None:
 
 
 def centralizer_order(G: PermGroup, g: Permutation) -> int:
-    """|C_G(g)| = |G| / |class of g|."""
-    if not G.contains(g):
-        raise MembershipError("element is not in the group")
-    return G.order // len(_conjugation_orbit(G.generators, g.images, {}, 0))
+    """|C_G(g)| = |G| / |class of g|; MembershipError if g lies outside G."""
+    cd = G.conjugacy_data()
+    return G.order // cd.classes[cd.class_map.class_of(g)].size

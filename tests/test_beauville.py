@@ -425,6 +425,25 @@ def test_is_generating_pair_refuses_outsiders_at_the_transitivity_short_circuit(
         is_generating_pair(G, cyc(5, (1, 2, 3, 4, 5)), cyc(6, (1, 2, 3, 4, 5, 6)))
 
 
+def test_is_generating_pair_sifts_a_transitive_proper_pair_once(monkeypatch):
+    # x (order 5) and y (order 11) generate L2(11), transitive on M11's 11 points:
+    # subgroup_order sifts them, and nothing sifts them again
+    G = build_group("file:m11.json")
+    x = Permutation([1, 9, 5, 2, 8, 3, 10, 11, 7, 4, 6])
+    y = Permutation([10, 7, 1, 2, 6, 9, 11, 4, 8, 5, 3])
+    assert subgroup_order(G, [x, y]) == 660
+    calls = []
+    contains = PermGroup.contains
+
+    def counted(self, g):
+        calls.append(g)
+        return contains(self, g)
+
+    monkeypatch.setattr(PermGroup, "contains", counted)
+    assert not is_generating_pair(G, x, y)
+    assert calls == [x, y]
+
+
 def test_all_pairs_generate_multiple_c_classes():
     A6 = build_group("A6")
     g = all_pairs_generate(A6, ("5a", "5b"), "4a")

@@ -22,7 +22,10 @@ moved to image bytes; the `beauville search` calls on L3:5 and on L2:49 with
 `--seed 5`, which decide many class types (L3:5 scans 435 class pairs in 113
 Galois orbits), at 986d200, before the class-type table was folded by the
 Galois action and the witness search read product classes from one row per
-class pair.
+class pair; the `classes` calls on L3:5, M11 and A7, whose groups have
+classes that are not real (C != C^-1), at 666cf4c, before the class walk
+entered each conjugate's inverse and so found a class and its inverse class
+in one walk.
 A refactor that changes any byte of these outputs (a certificate, a class
 label, a character value, a count) fails here.
 """
@@ -56,6 +59,12 @@ GOLDEN = [
      0, "4f4a25ea0c87041d1a84da06b6e48504237a94380b503d5d84be60d8f5ba77de"),
     ("classes --group A8 --format json",
      0, "e30ac40c83fe8a2f9e478c432e8db70d0dbec68b9dae08aad8f0f80771454056"),
+    ("classes --group L3:5 --format json",
+     0, "ea8f43ff9a6875115bd30f8967a3514c5098a6d38e4cfcd4becf4b4bb473f91d"),
+    ("classes --group file:m11.json --format json",
+     0, "f50d280e32a635a6f23b3b9b0c7d17ab8fd5147acaa285788379e4d05af83537"),
+    ("classes --group A7 --format json",
+     0, "b32b5dc2dc63cac152eed846cb29ebc909cfc71e8b56a435c35f5e40e0ee7c39"),
     ("chartab --group L3:3 --format json",
      0, "7084bf9c5743a49d7db47978e3e4f219d99e99a7f5220e35c77418a6743fa9b0"),
     ("beauville search --group L2:25 --format json --seed 3",

@@ -256,8 +256,10 @@ def test_conjugacy_classes_against_naive_partition(spec, tmp_path, monkeypatch):
     classes = {frozenset(g.images for g in cmap.elements_of(i)) for i in range(len(cmap.classes))}
     assert classes == naive_classes(G)
     assert set(cmap._table) == closure(G.generators, G.degree)
-    if spec == "C7":  # abelian: every class is one element, so the walk runs to the end
-        assert len(drawn) == G.order == 7
+    if spec == "C7":
+        # abelian: every class is one element, and each draw g also enters the
+        # class of g^-1, so the walk draws 1, g, g^2, g^3 and then stops
+        assert len(drawn) == (G.order + 1) // 2 == 4
 
 
 def test_class_walk_stops_once_the_classes_cover_the_group(monkeypatch):
@@ -450,6 +452,94 @@ def test_conjugators_keep_two_generators_without_drawing(monkeypatch):
 
     monkeypatch.setattr(G, "random_element", no_draw)
     assert pg._conjugators(G) is G.generators
+
+
+def plain_conjugation_classes(G):
+    """G's classes as frozensets of image bytes, each the closure of one element
+    under conjugation by G's generators, with plain bytes.translate products."""
+    tail = bytes(range(G.degree + 1, 256))
+    pairs = [(g.inverse().images, g.images + tail) for g in G.generators]
+    seen = set()
+    classes = []
+    for e in sorted(closure(G.generators, G.degree)):
+        if e in seen:
+            continue
+        orbit = {e}
+        frontier = [e]
+        while frontier:
+            v = frontier.pop() + tail
+            for g_inv, g in pairs:
+                w = g_inv.translate(v).translate(g)
+                if w not in orbit:
+                    orbit.add(w)
+                    frontier.append(w)
+        seen |= orbit
+        classes.append(frozenset(orbit))
+    return classes
+
+
+def plain_inverse(images):
+    inverse = bytearray(len(images))
+    for i, j in enumerate(images):
+        inverse[j] = i
+    return bytes(inverse)
+
+
+@pytest.mark.parametrize("spec", ["A5", "S5", "L2:7", "A7", "L2:25", "file:m11.json", "L3:3",
+                                  "C12", "trivial"])
+def test_paired_walk_matches_plain_conjugation_closure(spec):
+    if spec == "C12":
+        G = PermGroup([cyc(7, (1, 2, 3), (4, 5, 6, 7))])
+    elif spec == "trivial":
+        G = PermGroup([], degree=4)
+    else:
+        G = build_group(spec)
+    cd = conjugacy_classes(G)
+    cmap = cd.class_map
+    classes = [frozenset(g.images for g in cmap.elements_of(c.index)) for c in cd.classes]
+    assert set(classes) == set(plain_conjugation_classes(G))
+    assert len(classes) == len(set(classes))
+    for c, members in zip(cd.classes, classes):
+        inverses = frozenset(map(plain_inverse, members))
+        assert classes[cd.by_label(c.inverse_class).index] == inverses
+        assert (c.inverse_class == c.label) == (inverses == members)
+        assert all(cmap.class_of(Permutation._raw(g)) == c.index for g in members)
+
+
+def test_m12_class_walk_conjugates_one_of_each_inverse_pair(monkeypatch):
+    # the walk enters each conjugate's inverse unwalked: 47,966 walked
+    # elements (95,932 conjugations); a closure of every class walks 95,040
+    walked = []
+    walk = pg._conjugation_orbit
+
+    def counted(*args):
+        members, real = walk(*args)
+        walked.append(len(members) // 2)  # members alternates walked w and unwalked w^-1
+        return members, real
+
+    monkeypatch.setattr(pg, "_conjugation_orbit", counted)
+    G = load_group_file("m12.json")
+    assert sum(c.size for c in conjugacy_classes(G).classes) == G.order
+    assert sum(walked) <= 48_000, sum(walked)
+
+
+def test_power_rows_multiply_no_permutations(monkeypatch):
+    G = PermGroup([cyc(12, (1, 2, 3, 4, 5), (6, 7, 8, 9, 10, 11, 12))])
+    assert G.order == 35
+    products = []
+    mul = Permutation.__mul__
+
+    def counted(self, other):
+        products.append(other)
+        return mul(self, other)
+
+    monkeypatch.setattr(Permutation, "__mul__", counted)
+    cd = conjugacy_classes(G)
+    assert not products
+    monkeypatch.undo()
+    for c in cd.classes:
+        powers = [c.representative ** k for k in range(c.element_order)]
+        assert c.power_row == tuple(cd.class_map.class_of(p) for p in powers)
 
 
 def test_centralizer_orders():
