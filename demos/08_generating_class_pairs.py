@@ -40,7 +40,7 @@ cd = M11.conjugacy_data()
 c5 = cd.by_label("5a").representative
 for x in ("8a", "8b"):
     counts = Counter(
-        subgroup_order(M11, [c5, d]) for d in cd.class_map.elements_of(cd.by_label(x).index)
+        subgroup_order(M11, [c5, d]) for d in cd.elements_of(cd.by_label(x).index)
     )
     print(f"  orders of <rep(5a), d> over d in {x}: {dict(sorted(counts.items()))}")
 print("The corrected witness pairs use the 11-classes, whose only maximal")

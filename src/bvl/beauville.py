@@ -22,9 +22,10 @@ from math import gcd
 
 from .catalog import _is_int
 from .chartab import MAX_CLASSES
+from .numtheory import DomainError
 from .permgroup import (
     CapacityError,
-    ClassData,
+    ClassMap,
     MembershipError,
     PermGroup,
     Permutation,
@@ -39,17 +40,11 @@ STATUS_NONE_EXHAUSTED = "none-exhausted"
 STATUS_NONE_BUDGET = "none-budget"
 
 
-class NonIntegralGenusError(ValueError):
-    """The branching data is impossible for the given group order."""
-
-
 class SigmaSet:
     """Classes covered by the powers of x, y and xy, with their total size."""
 
-    def __init__(self, *, x: Permutation, y: Permutation, covered: frozenset[int],
-                 covered_labels: tuple[str, ...], element_count: int):
-        self.x = x
-        self.y = y
+    def __init__(self, *, covered: frozenset[int], covered_labels: tuple[str, ...],
+                 element_count: int):
         self.covered = covered
         self.covered_labels = covered_labels
         self.element_count = element_count
@@ -81,7 +76,7 @@ class BeauvilleCertificate:
     def from_json_dict(cls, payload: dict) -> "BeauvilleCertificate":
         """Parse a certificate, refusing any field of the wrong JSON type."""
         if not isinstance(payload, dict):
-            raise ValueError("certificate must be a JSON object")
+            raise DomainError("certificate must be a JSON object")
 
         def is_a(kind):
             return lambda v: isinstance(v, kind)
@@ -99,9 +94,9 @@ class BeauvilleCertificate:
         }
         for key, ok in checks.items():
             if key not in payload:
-                raise ValueError(f"certificate is missing field {key!r}")
+                raise DomainError(f"certificate is missing field {key!r}")
             if not ok(payload[key]):
-                raise ValueError(f"certificate field {key!r} has the wrong JSON type")
+                raise DomainError(f"certificate field {key!r} has the wrong JSON type")
         return cls(**{key: payload[key] for key in checks})
 
 
@@ -131,28 +126,26 @@ class SearchResult:
         self.pair_tests = pair_tests
 
 
-def power_closure(classdata: ClassData, class_index: int) -> frozenset[int]:
-    """Indices of the classes of all powers of an element of the class."""
-    return frozenset(classdata.classes[class_index].power_row)
+def sigma_set(G: PermGroup, x: Permutation, y: Permutation) -> SigmaSet:
+    """Sigma(x, y) as covered classes; class_of raises MembershipError outside G.
 
-
-def sigma_set(G: PermGroup, classdata: ClassData, x: Permutation, y: Permutation) -> SigmaSet:
-    """Sigma(x, y) as covered classes; class_of raises MembershipError outside G."""
-    cmap = classdata.class_map
+    The power_row of a class lists the classes of all powers of its elements.
+    """
+    cmap = G.conjugacy_data()
     covered: set[int] = set()
     for g in (x, y, x * y):
-        covered |= power_closure(classdata, cmap.class_of(g))
-    labels = tuple(classdata.classes[i].label for i in sorted(covered))
-    count = sum(classdata.classes[i].size for i in covered)
-    return SigmaSet(x=x, y=y, covered=frozenset(covered), covered_labels=labels, element_count=count)
+        covered.update(cmap.classes[cmap.class_of(g)].power_row)
+    labels = tuple(cmap.classes[i].label for i in sorted(covered))
+    count = sum(cmap.classes[i].size for i in covered)
+    return SigmaSet(covered=frozenset(covered), covered_labels=labels, element_count=count)
 
 
 def _generates(G: PermGroup, x: Permutation, y: Permutation) -> bool | None:
-    """G = <x, y>, for x and y known to lie in G: no membership sift.
+    """G = <x, y>, for x and y known to lie in G.
 
     An intransitive pair cannot generate a transitive G: None says that this
-    check refused it.  Any other pair goes to subgroup_order, which sifts x
-    and y and stops once its chain reaches |G|: True or False.
+    check refused it, unsifted.  Any other pair goes to subgroup_order, which
+    sifts x and y and stops once its chain reaches |G|: True or False.
     """
     if G.is_transitive and not is_transitive_on_group_domain(G, (x, y)):
         return None
@@ -169,24 +162,6 @@ def is_generating_pair(G: PermGroup, x: Permutation, y: Permutation) -> bool:
     if answer is None and not (G.contains(x) and G.contains(y)):
         raise MembershipError("is_generating_pair: element is not in the group")
     return bool(answer)
-
-
-def genus_of_triple(group_order: int, a: int, b: int, c: int) -> tuple[int, bool]:
-    """Genus from the Riemann-Hurwitz count 2g - 2 = |G| (1 - 1/a - 1/b - 1/c).
-
-    Returns (genus, hyperbolic).  A non-integral genus means the branching
-    type (a, b, c) is impossible for that group order.
-    """
-    if min(a, b, c) < 1 or group_order < 1:
-        raise ValueError("genus_of_triple needs positive arguments")
-    chi = group_order * (1 - Fraction(1, a) - Fraction(1, b) - Fraction(1, c))
-    if chi.denominator != 1 or chi.numerator % 2 != 0:
-        raise NonIntegralGenusError(
-            f"branching type ({a},{b},{c}) gives non-integral genus for order {group_order}"
-        )
-    genus = max(0, 1 + chi.numerator // 2)
-    hyperbolic = Fraction(1, a) + Fraction(1, b) + Fraction(1, c) < 1
-    return genus, hyperbolic
 
 
 def _triple_orders(x: Permutation, y: Permutation) -> tuple[int, int, int]:
@@ -211,13 +186,12 @@ def verify_beauville(
     failed condition otherwise.  An element outside G raises MembershipError
     from is_generating_pair.
     """
-    classdata = G.conjugacy_data()
     for idx, (x, y) in enumerate((pair1, pair2), start=1):
         if not is_generating_pair(G, x, y):
             return None, f"generation-pair{idx}"
-    s1 = sigma_set(G, classdata, *pair1)
-    s2 = sigma_set(G, classdata, *pair2)
-    identity_index = classdata.class_map.class_of(G.identity())
+    s1 = sigma_set(G, *pair1)
+    s2 = sigma_set(G, *pair2)
+    identity_index = G.conjugacy_data().class_of(G.identity())
     if s1.covered & s2.covered != {identity_index}:
         return None, "sigma-intersection"
     hyper = [_is_hyperbolic(*pair1), _is_hyperbolic(*pair2)]
@@ -269,7 +243,7 @@ def verify_certificate(
 # search
 
 
-def _class_types(classdata: ClassData) -> list[tuple[tuple[int, int, int], int, int]]:
+def _class_types(cmap: ClassMap) -> list[tuple[tuple[int, int, int], int, int]]:
     """All class-type triples with a nonzero pair count, in lexicographic order.
 
     A pair (x, y) has type (c1, c2, c3) when x is in C1, y in C2 and xy in C3.
@@ -281,15 +255,15 @@ def _class_types(classdata: ClassData) -> list[tuple[tuple[int, int, int], int, 
     G itself is cyclic, in which case the powers of a generator meet every
     class and sigma-disjointness is impossible anyway.
     """
-    classes = classdata.classes
+    classes = cmap.classes
     k = len(classes)
-    masks = [sum(1 << i for i in power_closure(classdata, c.index)) for c in classes]
+    masks = [sum(1 << i for i in set(c.power_row)) for c in classes]
     inverse = [c.power_row[-1] for c in classes]
     out = []
     for i1 in range(1, k):
         size = classes[i1].size
         for i2 in range(1, k):
-            row = classdata.class_map.triple_counts(i1, i2)
+            row = cmap.triple_counts(i1, i2)
             for i3 in range(1, k):
                 n = row[inverse[i3]] // size
                 if n:
@@ -297,7 +271,7 @@ def _class_types(classdata: ClassData) -> list[tuple[tuple[int, int, int], int, 
     return out
 
 
-def _type_pairs(classdata: ClassData, types, strategy: str):
+def _type_pairs(cmap: ClassMap, types, strategy: str):
     """Yield the sigma-disjoint type index pairs a <= b in search order.
 
     Types are in lexicographic order, so nested-index order is the order of
@@ -307,7 +281,7 @@ def _type_pairs(classdata: ClassData, types, strategy: str):
     exactly when their masks meet in 1.
     """
     masks = [mask for _, mask, _ in types]
-    orders = [c.element_order for c in classdata.classes]
+    orders = [c.element_order for c in cmap.classes]
     prods = [orders[i1] * orders[i2] * orders[i3] for (i1, i2, i3), _, _ in types]
     passes = (True, False) if strategy == "COPRIME_FIRST" else (None,)
     for coprime in passes:
@@ -326,12 +300,12 @@ class _TypeSearcher:
     x is the representative of C1 and y walks C2 in a seeded shuffle, one
     pair test per position.  The class of xy is read from a row memoised per
     (i1, i2) (ClassMap.product_classes), and class members lie in G, so the
-    generation test skips the membership sift.
+    test is _generates: an intransitive pair is refused without a sift.
     """
 
-    def __init__(self, G: PermGroup, classdata: ClassData, seed: int, budget: int):
+    def __init__(self, G: PermGroup, seed: int, budget: int):
         self.G = G
-        self.classdata = classdata
+        self.cmap = G.conjugacy_data()
         self.seed = seed
         self.budget = budget
         self.cache: dict[tuple[int, int, int], tuple[Permutation, Permutation] | None] = {}
@@ -343,8 +317,8 @@ class _TypeSearcher:
         if t in self.cache:
             return self.cache[t]
         i1, i2, i3 = t
-        cmap = self.classdata.class_map
-        x = self.classdata.classes[i1].representative
+        cmap = self.cmap
+        x = cmap.classes[i1].representative
         candidates = cmap.elements_of(i2)
         row = self.rows.get((i1, i2))
         if row is None:
@@ -382,17 +356,17 @@ def search_beauville(
     """
     if strategy not in ("COPRIME_FIRST", "EXHAUSTIVE_CLASSES"):
         raise ValueError(f"unknown strategy {strategy!r}")
-    classdata = G.conjugacy_data()
+    cmap = G.conjugacy_data()
     if G.order == 1:
         return SearchResult(status=STATUS_NONE_EXHAUSTED)
-    if len(classdata.classes) > MAX_CLASSES:
+    if len(cmap.classes) > MAX_CLASSES:
         raise CapacityError(
-            f"class-type search needs <= {MAX_CLASSES} classes, got {len(classdata.classes)}"
+            f"class-type search needs <= {MAX_CLASSES} classes, got {len(cmap.classes)}"
         )
-    types = _class_types(classdata)
-    searcher = _TypeSearcher(G, classdata, seed, budget)
+    types = _class_types(cmap)
+    searcher = _TypeSearcher(G, seed, budget)
 
-    for a, b in _type_pairs(classdata, types, strategy):
+    for a, b in _type_pairs(cmap, types, strategy):
         w1 = searcher.witness(types[a][0])
         if w1 is None:
             continue
@@ -437,11 +411,11 @@ def all_pairs_generate(G: PermGroup, c_labels, d_label: str) -> GenClassCertific
     if isinstance(c_labels, str):
         c_labels = (c_labels,)
     c_labels = tuple(c_labels)
-    classdata = G.conjugacy_data()
-    d_elements = classdata.class_map.elements_of(classdata.by_label(d_label).index)
+    cmap = G.conjugacy_data()
+    d_elements = cmap.elements_of(cmap.by_label(d_label).index)
     tested = 0
     for c_label in c_labels:
-        c_rep = classdata.by_label(c_label).representative
+        c_rep = cmap.by_label(c_label).representative
         c_inv = c_rep.inverse()
         covered: set[bytes] = set()
         for d in d_elements:
@@ -488,8 +462,8 @@ def search_gen_classes(G: PermGroup) -> list[tuple[str, str]]:
     """
     if G.order > 1_000_000:
         raise CapacityError(f"exhaustive class-pair search needs order <= 1e6, got {G.order}")
-    classdata = G.conjugacy_data()
-    classes = [c for c in classdata.classes if c.element_order > 1]
+    cmap = G.conjugacy_data()
+    classes = [c for c in cmap.classes if c.element_order > 1]
     rational = {
         c.index: min(c.power_row[k] for k in range(1, c.element_order)
                      if gcd(k, c.element_order) == 1)
@@ -508,7 +482,5 @@ def search_gen_classes(G: PermGroup) -> list[tuple[str, str]]:
                 good.append((x.label, y.label))
                 if x is not y:
                     good.append((y.label, x.label))
-    good.sort(key=lambda pair: (
-        classdata.by_label(pair[0]).index, classdata.by_label(pair[1]).index
-    ))
+    good.sort(key=lambda pair: (cmap.by_label(pair[0]).index, cmap.by_label(pair[1]).index))
     return good

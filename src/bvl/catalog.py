@@ -261,7 +261,7 @@ def load_group_file(path: str | Path) -> PermGroup:
         raise DomainError(f"group file not found: {path}") from None
     except OSError as exc:  # a directory, or a file that cannot be read
         raise DomainError(f"group file {path}: cannot read ({exc.strerror})") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # not UTF-8, or not JSON
         raise DomainError(f"group file {path}: invalid JSON ({exc})") from None
     if not isinstance(payload, dict):
         raise DomainError(f"group file {path}: expected a JSON object")
@@ -328,7 +328,7 @@ def lie_meta(spec: GroupSpec | str) -> LieMeta | None:
 
 
 def classical_order(spec: GroupSpec) -> int:
-    """Textbook order formula for the family; used as a build cross-check."""
+    """Textbook order formula for the family; the tests check build_group against it."""
     if spec.family == "ALT":
         return factorial(spec.n) // 2
     if spec.family == "SYM":

@@ -1,8 +1,9 @@
 """Command-line surface: group inspection, tables, structure constants,
 Beauville search/verify, generating-class search/verify, Zsigmondy parts.
 
-Exit codes: 0 success, 1 negative mathematical verdict, 2 usage error,
-3 capacity error, 4 internal fault.  JSON output is byte-stable for a
+Exit codes: 0 success, 1 negative mathematical verdict, 2 usage error
+(argparse or DomainError, raised where input is read), 3 capacity error,
+4 internal fault (any other exception).  JSON output is byte-stable for a
 fixed invocation and seed.
 """
 
@@ -27,7 +28,7 @@ from .beauville import (
 from .catalog import build_group, lie_meta, parse_spec
 from .chartab import TableError, character_table, verify_orthogonality
 from .numtheory import DomainError, zsigmondy_part
-from .permgroup import CapacityError, MembershipError
+from .permgroup import CapacityError
 from .structconst import (
     char_bound_check,
     point_count_probe,
@@ -147,9 +148,9 @@ def _cmd_struct(args) -> int:
     results = {}
     if args.method in ("formula", "both"):
         T = character_table(G)
-        results["formula"] = structure_constant_formula(T, c1, c2, c3).n_value
+        results["formula"] = structure_constant_formula(T, c1, c2, c3)
     if args.method in ("brute", "both"):
-        results["brute"] = structure_constant_brute(G, G.conjugacy_data(), c1, c2, c3).n_value
+        results["brute"] = structure_constant_brute(G, c1, c2, c3)
     payload = {
         "spec": args.group,
         "classes": [c1, c2, c3],
@@ -168,7 +169,7 @@ def _cmd_struct(args) -> int:
 def _cmd_charbound(args) -> int:
     G = _group_of(args)
     meta = lie_meta(parse_spec(args.group))
-    report = char_bound_check(G, G.conjugacy_data(), meta, character_table(G))
+    report = char_bound_check(G, meta, character_table(G))
     payload = {
         "spec": args.group,
         "bound": report.bound,
@@ -187,7 +188,7 @@ def _cmd_pointcount(args) -> int:
     G = _group_of(args)
     meta = lie_meta(parse_spec(args.group))
     c1, c2, c3 = _parse_class_triple(args.classes)
-    report = point_count_probe(G, G.conjugacy_data(), meta, character_table(G), c1, c2, c3)
+    report = point_count_probe(G, meta, character_table(G), c1, c2, c3)
     payload = {
         "spec": args.group,
         "classes": list(report.labels),
@@ -241,10 +242,11 @@ def _cmd_beauville_search(args) -> int:
 
 def _cmd_beauville_verify(args) -> int:
     try:
-        text = Path(args.cert).read_text()
+        raw = json.loads(Path(args.cert).read_text())
     except OSError as exc:  # missing, a directory, or unreadable
         raise DomainError(f"certificate {args.cert}: cannot read ({exc.strerror})") from None
-    raw = json.loads(text)
+    except ValueError as exc:  # not UTF-8, or not JSON
+        raise DomainError(f"certificate {args.cert}: invalid JSON ({exc})") from None
     cert = BeauvilleCertificate.from_json_dict(raw)
     G = build_group(parse_spec(cert.group))
     ok, reason = verify_certificate(G, cert, require_hyperbolic=args.require_hyperbolic)
@@ -392,17 +394,12 @@ def run(argv) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
         return args.func(args)
+    except DomainError as exc:
+        print(f"error: usage: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except CapacityError as exc:
         print(f"error: capacity: {exc}", file=sys.stderr)
         return EXIT_CAPACITY
-    except MembershipError as exc:
-        # user-supplied elements are checked with G.contains first, so this
-        # one comes from inside a computation
-        print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
-    except (KeyError, ValueError, FileNotFoundError) as exc:  # DomainError is a ValueError
-        print(f"error: usage: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except Exception as exc:
         print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

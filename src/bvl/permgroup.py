@@ -41,7 +41,7 @@ from collections import Counter
 from itertools import islice, repeat
 from math import gcd, lcm, prod
 
-from .numtheory import divisors
+from .numtheory import DomainError, divisors
 
 # Largest group order whose elements conjugacy_classes walks and sorts into
 # conjugation orbits.
@@ -145,10 +145,6 @@ class Permutation:
             base = base * base
             k >>= 1
         return result
-
-    def conjugate_by(self, g: "Permutation") -> "Permutation":
-        """g^-1 * self * g."""
-        return g.inverse() * self * g
 
     def is_identity(self) -> bool:
         return self.images == _PAD[: len(self.images)]
@@ -365,7 +361,7 @@ class PermGroup:
         self.base = [lv.point for lv in levels]
         self.strong_generators = [Permutation._raw(s) for s in levels[0].gens] if levels else []
         self.basic_orbit_sizes = [len(lv.orbit) for lv in levels]
-        self._classdata: ClassData | None = None
+        self._classmap: ClassMap | None = None
 
     @property
     def is_transitive(self) -> bool:
@@ -383,10 +379,10 @@ class PermGroup:
     def random_element(self, rng: random.Random) -> Permutation:
         return self._chain.random_element(rng)
 
-    def conjugacy_data(self) -> "ClassData":
-        if self._classdata is None:
-            self._classdata = conjugacy_classes(self)
-        return self._classdata
+    def conjugacy_data(self) -> "ClassMap":
+        if self._classmap is None:
+            self._classmap = conjugacy_classes(self)
+        return self._classmap
 
     def __repr__(self) -> str:
         label = self.name or f"degree-{self.degree} group"
@@ -447,7 +443,7 @@ class ConjugacyClass:
 
 
 class ClassMap:
-    """Element-to-class lookup: a table over the whole group.
+    """The class data of a group: its classes and an element-to-class table.
 
     The members of each class are stored per class as image bytes in no
     particular order; elements_of sorts and wraps one class on its first
@@ -461,6 +457,12 @@ class ClassMap:
         self._table = table
         self._elements: list[list[Permutation] | None] = [None] * len(classes)
         self._triples: dict[tuple[int, int], array] = {}
+
+    def by_label(self, label: str) -> ConjugacyClass:
+        for c in self.classes:
+            if c.label == label:
+                return c
+        raise DomainError(f"unknown class label {label!r}")
 
     def class_of(self, g: Permutation) -> int:
         """Index of the class containing g."""
@@ -541,18 +543,6 @@ class ClassMap:
         table = self._table
         right = _pad(self.classes[a].representative.images)
         return bytes([table[y.images.translate(right)] for y in self.elements_of(b)])
-
-
-class ClassData:
-    def __init__(self, *, classes: list[ConjugacyClass], class_map: ClassMap):
-        self.classes = classes
-        self.class_map = class_map
-
-    def by_label(self, label: str) -> ConjugacyClass:
-        for c in self.classes:
-            if c.label == label:
-                return c
-        raise KeyError(f"unknown class label {label!r}")
 
 
 def _conjugators(G: PermGroup) -> tuple[Permutation, ...]:
@@ -652,7 +642,7 @@ def _assign_labels(raw: list[tuple[int, bytes, int]]) -> list[str]:
     return labels
 
 
-def conjugacy_classes(G: PermGroup, bound: int = CLASS_ORDER_BOUND) -> ClassData:
+def conjugacy_classes(G: PermGroup, bound: int = CLASS_ORDER_BOUND) -> ClassMap:
     """Complete conjugacy-class list with canonical labels and power maps.
 
     Walks the elements of G (_chain_elements); each one not yet in the
@@ -713,12 +703,12 @@ def conjugacy_classes(G: PermGroup, bound: int = CLASS_ORDER_BOUND) -> ClassData
         for i, (order_, rep, size) in enumerate(sorted_raw)
     ]
     cmap = ClassMap(classes, members, table)
-    _fill_power_maps(classes, cmap)
-    return ClassData(classes=classes, class_map=cmap)
+    _fill_power_maps(cmap)
+    return cmap
 
 
-def _fill_power_maps(classes: list[ConjugacyClass], cmap: ClassMap) -> None:
-    table = cmap._table
+def _fill_power_maps(cmap: ClassMap) -> None:
+    classes, table = cmap.classes, cmap._table
     for c in classes:
         images = c.representative.images
         step = _pad(images)
@@ -734,8 +724,3 @@ def _fill_power_maps(classes: list[ConjugacyClass], cmap: ClassMap) -> None:
             for k in divisors(c.element_order)
         }
 
-
-def centralizer_order(G: PermGroup, g: Permutation) -> int:
-    """|C_G(g)| = |G| / |class of g|; MembershipError if g lies outside G."""
-    cd = G.conjugacy_data()
-    return G.order // cd.classes[cd.class_map.class_of(g)].size

@@ -21,19 +21,10 @@ from math import gcd
 from .catalog import LieMeta
 from .chartab import CharacterTable, TableError
 from .cyclotomic import Cyclo
-from .permgroup import ClassData, PermGroup
+from .numtheory import DomainError
+from .permgroup import PermGroup
 
 BOUND_TOLERANCE = 1e-6
-
-
-class TripleCount:
-    """A structure-constant value, tagged with the route that produced it."""
-
-    def __init__(self, *, group: str, labels: tuple[str, str, str], n_value: int, method: str):
-        self.group = group
-        self.labels = labels
-        self.n_value = n_value
-        self.method = method  # FORMULA or BRUTE
 
 
 class BoundReport:
@@ -74,9 +65,7 @@ class GowScanReport:
         return not self.violations
 
 
-def structure_constant_formula(
-    T: CharacterTable, c1: str, c2: str, c3: str
-) -> TripleCount:
+def structure_constant_formula(T: CharacterTable, c1: str, c2: str, c3: str) -> int:
     """n(C1,C2,C3) through the character formula, in exact arithmetic."""
     i1, i2, i3 = T.index_of(c1), T.index_of(c2), T.index_of(c3)
     total = Cyclo.zero(T.conductor)
@@ -89,34 +78,30 @@ def structure_constant_formula(
     n = total.rational_value() * T.class_sizes[i2] * T.class_sizes[i3] / T.group_order
     if n.denominator != 1 or n < 0:
         raise TableError(f"structure constant {(c1, c2, c3)} is not a nonnegative integer: {n}")
-    return TripleCount(group=T.group_name, labels=(c1, c2, c3), n_value=int(n), method="FORMULA")
+    return int(n)
 
 
-def structure_constant_brute(
-    G: PermGroup, classdata: ClassData, c1: str, c2: str, c3: str
-) -> TripleCount:
+def structure_constant_brute(G: PermGroup, c1: str, c2: str, c3: str) -> int:
     """n(C1,C2,C3) = T(C1, C2, C3) / |C1|, counted by ClassMap.triple_counts."""
-    k1, k2, k3 = (classdata.by_label(c) for c in (c1, c2, c3))
-    count = classdata.class_map.triple_counts(k1.index, k2.index)[k3.index] // k1.size
-    return TripleCount(group=G.name, labels=(c1, c2, c3), n_value=count, method="BRUTE")
+    cmap = G.conjugacy_data()
+    k1, k2, k3 = (cmap.by_label(c) for c in (c1, c2, c3))
+    return cmap.triple_counts(k1.index, k2.index)[k3.index] // k1.size
 
 
 # ---------------------------------------------------------------------------
 # semisimple-class bookkeeping
 
 
-def semisimple_classes(classdata: ClassData, meta: LieMeta) -> list[str]:
+def semisimple_classes(G: PermGroup, meta: LieMeta) -> list[str]:
     """Nontrivial classes of order coprime to the defining prime."""
     return [
         c.label
-        for c in classdata.classes
+        for c in G.conjugacy_data().classes
         if c.element_order > 1 and gcd(c.element_order, meta.defining_prime) == 1
     ]
 
 
-def regular_semisimple_classes(
-    G: PermGroup, classdata: ClassData, meta: LieMeta
-) -> list[str]:
+def regular_semisimple_classes(G: PermGroup, meta: LieMeta) -> list[str]:
     """Semisimple classes whose centralizer order is prime to p.
 
     In PSL2 this keeps every nontrivial p'-class; in PSL3 it drops exactly
@@ -125,7 +110,7 @@ def regular_semisimple_classes(
     """
     p = meta.defining_prime
     out = []
-    for c in classdata.classes:
+    for c in G.conjugacy_data().classes:
         if c.element_order == 1 or gcd(c.element_order, p) != 1:
             continue
         if gcd(G.order // c.size, p) == 1:
@@ -135,25 +120,23 @@ def regular_semisimple_classes(
 
 def _require_meta(meta: LieMeta | None) -> LieMeta:
     if meta is None:
-        raise ValueError("operation needs a Lie-type catalog group (no metadata)")
+        raise DomainError("operation needs a Lie-type catalog group (no metadata)")
     return meta
 
 
-def gow_scan(
-    G: PermGroup, classdata: ClassData, meta: LieMeta | None, T: CharacterTable
-) -> GowScanReport:
+def gow_scan(G: PermGroup, meta: LieMeta | None, T: CharacterTable) -> GowScanReport:
     """Nonvanishing of n(C1,C2,C3) over regular semisimple C1, C2 and
     nontrivial semisimple C3."""
     meta = _require_meta(meta)
-    regular = regular_semisimple_classes(G, classdata, meta)
-    semisimple = semisimple_classes(classdata, meta)
+    regular = regular_semisimple_classes(G, meta)
+    semisimple = semisimple_classes(G, meta)
     violations = []
     checked = 0
     for c1 in regular:
         for c2 in regular:
             for c3 in semisimple:
                 checked += 1
-                if structure_constant_formula(T, c1, c2, c3).n_value == 0:
+                if structure_constant_formula(T, c1, c2, c3) == 0:
                     violations.append((c1, c2, c3))
     return GowScanReport(
         group=G.name,
@@ -164,14 +147,12 @@ def gow_scan(
     )
 
 
-def char_bound_check(
-    G: PermGroup, classdata: ClassData, meta: LieMeta | None, T: CharacterTable
-) -> BoundReport:
+def char_bound_check(G: PermGroup, meta: LieMeta | None, T: CharacterTable) -> BoundReport:
     """Max |chi(s)| over irreducibles per regular semisimple class,
     compared against the Weyl-group order."""
     meta = _require_meta(meta)
     per_class: dict[str, float] = {}
-    for label in regular_semisimple_classes(G, classdata, meta):
+    for label in regular_semisimple_classes(G, meta):
         idx = T.index_of(label)
         per_class[label] = max(row[idx].abs_value() for row in T.rows)
     passed = all(v <= meta.weyl_order + BOUND_TOLERANCE for v in per_class.values())
@@ -179,13 +160,7 @@ def char_bound_check(
 
 
 def point_count_probe(
-    G: PermGroup,
-    classdata: ClassData,
-    meta: LieMeta | None,
-    T: CharacterTable,
-    c1: str,
-    c2: str,
-    c3: str,
+    G: PermGroup, meta: LieMeta | None, T: CharacterTable, c1: str, c2: str, c3: str
 ) -> PointCountReport:
     """Exact count n(C1,C2,C3) * |C1| next to the leading term q^(2 dim - 3r).
 
@@ -195,13 +170,13 @@ def point_count_probe(
     """
     meta = _require_meta(meta)
     if meta.rank < 2:
-        raise ValueError(f"point-count probe needs rank >= 2, got rank {meta.rank}")
-    regular = set(regular_semisimple_classes(G, classdata, meta))
+        raise DomainError(f"point-count probe needs rank >= 2, got rank {meta.rank}")
+    regular = set(regular_semisimple_classes(G, meta))
     for c in (c1, c2, c3):
         if c not in regular:
-            raise ValueError(f"class {c} is not regular semisimple in {G.name}")
-    n = structure_constant_formula(T, c1, c2, c3).n_value
-    size1 = classdata.by_label(c1).size
+            raise DomainError(f"class {c} is not regular semisimple in {G.name}")
+    n = structure_constant_formula(T, c1, c2, c3)
+    size1 = G.conjugacy_data().by_label(c1).size
     predicted = meta.q ** (2 * meta.dim_G - 3 * meta.rank)
     exact = n * size1
     return PointCountReport(

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from unittest import mock
 
 import pytest
 
@@ -236,8 +237,11 @@ def test_degree_above_255_is_capacity_error(tmp_path, capsys):
     ["group", "--group", "file:"],  # the empty path resolves to the working directory
     ["classes", "--group", "file:{dir}"],
     ["beauville", "verify", "--cert", "{dir}"],
+    ["group", "--group", "file:{dir}/binary.json"],  # not UTF-8
+    ["beauville", "verify", "--cert", "{dir}/binary.json"],
 ])
 def test_unreadable_input_path_is_usage_error(argv, tmp_path, capsys):
+    (tmp_path / "binary.json").write_bytes(b"\xff\xfe\x00")
     code, out, err = run_cli([a.format(dir=tmp_path) for a in argv], capsys)
     assert (code, out) == (2, "") and err.startswith("error: usage:"), err
 
@@ -269,6 +273,27 @@ def test_membership_error_inside_a_computation_is_internal(monkeypatch, capsys):
     assert code == 4 and "error: internal: MembershipError:" in err and out == ""
     code, _, err = run_cli(["genclasses", "verify", "--group", "A5", "--c", "5a", "--d", "9z"], capsys)
     assert code == 2 and "error: usage:" in err
+
+
+@pytest.mark.parametrize("argv,fault,code,err", [
+    (["struct", "--group", "A5", "--classes", "5a,5a,9z"], None,
+     2, "error: usage: unknown class label '9z'\n"),
+    (["charbound", "--group", "A5"], None,
+     2, "error: usage: operation needs a Lie-type catalog group (no metadata)\n"),
+    (["beauville", "verify", "--cert", "{dir}/cert.json"], None,
+     2, "error: usage: certificate {dir}/cert.json: invalid JSON"
+        " (Expecting value: line 1 column 1 (char 0))\n"),
+    (["chartab", "--group", "A5"], KeyError("9z"), 4, "error: internal: KeyError: '9z'\n"),
+    (["chartab", "--group", "A5"], ValueError("bad"), 4, "error: internal: ValueError: bad\n"),
+], ids=["unknown-label", "not-lie-type", "cert-not-json", "internal-keyerror",
+        "internal-valueerror"])
+def test_only_input_errors_exit_2(argv, fault, code, err, tmp_path, monkeypatch, capsys):
+    # DomainError is raised where input is read; any other exception is a fault
+    (tmp_path / "cert.json").write_text("not json")
+    if fault is not None:
+        monkeypatch.setattr("bvl.cli.character_table", mock.Mock(side_effect=fault))
+    got = run_cli([a.format(dir=tmp_path) for a in argv], capsys)
+    assert got == (code, "", err.format(dir=tmp_path))
 
 
 def test_incomplete_class_enumeration_is_internal_error(monkeypatch, capsys):

@@ -25,7 +25,10 @@ Galois action and the witness search read product classes from one row per
 class pair; the `classes` calls on L3:5, M11 and A7, whose groups have
 classes that are not real (C != C^-1), at 666cf4c, before the class walk
 entered each conjugate's inverse and so found a class and its inverse class
-in one walk.
+in one walk; the `charbound` and `pointcount` calls on L3:3 and the
+`struct --method formula` call on L2:7, which reach the structure constants
+and the regular semisimple classes, at 1b08872, before those functions read
+the class data off the group and returned plain integers.
 A refactor that changes any byte of these outputs (a certificate, a class
 label, a character value, a count) fails here.
 """
@@ -83,6 +86,13 @@ GOLDEN = [
      0, "3382a2be658e7c710a65bfc3a6ed6998b01041f009c7764dbb5540540c8a802f"),
     ("struct --group file:m11.json --classes 11a,8a,5a --method both",
      0, "d4c4fb30cb51e48f6bbed958cc404a745adf5dc95c1c2deba8c549180c95c638"),
+    ("struct --group L2:7 --classes 2a,3a,7a --method formula",
+     0, "8ae34c3bcbbc3f4cbf1f993dea81081d1dbfe93e7168ffbb4bcc807a2091f3f0"),
+    # text output: the 6-decimal display of each max |chi|
+    ("charbound --group L3:3",
+     0, "852960372927223913974e9d8139e3f78a05b8cf4864c14d12728e685abe0192"),
+    ("pointcount --group L3:3 --classes 13a,13a,13b --format json",
+     0, "34ec88f6b38105396e7331765caf4e5eeabbb35cc180d3454a96245ecd2783f0"),
     ("genclasses verify --group file:m11.json --c 11a --d 8a",
      0, "ddb21c699be71aa2d9b2e9a615172495fc08c0a4a818a0256db1e907ed3f80ea"),
     ("genclasses search --group file:m11.json --format json",
