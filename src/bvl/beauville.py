@@ -8,10 +8,11 @@ certification work at class-type granularity, with pair enumeration inside a
 type fixing the first component to the class representative (simultaneous
 conjugation makes this lossless).  An all-pairs generation scan goes further:
 conjugating by z in <c> fixes c, so <c, z^-1 d z> = z^-1 <c, d> z and one test
-decides the whole <c>-conjugation orbit of d.  The class-pair search folds
-further: for k coprime to o(c), <c^k, d> = <c, d> and x -> x^k maps C onto
-the class C^k bijectively, so one all-pairs scan decides (C^k, D^l) for all
-such k and l, the whole Galois orbit of the class pair.
+decides the whole <c>-conjugation orbit of d (and of each power d^k in D).
+The class-pair search folds further: for k coprime to o(c), <c^k, d> = <c, d>
+and x -> x^k maps C onto the class C^k bijectively, so one all-pairs scan
+decides (C^k, D^l) for all such k and l, the whole Galois orbit of the class
+pair.
 """
 
 from __future__ import annotations
@@ -29,6 +30,8 @@ from .permgroup import (
     MembershipError,
     PermGroup,
     Permutation,
+    _PAD,
+    _pad,
     is_transitive_on_group_domain,
     subgroup_order,
 )
@@ -109,7 +112,7 @@ class GenClassCertificate:
         self.c_labels = c_labels
         self.d_label = d_label
         self.exhaustive = exhaustive
-        self.pairs_tested = pairs_tested  # pairs decided: tested, or covered by a tested <c>-conjugate
+        self.pairs_tested = pairs_tested  # pairs decided: tested, or covered (see all_pairs_generate)
         self.counterexample = counterexample
 
     @property
@@ -150,6 +153,21 @@ def _generates(G: PermGroup, x: Permutation, y: Permutation) -> bool | None:
     if G.is_transitive and not is_transitive_on_group_domain(G, (x, y)):
         return None
     return subgroup_order(G, [x, y]) == G.order
+
+
+def _conjugates_by(x: Permutation):
+    """A function from image bytes y to its <x>-conjugation orbit y, x^-1 y x, ..."""
+    x_inv_times, right, tail = x.inverse().images.translate, _pad(x.images), _PAD[len(x.images):]
+
+    def orbit(y: bytes) -> list[bytes]:
+        members = [y]
+        e = x_inv_times(y + tail).translate(right)
+        while e != y:
+            members.append(e)
+            e = x_inv_times(e + tail).translate(right)
+        return members
+
+    return orbit
 
 
 def is_generating_pair(G: PermGroup, x: Permutation, y: Permutation) -> bool:
@@ -314,6 +332,12 @@ class _TypeSearcher:
         self.pair_tests = 0
 
     def witness(self, t: tuple[int, int, int]):
+        """A generating pair of type t, or None.
+
+        A failed y fails with its <x>-conjugation orbit, which keeps the type
+        (x x^-1 y x = x^-1 (x y) x), as <x, x^-1 y x> = x^-1 <x, y> x.  Later
+        positions in it are counted, after the budget check, but not tested.
+        """
         if t in self.cache:
             return self.cache[t]
         i1, i2, i3 = t
@@ -326,15 +350,21 @@ class _TypeSearcher:
         order = list(range(len(candidates)))
         rng = random.Random(self.seed * 1_000_003 + i1 * 3721 + i2 * 61 + i3)
         rng.shuffle(order)
+        conjugates = _conjugates_by(x)
+        failed: set[bytes] = set()
         found = None
         tests = 0
         for tests, pos in enumerate(order, 1):
             if tests > self.budget:
                 self.budget_hit = True
                 break
-            if row[pos] == i3 and _generates(self.G, x, candidates[pos]):
-                found = (x, candidates[pos])
+            y = candidates[pos]
+            if row[pos] != i3 or y.images in failed:
+                continue
+            if _generates(self.G, x, y):
+                found = (x, y)
                 break
+            failed.update(conjugates(y.images))
         self.pair_tests += tests
         self.cache[t] = found
         return found
@@ -402,21 +432,23 @@ def all_pairs_generate(G: PermGroup, c_labels, d_label: str) -> GenClassCertific
     d in D; conjugation invariance of pair generation makes this exhaustive
     over C x D.
 
-    For z in <c>, <c, z^-1 d z> = z^-1 <c, d> z, so every d in one
-    <c>-conjugation orbit gets the same verdict.  D is walked in ascending
-    order; a generating d marks its whole orbit covered and covered elements
-    are not tested.  Only generating orbits are ever covered, so the first
-    failing d is tested and reported exactly as a plain scan would.
+    For z in <c>, <c, z^-1 d z> = z^-1 <c, d> z, and for d^k in D (so k is
+    coprime to o(D)), <c, d^k> = <c, d>: the <c>-conjugates of those powers
+    all get d's verdict.  D is walked in ascending order; a generating d marks
+    them covered, and covered elements are counted but not tested.  Only
+    generating d cover, so the first failing d is tested and reported exactly
+    as a plain scan would.
     """
     if isinstance(c_labels, str):
         c_labels = (c_labels,)
     c_labels = tuple(c_labels)
     cmap = G.conjugacy_data()
-    d_elements = cmap.elements_of(cmap.by_label(d_label).index)
+    d_class = cmap.by_label(d_label)
+    d_elements = cmap.elements_of(d_class.index)
     tested = 0
     for c_label in c_labels:
         c_rep = cmap.by_label(c_label).representative
-        c_inv = c_rep.inverse()
+        conjugates = _conjugates_by(c_rep)
         covered: set[bytes] = set()
         for d in d_elements:
             tested += 1
@@ -431,10 +463,11 @@ def all_pairs_generate(G: PermGroup, c_labels, d_label: str) -> GenClassCertific
                     pairs_tested=tested,
                     counterexample=(c_rep.to_list(), d.to_list()),
                 )
-            e = c_inv * d * c_rep
-            while e != d:
-                covered.add(e.images)
-                e = c_inv * e * c_rep
+            power, step = d.images, _pad(d.images)
+            for k in range(1, d_class.element_order):
+                if d_class.power_row[k] == d_class.index and power not in covered:
+                    covered.update(conjugates(power))
+                power = power.translate(step)  # d^k * d
     return GenClassCertificate(
         group=G.name,
         c_labels=c_labels,

@@ -197,9 +197,13 @@ def _reference_witness(G, cmap, t, seed, budget):
     return None, tests, False
 
 
-@pytest.mark.parametrize("seed,budget", [(0, 10_000_000), (7, 10_000_000), (0, 5)])
-def test_type_witness_matches_reference_loop(seed, budget):
-    G = build_group("L2:25")
+@pytest.mark.parametrize("spec,seed,budget", [
+    ("L2:25", 0, 10_000_000), ("L2:25", 7, 10_000_000), ("L2:25", 0, 5), ("file:m11.json", 0, 5),
+], ids=["0-10000000", "7-10000000", "0-5", "M11-0-5"])
+def test_type_witness_matches_reference_loop(spec, seed, budget):
+    # skipping a y whose <x>-conjugation orbit already failed keeps every
+    # witness and every pair_tests count of the loop that tests each position
+    G = build_group(spec)
     classdata = G.conjugacy_data()
     searcher = beauville._TypeSearcher(G, seed, budget)
     for t, _, _ in _class_types(classdata):
@@ -210,6 +214,23 @@ def test_type_witness_matches_reference_loop(seed, budget):
         if hit:
             assert searcher.budget_hit, t
     assert searcher.budget_hit == (budget == 5)
+
+
+def test_search_beauville_m11_generation_test_gate(monkeypatch):
+    # a bound on work, not time: a failed test skips the rest of its
+    # <x>-conjugation orbit, still counted in pair_tests (2,350 generation
+    # tests when every position was tested, 1,030 with the skip)
+    G = build_group("file:m11.json")
+    calls = []
+    generates = beauville._generates
+
+    def counted(G, x, y):
+        calls.append(y)
+        return generates(G, x, y)
+
+    monkeypatch.setattr(beauville, "_generates", counted)
+    assert search_beauville(G, seed=0).pair_tests == 18_312
+    assert len(calls) <= 1_100, len(calls)
 
 
 def test_search_seed_determinism():
@@ -373,20 +394,28 @@ def _plain_all_pairs(G, c_labels, d_label):
     ("file:m11.json", ("11a",), "8a"),
     ("A6", ("5a", "5b"), "4a"),
     ("L2:11", ("6a",), "5a"),
+    # D stable under its powers d -> d^k: counterexamples at 132 and 91, and
+    # all 432 pairs of (4a, 13a) generate
+    ("L3:3", ("13d",), "13a"),
+    ("file:m11.json", ("6a",), "8a"),
+    ("L3:3", ("4a",), "13a"),
 ])
 def test_all_pairs_generate_orbit_skipping_matches_plain_scan(spec, c_labels, d_label):
-    # one test per <c>-conjugation orbit of D: same verdict, counterexample and count
+    # one test per <c>-conjugation orbit of D and of its powers in D: same
+    # verdict, counterexample and count
     G = build_group(spec)
     cert = all_pairs_generate(G, c_labels, d_label)
     assert (cert.counterexample, cert.pairs_tested) == _plain_all_pairs(G, c_labels, d_label)
 
 
 @pytest.mark.parametrize("c_label,calls,pairs_tested", [
-    ("8a", 90, 720), ("4a", 180, 720), ("2a", 7, 11),
+    ("8a", 18, 720), ("4a", 36, 720), ("2a", 7, 11),
 ])
 def test_all_pairs_generate_tests_one_pair_per_orbit(monkeypatch, c_label, calls, pairs_tested):
     # no nontrivial power of c commutes with an element of order 11, so each
-    # <c>-orbit of 11a has o(c) elements: 720 / 8 = 90 and 720 / 4 = 180 tests
+    # <c>-orbit of 11a has o(c) elements; 11a is fixed by the five squares
+    # k mod 11 (d^k lies in 11a), so a generating test covers 5 orbits:
+    # 720 / 40 = 18 and 720 / 20 = 36 tests
     seen = []
 
     def counting(G, x, y):
@@ -458,9 +487,10 @@ def test_search_gen_classes_m11_within_4_seconds():
 
 
 def test_search_gen_classes_scans_each_pair_from_the_cheaper_side(monkeypatch):
-    # a class pair costs about |D| / o(c) generation tests; on M11 scanning
-    # every pair with c in the earlier class makes 855, the cheaper side 664,
-    # and the cheaper side once per Galois orbit of class pairs 249
+    # a class pair costs about |D| / o(c) generation tests, fewer where D is
+    # stable under powers; on M11 scanning every pair with c in the earlier
+    # class makes 249, and the cheaper side once per Galois orbit of class
+    # pairs 117 (855 and 249 when a test covered only the <c>-orbit of d)
     G = build_group("file:m11.json")
     tests = []
 
@@ -478,7 +508,7 @@ def test_search_gen_classes_scans_each_pair_from_the_cheaper_side(monkeypatch):
     unoriented = len(tests)
     tests.clear()
     pairs = search_gen_classes(G)
-    assert (unoriented, len(tests)) == (855, 249)
+    assert (unoriented, len(tests)) == (249, 117)
     assert len(pairs) == len(earlier_first) and set(pairs) == earlier_first
 
 
@@ -503,7 +533,8 @@ def test_search_gen_classes_m11_work_gate(monkeypatch):
 def test_search_gen_classes_m11_sift_gate(monkeypatch):
     # a bound on work, not time: sifts through any stabilizer chain in the
     # M11 search once the class data exists (8,622 deciding every class pair,
-    # 3,146 deciding one pair per Galois orbit)
+    # 3,146 deciding one pair per Galois orbit, 1,545 once a generating test
+    # also covers the powers d^k in D)
     G = build_group("file:m11.json")
     G.conjugacy_data()
     calls = []
@@ -515,7 +546,7 @@ def test_search_gen_classes_m11_sift_gate(monkeypatch):
 
     monkeypatch.setattr(_Chain, "_sift", counted)
     search_gen_classes(G)
-    assert len(calls) <= 3_300, len(calls)
+    assert len(calls) <= 1_700, len(calls)
 
 
 def unfolded_gen_classes(G):

@@ -28,7 +28,13 @@ entered each conjugate's inverse and so found a class and its inverse class
 in one walk; the `charbound` and `pointcount` calls on L3:3 and the
 `struct --method formula` call on L2:7, which reach the structure constants
 and the regular semisimple classes, at 1b08872, before those functions read
-the class data off the group and returned plain integers.
+the class data off the group and returned plain integers; the
+`genclasses verify` calls on L3:3 (13d, 13a) and M11 (6a, 8a), whose classes
+D are stable under powers d -> d^l and whose counterexamples come at
+pairs_tested 132 and 91, and the `beauville search` call on M11 at seed 0,
+whose search makes 2,350 generation tests, at ecb1f95, before a
+generating test also covered the conjugates of the powers d^l in D and a
+failed witness test skipped the rest of its <x>-conjugation orbit.
 A refactor that changes any byte of these outputs (a certificate, a class
 label, a character value, a count) fails here.
 """
@@ -106,6 +112,12 @@ GOLDEN = [
     # a counterexample at pairs_tested 11: skipping covered pairs must keep it
     ("genclasses verify --group file:m11.json --c 2a --d 11a --format json",
      1, "d4c6ef652a3e5b3dc879ab114cdc68e692fc3ba3e1c2fbc0e0d748951a58739c"),
+    ("genclasses verify --group L3:3 --c 13d --d 13a --format json",
+     1, "1c852fa4977a3d64a83dd36e5d9bc0adb244154d6e8e2ee43ca86a25582fac32"),
+    ("genclasses verify --group file:m11.json --c 6a --d 8a --format json",
+     1, "5e142866f8226db36a2d93afbb5aa961328b716f3b4832fe7e45a767a3e5d6c0"),
+    ("beauville search --group file:m11.json --format json --seed 0",
+     0, "1196e0cb5a214f1ec86237be99b75519ecbbd5d3b66e37fdd2a38756588b13d7"),
 ]
 
 
