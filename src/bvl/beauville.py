@@ -266,8 +266,10 @@ def _class_types(cmap: ClassMap) -> list[tuple[tuple[int, int, int], int, int]]:
 
     A pair (x, y) has type (c1, c2, c3) when x is in C1, y in C2 and xy in C3.
     With x the representative of C1 the count is T(c1, c2, c3*) / |C1|, with
-    C3* the class inverse to C3 and T from ClassMap.triple_counts.  Each type
-    comes with its sigma set as a bitmask (bit i for class i).
+    C3* the class inverse to C3 and T from ClassMap.triple_tensor, which
+    scans only the class pairs on one side of a split of the classes and
+    reads the rest off them.  Each type comes with its sigma set as a bitmask
+    (bit i for class i).
     Types touching the identity class are dropped: such a pair generates a
     cyclic subgroup, and a cyclic group is never the whole group here unless
     G itself is cyclic, in which case the powers of a generator meet every
@@ -277,11 +279,12 @@ def _class_types(cmap: ClassMap) -> list[tuple[tuple[int, int, int], int, int]]:
     k = len(classes)
     masks = [sum(1 << i for i in set(c.power_row)) for c in classes]
     inverse = [c.power_row[-1] for c in classes]
+    rows = cmap.triple_tensor()
     out = []
     for i1 in range(1, k):
         size = classes[i1].size
         for i2 in range(1, k):
-            row = cmap.triple_counts(i1, i2)
+            row = rows[i1][i2]
             for i3 in range(1, k):
                 n = row[inverse[i3]] // size
                 if n:
@@ -290,35 +293,41 @@ def _class_types(cmap: ClassMap) -> list[tuple[tuple[int, int, int], int, int]]:
 
 
 def _type_pairs(cmap: ClassMap, types, strategy: str):
-    """Yield the sigma-disjoint type index pairs a <= b in search order.
+    """Yield each type index a with a lazy iterator over its sigma-disjoint b >= a.
 
-    Types are in lexicographic order, so nested-index order is the order of
+    Flattened, the pairs (a, b) come in search order.  Types are in
+    lexicographic order, so nested-index order is the order of
     (types[a], types[b]): that is EXHAUSTIVE_CLASSES.  COPRIME_FIRST yields
     the pairs whose element-order products are coprime in one pass, then the
     rest in a second.  Sigma sets share the identity (bit 0) and nothing else
-    exactly when their masks meet in 1.
+    exactly when their masks meet in 1.  A row is only built as far as it is
+    read, so a caller can drop the rest of it (search_beauville does once
+    type a has no witness).
     """
     masks = [mask for _, mask, _ in types]
     orders = [c.element_order for c in cmap.classes]
     prods = [orders[i1] * orders[i2] * orders[i3] for (i1, i2, i3), _, _ in types]
     passes = (True, False) if strategy == "COPRIME_FIRST" else (None,)
+
+    def row(a, coprime):
+        ma, pa = masks[a], prods[a]
+        for b in range(a, len(masks)):
+            if ma & masks[b] == 1 and (coprime is None or (gcd(pa, prods[b]) == 1) is coprime):
+                yield b
+
     for coprime in passes:
-        for a, ma in enumerate(masks):
-            row = [b for b in range(a, len(masks)) if ma & masks[b] == 1]
-            if coprime is not None:
-                pa = prods[a]
-                row = [b for b in row if (gcd(pa, prods[b]) == 1) is coprime]
-            for b in row:
-                yield a, b
+        for a in range(len(masks)):
+            yield a, row(a, coprime)
 
 
 class _TypeSearcher:
     """Finds (and memoizes) a generating pair of a given class type.
 
     x is the representative of C1 and y walks C2 in a seeded shuffle, one
-    pair test per position.  The class of xy is read from a row memoised per
-    (i1, i2) (ClassMap.product_classes), and class members lie in G, so the
-    test is _generates: an intransitive pair is refused without a sift.
+    pair test per position (witness says which types need no shuffle).  The
+    class of xy is read from a row memoised per (i1, i2)
+    (ClassMap.product_classes), and class members lie in G, so the test is
+    _generates: an intransitive pair is refused without a sift.
     """
 
     def __init__(self, G: PermGroup, seed: int, budget: int):
@@ -337,6 +346,12 @@ class _TypeSearcher:
         A failed y fails with its <x>-conjugation orbit, which keeps the type
         (x x^-1 y x = x^-1 (x y) x), as <x, x^-1 y x> = x^-1 <x, y> x.  Later
         positions in it are counted, after the budget check, but not tested.
+
+        When |C2| <= budget, the positions of type t are first tested in
+        natural order.  If none generates, the shuffled walk would test every
+        position and find nothing, whatever its order: the type gets None and
+        |C2| pair tests with no shuffle.  Otherwise the shuffled walk runs as
+        before, with the orbits failed so far (they hold no witness) skipped.
         """
         if t in self.cache:
             return self.cache[t]
@@ -347,24 +362,37 @@ class _TypeSearcher:
         row = self.rows.get((i1, i2))
         if row is None:
             row = self.rows[i1, i2] = cmap.product_classes(i1, i2)
+        conjugates = _conjugates_by(x)
+        failed: set[bytes] = set()
+
+        def generates(y: Permutation) -> bool:
+            if y.images in failed:
+                return False
+            if _generates(self.G, x, y):
+                return True
+            failed.update(conjugates(y.images))
+            return False
+
+        if len(candidates) <= self.budget:
+            pos = row.find(i3)
+            while pos >= 0 and not generates(candidates[pos]):
+                pos = row.find(i3, pos + 1)
+            if pos < 0:
+                self.pair_tests += len(candidates)
+                self.cache[t] = None
+                return None
         order = list(range(len(candidates)))
         rng = random.Random(self.seed * 1_000_003 + i1 * 3721 + i2 * 61 + i3)
         rng.shuffle(order)
-        conjugates = _conjugates_by(x)
-        failed: set[bytes] = set()
         found = None
         tests = 0
         for tests, pos in enumerate(order, 1):
             if tests > self.budget:
                 self.budget_hit = True
                 break
-            y = candidates[pos]
-            if row[pos] != i3 or y.images in failed:
-                continue
-            if _generates(self.G, x, y):
-                found = (x, y)
+            if row[pos] == i3 and generates(candidates[pos]):
+                found = (x, candidates[pos])
                 break
-            failed.update(conjugates(y.images))
         self.pair_tests += tests
         self.cache[t] = found
         return found
@@ -396,26 +424,27 @@ def search_beauville(
     types = _class_types(cmap)
     searcher = _TypeSearcher(G, seed, budget)
 
-    for a, b in _type_pairs(cmap, types, strategy):
-        w1 = searcher.witness(types[a][0])
-        if w1 is None:
-            continue
-        w2 = searcher.witness(types[b][0])
-        if w2 is None:
-            continue
-        if require_hyperbolic and not (_is_hyperbolic(*w1) and _is_hyperbolic(*w2)):
-            continue
-        cert, reason = verify_beauville(
-            G, w1, w2, require_hyperbolic=require_hyperbolic, seed=seed
-        )
-        if cert is None:
-            raise RuntimeError(f"search produced a non-verifying pair: {reason}")
-        return SearchResult(
-            status=STATUS_CERTIFICATE,
-            certificate=cert,
-            types_examined=len(types),
-            pair_tests=searcher.pair_tests,
-        )
+    for a, row in _type_pairs(cmap, types, strategy):
+        for b in row:
+            w1 = searcher.witness(types[a][0])
+            if w1 is None:
+                break  # the rest of the row needs a witness of type a too
+            w2 = searcher.witness(types[b][0])
+            if w2 is None:
+                continue
+            if require_hyperbolic and not (_is_hyperbolic(*w1) and _is_hyperbolic(*w2)):
+                continue
+            cert, reason = verify_beauville(
+                G, w1, w2, require_hyperbolic=require_hyperbolic, seed=seed
+            )
+            if cert is None:
+                raise RuntimeError(f"search produced a non-verifying pair: {reason}")
+            return SearchResult(
+                status=STATUS_CERTIFICATE,
+                certificate=cert,
+                types_examined=len(types),
+                pair_tests=searcher.pair_tests,
+            )
 
     status = STATUS_NONE_BUDGET if searcher.budget_hit else STATUS_NONE_EXHAUSTED
     return SearchResult(
@@ -490,18 +519,15 @@ def search_gen_classes(G: PermGroup) -> list[tuple[str, str]]:
     x -> x^k maps C onto the class C^k (power_row[k]) bijectively.  So (C, D)
     and (C^k, D^l) get the same verdict for every k coprime to o(C) and l
     coprime to o(D).  Each class is keyed by its rational class, the least
-    index among its Galois conjugates, and the verdict is memoised per
-    unordered pair of keys; the first class pair met in the loop decides it.
+    index among its Galois conjugates (ClassMap.rational), and the verdict is
+    memoised per unordered pair of keys; the first class pair met in the loop
+    decides it.
     """
     if G.order > 1_000_000:
         raise CapacityError(f"exhaustive class-pair search needs order <= 1e6, got {G.order}")
     cmap = G.conjugacy_data()
     classes = [c for c in cmap.classes if c.element_order > 1]
-    rational = {
-        c.index: min(c.power_row[k] for k in range(1, c.element_order)
-                     if gcd(k, c.element_order) == 1)
-        for c in classes
-    }
+    rational = cmap.rational
     verdicts: dict[tuple[int, int], bool] = {}
     good: list[tuple[str, str]] = []
     for i, x in enumerate(classes):

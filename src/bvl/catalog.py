@@ -87,7 +87,10 @@ class GF:
     """Arithmetic tables for GF(p^f); elements are codes 0..q-1.
 
     The code of sum c_i * x**i is sum c_i * p**i.  The modulus is the
-    lexicographically least monic irreducible of degree f over F_p.
+    lexicographically least monic irreducible of degree f over F_p.  add
+    comes from digit vectors, mul and inv from the exp and log tables of the
+    least primitive element g: a * b = g^(log a + log b).  Polynomial
+    products are made only for the powers of the candidates for g.
     """
 
     def __init__(self, q: int):
@@ -97,15 +100,18 @@ class GF:
         self.q = q
         self.p, self.f = pk
         self.modulus = _find_irreducible(self.p, self.f)
-        self.add = [[self._add(a, b) for b in range(q)] for a in range(q)]
-        self.mul = [[self._mul(a, b) for b in range(q)] for a in range(q)]
-        self.neg = [self._neg(a) for a in range(q)]
-        self.inv = [0] * q
-        for a in range(1, q):
-            for b in range(1, q):
-                if self.mul[a][b] == 1:
-                    self.inv[a] = b
-                    break
+        p, weights = self.p, self.basis()
+        digits = [self._digits(a) for a in range(q)]
+        self.add = [[sum((x + y) % p * w for x, y, w in zip(da, db, weights)) for db in digits]
+                    for da in digits]
+        self.neg = [row.index(0) for row in self.add]
+        exp = self._primitive_powers()
+        log = [0] * q
+        for i, e in enumerate(exp):
+            log[e] = i
+        logs, exp2 = log[1:], exp + exp
+        self.mul = [[0] * q] + [[0] + [exp2[la + lb] for lb in logs] for la in logs]
+        self.inv = [0] + [exp[-la % (q - 1)] for la in logs]
 
     def _digits(self, a: int) -> list[int]:
         out = []
@@ -114,18 +120,16 @@ class GF:
             a //= self.p
         return out
 
-    def _code(self, digits: list[int]) -> int:
-        a = 0
-        for c in reversed(digits):
-            a = a * self.p + c % self.p
-        return a
-
-    def _add(self, a: int, b: int) -> int:
-        da, db = self._digits(a), self._digits(b)
-        return self._code([(x + y) % self.p for x, y in zip(da, db)])
-
-    def _neg(self, a: int) -> int:
-        return self._code([(-x) % self.p for x in self._digits(a)])
+    def _primitive_powers(self) -> list[int]:
+        """g^0, g^1, ..., g^(q-2) for the least g of multiplicative order q - 1."""
+        for g in range(1, self.q):
+            powers, e = [1], g
+            while e != 1:
+                powers.append(e)
+                e = self._mul(e, g)
+            if len(powers) == self.q - 1:
+                return powers
+        raise ArithmeticError(f"no primitive element in GF({self.q})")
 
     def _mul(self, a: int, b: int) -> int:
         da, db = self._digits(a), self._digits(b)
@@ -141,7 +145,7 @@ class GF:
                 prod[i] = 0
                 for j, m in enumerate(self.modulus[:-1]):
                     prod[i - self.f + j] = (prod[i - self.f + j] - c * m) % self.p
-        return self._code(prod[: self.f])
+        return sum(c * w for c, w in zip(prod, self.basis()))
 
     def basis(self) -> list[int]:
         """Codes of the F_p-basis 1, x, x**2, ..."""

@@ -233,6 +233,22 @@ def test_search_beauville_m11_generation_test_gate(monkeypatch):
     assert len(calls) <= 1_100, len(calls)
 
 
+def test_search_beauville_m11_shuffles_only_types_with_a_witness(monkeypatch):
+    # a type with no generating pair and |C2| <= budget is decided by one
+    # pass in natural order, with no shuffle (30 shuffles when every type
+    # searched was shuffled)
+    shuffles = []
+    shuffle = random.Random.shuffle
+
+    def counted(self, x):
+        shuffles.append(len(x))
+        return shuffle(self, x)
+
+    monkeypatch.setattr(random.Random, "shuffle", counted)
+    result = search_beauville(build_group("file:m11.json"), seed=0)
+    assert (len(shuffles), result.pair_tests) == (2, 18_312)
+
+
 def test_search_seed_determinism():
     G1 = build_group("L2:11")
     G2 = build_group("L2:11")
@@ -293,7 +309,7 @@ def test_type_pair_stream_matches_sorted_reference(spec, strategy):
     G = build_group(spec)
     cd = G.conjugacy_data()
     types = _class_types(cd)
-    streamed = list(_type_pairs(cd, types, strategy))
+    streamed = [(a, b) for a, row in _type_pairs(cd, types, strategy) for b in row]
     assert streamed == _sorted_pairs_reference(cd, types, strategy)
 
 

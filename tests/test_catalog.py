@@ -51,6 +51,40 @@ def test_gf_field_axioms():
                     assert F.mul[F.mul[a][b]][c] == F.mul[a][F.mul[b][c]]
 
 
+def _per_entry_tables(F):
+    """add, mul, neg and inv entry by entry, on digit vectors and polynomials mod F.modulus."""
+    p, f, q = F.p, F.f, F.q
+
+    def digits(a):
+        return [a // p**i % p for i in range(f)]
+
+    def code(ds):
+        return sum(c % p * p**i for i, c in enumerate(ds))
+
+    def mul(a, b):
+        prod = [0] * (2 * f - 1)
+        for i, x in enumerate(digits(a)):
+            for j, y in enumerate(digits(b)):
+                prod[i + j] += x * y
+        for i in range(2 * f - 2, f - 1, -1):  # x^f = -(modulus below x^f)
+            c, prod[i] = prod[i], 0
+            for j, m in enumerate(F.modulus[:-1]):
+                prod[i - f + j] -= c * m
+        return code(prod[:f])
+
+    add = [[code([x + y for x, y in zip(digits(a), digits(b))]) for b in range(q)] for a in range(q)]
+    mul_table = [[mul(a, b) for b in range(q)] for a in range(q)]
+    neg = [code([-x for x in digits(a)]) for a in range(q)]
+    inv = [0] + [next(b for b in range(1, q) if mul_table[a][b] == 1) for a in range(1, q)]
+    return add, mul_table, neg, inv
+
+
+@pytest.mark.parametrize("q", [q for q in range(2, 129) if is_prime_power(q)])
+def test_gf_log_tables_match_per_entry_arithmetic(q):
+    F = GF(q)
+    assert (F.add, F.mul, F.neg, F.inv) == _per_entry_tables(F)
+
+
 def test_build_group_examples():
     G = build_group("L2:7")
     assert (G.degree, G.order) == (8, 168)

@@ -34,7 +34,12 @@ D are stable under powers d -> d^l and whose counterexamples come at
 pairs_tested 132 and 91, and the `beauville search` call on M11 at seed 0,
 whose search makes 2,350 generation tests, at ecb1f95, before a
 generating test also covered the conjugates of the powers d^l in D and a
-failed witness test skipped the rest of its <x>-conjugation orbit.
+failed witness test skipped the rest of its <x>-conjugation orbit; the
+`beauville search` calls on M11 with `--budget 50`, where types with
+|C2| <= 50 and types past the budget take different paths, and on A9, whose
+search shuffled the candidates of 65 types, at ee37c88, before a type
+without a witness was decided with no shuffle and the class-type counts
+were read off the same-side half of the class-pair scans.
 A refactor that changes any byte of these outputs (a certificate, a class
 label, a character value, a count) fails here.
 """
@@ -118,6 +123,10 @@ GOLDEN = [
      1, "5e142866f8226db36a2d93afbb5aa961328b716f3b4832fe7e45a767a3e5d6c0"),
     ("beauville search --group file:m11.json --format json --seed 0",
      0, "1196e0cb5a214f1ec86237be99b75519ecbbd5d3b66e37fdd2a38756588b13d7"),
+    ("beauville search --group file:m11.json --format json --seed 0 --budget 50",
+     0, "18ec577a092d808f02aec2c57d7f62c5400ce274b0f27df8faba1cd96ef52f59"),
+    ("beauville search --group A9 --format json --seed 0",
+     0, "e7b6c636c0cde767d5d4a97cd77928860ddef54bbab8db716c1a2a6ea5649592"),
 ]
 
 
