@@ -11,8 +11,8 @@ from bvl.chartab import character_table, verify_orthogonality
 T = character_table(build_group("A5"))
 print(f"character table of A5 (order {T.group_order}, conductor {T.conductor}, "
       f"Dixon prime {T.prime}):")
-print("        " + "".join(f"{lbl:>14}" for lbl in T.class_labels))
-print("  sizes " + "".join(f"{s:>14}" for s in T.class_sizes))
+print("        " + "".join(f"{c.label:>14}" for c in T.cmap.classes))
+print("  sizes " + "".join(f"{c.size:>14}" for c in T.cmap.classes))
 for deg, row in zip(T.degrees, T.rows):
     print(f"  chi_{deg:<2} " + "".join(f"{repr(v):>14}" for v in row))
 print("z30^j denotes exp(2*pi*i*j/30); the golden-ratio values sit on the 5-classes.")

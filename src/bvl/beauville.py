@@ -30,8 +30,8 @@ from .permgroup import (
     MembershipError,
     PermGroup,
     Permutation,
-    _PAD,
-    _pad,
+    _conjugates_by,
+    _powers,
     is_transitive_on_group_domain,
     subgroup_order,
 )
@@ -44,13 +44,11 @@ STATUS_NONE_BUDGET = "none-budget"
 
 
 class SigmaSet:
-    """Classes covered by the powers of x, y and xy, with their total size."""
+    """Classes covered by the powers of x, y and xy."""
 
-    def __init__(self, *, covered: frozenset[int], covered_labels: tuple[str, ...],
-                 element_count: int):
+    def __init__(self, *, covered: frozenset[int], covered_labels: tuple[str, ...]):
         self.covered = covered
         self.covered_labels = covered_labels
-        self.element_count = element_count
 
 
 class BeauvilleCertificate:
@@ -139,8 +137,7 @@ def sigma_set(G: PermGroup, x: Permutation, y: Permutation) -> SigmaSet:
     for g in (x, y, x * y):
         covered.update(cmap.classes[cmap.class_of(g)].power_row)
     labels = tuple(cmap.classes[i].label for i in sorted(covered))
-    count = sum(cmap.classes[i].size for i in covered)
-    return SigmaSet(covered=frozenset(covered), covered_labels=labels, element_count=count)
+    return SigmaSet(covered=frozenset(covered), covered_labels=labels)
 
 
 def _generates(G: PermGroup, x: Permutation, y: Permutation) -> bool | None:
@@ -153,21 +150,6 @@ def _generates(G: PermGroup, x: Permutation, y: Permutation) -> bool | None:
     if G.is_transitive and not is_transitive_on_group_domain(G, (x, y)):
         return None
     return subgroup_order(G, [x, y]) == G.order
-
-
-def _conjugates_by(x: Permutation):
-    """A function from image bytes y to its <x>-conjugation orbit y, x^-1 y x, ..."""
-    x_inv_times, right, tail = x.inverse().images.translate, _pad(x.images), _PAD[len(x.images):]
-
-    def orbit(y: bytes) -> list[bytes]:
-        members = [y]
-        e = x_inv_times(y + tail).translate(right)
-        while e != y:
-            members.append(e)
-            e = x_inv_times(e + tail).translate(right)
-        return members
-
-    return orbit
 
 
 def is_generating_pair(G: PermGroup, x: Permutation, y: Permutation) -> bool:
@@ -492,11 +474,9 @@ def all_pairs_generate(G: PermGroup, c_labels, d_label: str) -> GenClassCertific
                     pairs_tested=tested,
                     counterexample=(c_rep.to_list(), d.to_list()),
                 )
-            power, step = d.images, _pad(d.images)
-            for k in range(1, d_class.element_order):
-                if d_class.power_row[k] == d_class.index and power not in covered:
+            for i, power in zip(d_class.power_row, _powers(d.images, d_class.element_order)):
+                if i == d_class.index and power not in covered:
                     covered.update(conjugates(power))
-                power = power.translate(step)  # d^k * d
     return GenClassCertificate(
         group=G.name,
         c_labels=c_labels,

@@ -14,7 +14,7 @@ from itertools import permutations, product
 from math import factorial, gcd, prod
 from pathlib import Path
 
-from .numtheory import DomainError, is_prime_power, poly_divmod
+from .numtheory import DomainError, is_prime_power, poly_divmod, poly_mul
 from .permgroup import PermGroup, Permutation
 
 ALT_RANGE = (3, 12)
@@ -101,7 +101,7 @@ class GF:
         self.p, self.f = pk
         self.modulus = _find_irreducible(self.p, self.f)
         p, weights = self.p, self.basis()
-        digits = [self._digits(a) for a in range(q)]
+        digits = [_digits(a, p, self.f) for a in range(q)]
         self.add = [[sum((x + y) % p * w for x, y, w in zip(da, db, weights)) for db in digits]
                     for da in digits]
         self.neg = [row.index(0) for row in self.add]
@@ -112,13 +112,6 @@ class GF:
         logs, exp2 = log[1:], exp + exp
         self.mul = [[0] * q] + [[0] + [exp2[la + lb] for lb in logs] for la in logs]
         self.inv = [0] + [exp[-la % (q - 1)] for la in logs]
-
-    def _digits(self, a: int) -> list[int]:
-        out = []
-        for _ in range(self.f):
-            out.append(a % self.p)
-            a //= self.p
-        return out
 
     def _primitive_powers(self) -> list[int]:
         """g^0, g^1, ..., g^(q-2) for the least g of multiplicative order q - 1."""
@@ -132,46 +125,31 @@ class GF:
         raise ArithmeticError(f"no primitive element in GF({self.q})")
 
     def _mul(self, a: int, b: int) -> int:
-        da, db = self._digits(a), self._digits(b)
-        prod = [0] * (2 * self.f - 1)
-        for i, x in enumerate(da):
-            if x:
-                for j, y in enumerate(db):
-                    prod[i + j] = (prod[i + j] + x * y) % self.p
-        # reduce by the monic modulus
-        for i in range(len(prod) - 1, self.f - 1, -1):
-            c = prod[i]
-            if c:
-                prod[i] = 0
-                for j, m in enumerate(self.modulus[:-1]):
-                    prod[i - self.f + j] = (prod[i - self.f + j] - c * m) % self.p
-        return sum(c * w for c, w in zip(prod, self.basis()))
+        p, f = self.p, self.f
+        product = poly_mul(_digits(a, p, f), _digits(b, p, f), p)
+        return sum(c * w for c, w in zip(poly_divmod(product, self.modulus, p)[1], self.basis()))
 
     def basis(self) -> list[int]:
         """Codes of the F_p-basis 1, x, x**2, ..."""
         return [self.p**i for i in range(self.f)]
 
 
+def _digits(a: int, p: int, f: int) -> list[int]:
+    """The f base-p digits of a, least significant first."""
+    out = []
+    for _ in range(f):
+        a, r = divmod(a, p)
+        out.append(r)
+    return out
+
+
 def _find_irreducible(p: int, f: int) -> list[int]:
     """Least monic irreducible of degree f over F_p, as coefficient list."""
     if f == 1:
         return [0, 1]
-    lower = []
-    for d in range(1, f // 2 + 1):
-        for code in range(p**d):
-            coeffs = []
-            c = code
-            for _ in range(d):
-                coeffs.append(c % p)
-                c //= p
-            lower.append(coeffs + [1])
+    lower = [_digits(code, p, d) + [1] for d in range(1, f // 2 + 1) for code in range(p**d)]
     for code in range(p**f):
-        coeffs = []
-        c = code
-        for _ in range(f):
-            coeffs.append(c % p)
-            c //= p
-        cand = coeffs + [1]
+        cand = _digits(code, p, f) + [1]
         if cand[0] == 0:
             continue
         if all(poly_divmod(cand, g, p)[1] != [0] for g in lower):
@@ -204,7 +182,7 @@ def _psl_group(n: int, q: int) -> PermGroup:
 
     def transvection(r: int, s: int, t: int) -> Permutation:
         """v -> v + t * v[s] * e_r, the action of the matrix 1 + t * E_rs."""
-        images = [0]
+        images = []
         for v in points:
             w = list(v)
             w[r] = F.add[v[r]][F.mul[t][v[s]]]

@@ -16,10 +16,9 @@ other rows are never needed and never scanned.
 from __future__ import annotations
 
 import math
-from math import gcd
 
 from .cyclotomic import Conductor, Cyclo
-from .numtheory import DomainError, divisors, factorize, is_prime, poly_divmod, poly_trim
+from .numtheory import divisors, factorize, is_prime, poly_divmod, poly_mul, poly_trim
 from .permgroup import CapacityError, ClassMap, PermGroup
 
 MAX_CLASSES = 60
@@ -62,8 +61,8 @@ def _poly_powmod(base: list[int], e: int, mod: list[int], p: int) -> list[int]:
     base = poly_divmod(base, mod, p)[1]
     while e:
         if e & 1:
-            result = poly_divmod(_poly_mul(result, base, p), mod, p)[1]
-        base = poly_divmod(_poly_mul(base, base, p), mod, p)[1]
+            result = poly_divmod(poly_mul(result, base, p), mod, p)[1]
+        base = poly_divmod(poly_mul(base, base, p), mod, p)[1]
         e >>= 1
     return result
 
@@ -134,35 +133,16 @@ def _charpoly(M: list[list[int]], p: int) -> list[int]:
     polys = [[1]]
     for k in range(1, n + 1):
         term = [(-H[k - 1][k - 1]) % p, 1]
-        ck = _poly_mul(term, polys[k - 1], p)
+        ck = poly_mul(term, polys[k - 1], p)
         prod_sub = 1
         for i in range(k - 1, 0, -1):
             prod_sub = prod_sub * H[i][i - 1] % p
             coef = H[i - 1][k - 1] * prod_sub % p
-            if coef:
-                ck = _poly_sub(ck, _poly_scale(polys[i - 1], coef, p), p)
+            if coef:  # ck -= coef * c_{i-1}, which has the lower degree
+                for t, x in enumerate(polys[i - 1]):
+                    ck[t] = (ck[t] - coef * x) % p
         polys.append(ck)
     return polys[n]
-
-
-def _poly_mul(a: list[int], b: list[int], p: int) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % p
-    return out
-
-
-def _poly_sub(a: list[int], b: list[int], p: int) -> list[int]:
-    n = max(len(a), len(b))
-    a = a + [0] * (n - len(a))
-    b = b + [0] * (n - len(b))
-    return [(x - y) % p for x, y in zip(a, b)]
-
-
-def _poly_scale(a: list[int], c: int, p: int) -> list[int]:
-    return [x * c % p for x in a]
 
 
 def _rref(rows: list[list[int]], p: int) -> tuple[list[list[int]], list[int]]:
@@ -208,20 +188,14 @@ def _nullspace(M: list[list[int]], p: int) -> list[list[int]]:
 
 
 class CharacterTable:
-    """Exact irreducible character table with class and character indexing."""
+    """Exact irreducible character table; its columns are the classes of cmap."""
 
-    def __init__(self, *, group_name: str, group_order: int, class_labels: list[str],
-                 class_sizes: list[int], class_orders: list[int], inverse_map: list[int],
-                 power_rows: list[tuple[int, ...]], conductor: int, prime: int,
-                 primitive_root: int, zeta_mod_p: int, degrees: list[int],
+    def __init__(self, *, group_name: str, group_order: int, cmap: ClassMap, conductor: int,
+                 prime: int, primitive_root: int, zeta_mod_p: int, degrees: list[int],
                  rows: list[list[Cyclo]]):
         self.group_name = group_name
         self.group_order = group_order
-        self.class_labels = class_labels
-        self.class_sizes = class_sizes
-        self.class_orders = class_orders
-        self.inverse_map = inverse_map
-        self.power_rows = power_rows
+        self.cmap = cmap
         self.conductor = conductor
         self.prime = prime
         self.primitive_root = primitive_root
@@ -229,22 +203,14 @@ class CharacterTable:
         self.degrees = degrees
         self.rows = rows
 
-    def index_of(self, label: str) -> int:
-        try:
-            return self.class_labels.index(label)
-        except ValueError:
-            raise DomainError(f"unknown class label {label!r}") from None
-
-    def centralizer_orders(self) -> list[int]:
-        return [self.group_order // s for s in self.class_sizes]
-
     def to_json_dict(self) -> dict:
+        classes = self.cmap.classes
         return {
             "group": self.group_name,
             "order": self.group_order,
-            "classes": self.class_labels,
-            "class_sizes": self.class_sizes,
-            "element_orders": self.class_orders,
+            "classes": [c.label for c in classes],
+            "class_sizes": [c.size for c in classes],
+            "element_orders": [c.element_order for c in classes],
             "conductor": self.conductor,
             "dixon_prime": self.prime,
             "primitive_root": self.primitive_root,
@@ -287,9 +253,7 @@ def character_table(G: PermGroup) -> CharacterTable:
     if k > MAX_CLASSES:
         raise CapacityError(f"character table needs <= {MAX_CLASSES} classes, got {k}")
 
-    exponent = 1
-    for c in classes:
-        exponent = exponent * c.element_order // gcd(exponent, c.element_order)
+    exponent = cmap.exponent
     p = _dixon_prime(G.order, exponent)
     w = _primitive_root(p)
     z = pow(w, (p - 1) // exponent, p)
@@ -398,11 +362,7 @@ def character_table(G: PermGroup) -> CharacterTable:
     return CharacterTable(
         group_name=G.name or f"degree-{G.degree} group",
         group_order=G.order,
-        class_labels=[c.label for c in classes],
-        class_sizes=[c.size for c in classes],
-        class_orders=[c.element_order for c in classes],
-        inverse_map=inverse_map,
-        power_rows=power_rows,
+        cmap=cmap,
         conductor=exponent,
         prime=p,
         primitive_root=w,
@@ -426,37 +386,33 @@ def _conj_coeffs(value: Cyclo, cond: Conductor) -> dict:
 
 def verify_orthogonality(T: CharacterTable) -> bool:
     """Both orthogonality relations, checked exactly in cyclotomic arithmetic."""
-    k = len(T.class_labels)
+    sizes = [c.size for c in T.cmap.classes]
+    k = len(sizes)
     cond = Conductor(T.conductor)
     n = T.conductor
     vals = [[v.coeffs for v in row] for row in T.rows]
     conj = [[_conj_coeffs(v, cond) for v in row] for row in T.rows]
 
+    def inner(weights, us, vs) -> dict:
+        """Reduced sum over l of weights[l] * us[l] * vs[l], on raw coefficient dicts."""
+        raw: dict[int, object] = {}
+        for weight, u, v in zip(weights, us, vs):
+            for e1, c1 in u.items():
+                c1 *= weight
+                for e2, c2 in v.items():
+                    key = (e1 + e2) % n
+                    raw[key] = raw.get(key, 0) + c1 * c2
+        return cond.reduce_raw(raw)
+
     for i in range(k):
         for j in range(i, k):
-            raw: dict[int, object] = {}
-            for l in range(k):
-                size = T.class_sizes[l]
-                for e1, c1 in vals[i][l].items():
-                    for e2, c2 in conj[j][l].items():
-                        key = (e1 + e2) % n
-                        raw[key] = raw.get(key, 0) + size * c1 * c2
-            reduced = cond.reduce_raw(raw)
             expected = {0: T.group_order} if i == j else {}
-            if reduced != expected:
+            if inner(sizes, vals[i], conj[j]) != expected:
                 return False
-
-    cent = T.centralizer_orders()
+    ones, columns, conj_columns = [1] * k, list(zip(*vals)), list(zip(*conj))
     for a in range(k):
         for b in range(a, k):
-            raw = {}
-            for i in range(k):
-                for e1, c1 in vals[i][a].items():
-                    for e2, c2 in conj[i][b].items():
-                        key = (e1 + e2) % n
-                        raw[key] = raw.get(key, 0) + c1 * c2
-            reduced = cond.reduce_raw(raw)
-            expected = {0: cent[a]} if a == b else {}
-            if reduced != expected:
+            expected = {0: T.group_order // sizes[a]} if a == b else {}
+            if inner(ones, columns[a], conj_columns[b]) != expected:
                 return False
     return True

@@ -119,12 +119,13 @@ def _cmd_chartab(args) -> int:
     T = character_table(G)
     payload = T.to_json_dict()
     payload["orthogonality_verified"] = verify_orthogonality(T)
-    width = max(8, max(len(lbl) for lbl in T.class_labels) + 2)
+    labels = [c.label for c in T.cmap.classes]
+    width = max(8, max(len(lbl) for lbl in labels) + 2)
     lines = [
         f"character table of {T.group_name} (order {T.group_order}, "
         f"conductor {T.conductor}, prime {T.prime})"
     ]
-    lines.append(" " * 6 + "".join(f"{lbl:>{width}}" for lbl in T.class_labels))
+    lines.append(" " * 6 + "".join(f"{lbl:>{width}}" for lbl in labels))
     for deg, row in zip(T.degrees, T.rows):
         cells = []
         for v in row:

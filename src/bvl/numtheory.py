@@ -64,6 +64,16 @@ def poly_trim(f: list[int]) -> list[int]:
     return f
 
 
+def poly_mul(a: list[int], b: list[int], p: int) -> list[int]:
+    """Product of a and b over F_p, untrimmed: len(a) + len(b) - 1 coefficients."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] = (out[i + j] + x * y) % p
+    return out
+
+
 def poly_divmod(f: list[int], g: list[int], p: int) -> tuple[list[int], list[int]]:
     """Quotient and remainder of f by g over F_p, both trimmed."""
     f = list(f)

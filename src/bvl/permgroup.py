@@ -84,14 +84,13 @@ class Permutation:
     __slots__ = ("images",)
 
     def __init__(self, images):
+        """From a 1-based image array: images[i - 1] is the image of point i."""
         data = tuple(images)
-        if not data or data[0] != 0:
-            data = (0,) + data
-        n = len(data) - 1
+        n = len(data)
         _check_degree(n)
-        if sorted(data[1:]) != list(range(1, n + 1)):
-            raise ValueError(f"not a bijection of 1..{n}: {data[1:]}")
-        self.images = bytes(data)
+        if sorted(data) != list(range(1, n + 1)):
+            raise ValueError(f"not a bijection of 1..{n}: {data}")
+        self.images = bytes((0,) + data)
 
     @classmethod
     def _raw(cls, data: bytes) -> "Permutation":
@@ -112,7 +111,7 @@ class Permutation:
                 data[a] = b
             if cyc:
                 data[cyc[-1]] = cyc[0]
-        return cls(data)
+        return cls(data[1:])
 
     @property
     def degree(self) -> int:
@@ -460,6 +459,11 @@ class ClassMap:
         self._triples: dict[tuple[int, int], array] = {}
 
     @cached_property
+    def exponent(self) -> int:
+        """The exponent of G: the lcm of the element orders."""
+        return lcm(*(c.element_order for c in self.classes))
+
+    @cached_property
     def rational(self) -> list[int]:
         """rational[i]: the least index of a Galois conjugate C_i^k, k coprime to o_i."""
         return [min(c.power_row[k % c.element_order] for k in range(1, c.element_order + 1)
@@ -520,8 +524,7 @@ class ClassMap:
             if rep == key:
                 row = base
             else:
-                e = lcm(*(len(c.power_row) for c in self.classes))
-                while gcd(k, e) > 1:
+                while gcd(k, self.exponent) > 1:
                     k += m
                 row = array("q", [base[c.power_row[k % len(c.power_row)]] for c in self.classes])
             self._triples[key] = row
@@ -560,9 +563,7 @@ class ClassMap:
         """
         classes = self.classes
         s, l = (a, b) if classes[a].size <= classes[b].size else (b, a)
-        table = self._table
-        right = _pad(classes[l].representative.images)
-        counts = Counter([table[y.translate(right)] for y in self._members[s]])
+        counts = Counter(self._times(self._members[s], l))
         return array("q", [classes[l].size * counts[c.power_row[-1]] for c in classes])
 
     def product_classes(self, a: int, b: int) -> bytes:
@@ -571,9 +572,12 @@ class ClassMap:
         y * r = r^-1 (r * y) r, so each entry is also the class of r * y.
         One byte per entry: at most 256 classes.
         """
-        table = self._table
-        right = _pad(self.classes[a].representative.images)
-        return bytes([table[y.images.translate(right)] for y in self.elements_of(b)])
+        return bytes(self._times((y.images for y in self.elements_of(b)), a))
+
+    def _times(self, members, a: int) -> list[int]:
+        """Class index of y * r for each image bytes y in members, r the representative of a."""
+        table, right = self._table, _pad(self.classes[a].representative.images)
+        return [table[y.translate(right)] for y in members]
 
 
 def _conjugators(G: PermGroup) -> tuple[Permutation, ...]:
@@ -633,6 +637,29 @@ def _conjugation_orbit(conjugators, images: bytes, table: dict[bytes, int],
     return members, real
 
 
+def _conjugates_by(x: Permutation):
+    """A function from image bytes y to its <x>-conjugation orbit y, x^-1 y x, ..."""
+    x_inv_times, right, tail = x.inverse().images.translate, _pad(x.images), _PAD[len(x.images):]
+
+    def orbit(y: bytes) -> list[bytes]:
+        members = [y]
+        e = x_inv_times(y + tail).translate(right)
+        while e != y:
+            members.append(e)
+            e = x_inv_times(e + tail).translate(right)
+        return members
+
+    return orbit
+
+
+def _powers(images: bytes, count: int):
+    """Image bytes of g^0, g^1, ..., g^(count - 1), for g given by its image bytes."""
+    step, power = _pad(images), _PAD[: len(images)]
+    for _ in range(count):
+        yield power
+        power = power.translate(step)  # g^k * g
+
+
 def _chain_elements(G: PermGroup):
     """Image bytes of every element of G, each exactly once, from its chain.
 
@@ -673,7 +700,7 @@ def _assign_labels(raw: list[tuple[int, bytes, int]]) -> list[str]:
     return labels
 
 
-def conjugacy_classes(G: PermGroup, bound: int = CLASS_ORDER_BOUND) -> ClassMap:
+def conjugacy_classes(G: PermGroup) -> ClassMap:
     """Complete conjugacy-class list with canonical labels and power maps.
 
     Walks the elements of G (_chain_elements); each one not yet in the
@@ -685,9 +712,9 @@ def conjugacy_classes(G: PermGroup, bound: int = CLASS_ORDER_BOUND) -> ClassMap:
     unsorted; after the canonical sort the table values are rewritten once
     with the final indices.
     """
-    if G.order > bound:
+    if G.order > CLASS_ORDER_BOUND:
         raise CapacityError(
-            f"conjugacy classes need order <= {bound}, group has order {G.order}"
+            f"conjugacy classes need order <= {CLASS_ORDER_BOUND}, group has order {G.order}"
         )
     conjugators = _conjugators(G)
     table: dict[bytes, int] = {}
@@ -741,15 +768,9 @@ def conjugacy_classes(G: PermGroup, bound: int = CLASS_ORDER_BOUND) -> ClassMap:
 def _fill_power_maps(cmap: ClassMap) -> None:
     classes, table = cmap.classes, cmap._table
     for c in classes:
-        images = c.representative.images
-        step = _pad(images)
-        p = _PAD[: len(images)]
-        row = []
-        for _ in range(c.element_order):
-            row.append(table[p])
-            p = p.translate(step)  # rep^k * rep
-        c.power_row = tuple(row)
-        c.inverse_class = classes[row[-1]].label  # rep^(o-1) = rep^-1
+        powers = _powers(c.representative.images, c.element_order)
+        c.power_row = tuple(map(table.__getitem__, powers))
+        c.inverse_class = classes[c.power_row[-1]].label  # rep^(o-1) = rep^-1
         c.power_classes = {
             k: classes[c.power_row[k % c.element_order]].label
             for k in divisors(c.element_order)

@@ -67,15 +67,15 @@ class GowScanReport:
 
 def structure_constant_formula(T: CharacterTable, c1: str, c2: str, c3: str) -> int:
     """n(C1,C2,C3) through the character formula, in exact arithmetic."""
-    i1, i2, i3 = T.index_of(c1), T.index_of(c2), T.index_of(c3)
+    k1, k2, k3 = (T.cmap.by_label(c) for c in (c1, c2, c3))
     total = Cyclo.zero(T.conductor)
     for row, degree in zip(T.rows, T.degrees):
-        v = row[i1] * row[i2] * row[i3]
+        v = row[k1.index] * row[k2.index] * row[k3.index]
         if not v.is_zero():
             total = total + v / degree
     if not total.is_rational():
         raise TableError(f"non-rational structure-constant sum for {(c1, c2, c3)}")
-    n = total.rational_value() * T.class_sizes[i2] * T.class_sizes[i3] / T.group_order
+    n = total.rational_value() * k2.size * k3.size / T.group_order
     if n.denominator != 1 or n < 0:
         raise TableError(f"structure constant {(c1, c2, c3)} is not a nonnegative integer: {n}")
     return int(n)
@@ -153,7 +153,7 @@ def char_bound_check(G: PermGroup, meta: LieMeta | None, T: CharacterTable) -> B
     meta = _require_meta(meta)
     per_class: dict[str, float] = {}
     for label in regular_semisimple_classes(G, meta):
-        idx = T.index_of(label)
+        idx = T.cmap.by_label(label).index
         per_class[label] = max(row[idx].abs_value() for row in T.rows)
     passed = all(v <= meta.weyl_order + BOUND_TOLERANCE for v in per_class.values())
     return BoundReport(group=G.name, per_class_max=per_class, bound=meta.weyl_order, passed=passed)

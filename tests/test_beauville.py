@@ -36,15 +36,15 @@ def test_sigma_set_examples():
     cd = G.conjugacy_data()
     e = G.identity()
     s = sigma_set(G, e, e)
-    assert s.covered_labels == ("1a",) and s.element_count == 1
+    assert s.covered_labels == ("1a",)
     x = cyc(5, (1, 2, 3, 4, 5))
     s = sigma_set(G, x, x * x)
-    assert s.covered_labels == ("1a", "5a", "5b") and s.element_count == 25
+    assert s.covered_labels == ("1a", "5a", "5b")
     y = next(
         g for g in cd.elements_of(cd.by_label("2a").index) if (x * g).order() == 3
     )
     s = sigma_set(G, x, y)
-    assert s.covered_labels == ("1a", "2a", "3a", "5a", "5b") and s.element_count == 60
+    assert s.covered_labels == ("1a", "2a", "3a", "5a", "5b")
 
 
 def test_sigma_set_contains_pair_classes_and_identity():

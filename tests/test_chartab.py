@@ -83,12 +83,12 @@ def test_dixon_consistency_small_groups():
                 for l in range(k):
                     total = Cyclo.zero(T.conductor)
                     for row, deg in zip(T.rows, T.degrees):
-                        term = row[i] * row[j] * row[T.inverse_map[l]]
+                        term = row[i] * row[j] * row[cd.classes[l].power_row[-1]]
                         total = total + term / deg
                     a = (
                         total.rational_value()
-                        * T.class_sizes[i]
-                        * T.class_sizes[j]
+                        * cd.classes[i].size
+                        * cd.classes[j].size
                         / T.group_order
                     )
                     assert a.denominator == 1
@@ -106,7 +106,7 @@ def test_power_map_galois_consistency():
             for k in range(1, m):
                 if gcd(k, m) != 1:
                     continue
-                target = T.power_rows[c.index][k]
+                target = c.power_row[k]
                 t = next(t for t in range(1, T.conductor) if t % m == k and gcd(t, T.conductor) == 1)
                 for row in T.rows:
                     assert row[target] == row[c.index].galois(t)
@@ -117,8 +117,8 @@ def test_trivial_character_multiplicity_is_integral():
         T = character_table(build_group(spec))
         for row in T.rows:
             total = Cyclo.zero(T.conductor)
-            for size, value in zip(T.class_sizes, row):
-                total = total + value * size
+            for c, value in zip(T.cmap.classes, row):
+                total = total + value * c.size
             mult = total.rational_value() / T.group_order
             assert mult.denominator == 1 and mult >= 0
 
@@ -143,7 +143,7 @@ def test_table_is_deterministic_and_json_stable():
 
 def test_first_column_is_degrees():
     T = character_table(build_group("L2:13"))
-    idx = T.index_of("1a")
+    idx = T.cmap.by_label("1a").index
     for deg, row in zip(T.degrees, T.rows):
         assert row[idx].rational_value() == deg
 

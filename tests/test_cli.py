@@ -121,6 +121,18 @@ def test_beauville_verify_refuses_element_outside_group(tmp_path, capsys):
     assert (code, out, err) == (1, "certificate for L2:7: REFUSED: element-outside-group\n", "")
 
 
+def test_beauville_verify_refuses_zero_prefixed_pairs(tmp_path, capsys):
+    # pairs are 1-based image arrays: a leading 0 is a ninth image, not slot 0
+    cert = tmp_path / "cert.json"
+    run_cli(["beauville", "search", "--group", "L2:7", "--format", "json", "--out", str(cert)], capsys)
+    payload = json.loads(cert.read_text())
+    payload["pairs"] = [[0] + arr for arr in payload["pairs"]]
+    cert.write_text(json.dumps(payload))
+    code, out, err = run_cli(["beauville", "verify", "--cert", str(cert)], capsys)
+    assert (code, err) == (1, "")
+    assert out.startswith("certificate for L2:7: REFUSED: malformed-permutation")
+
+
 def _coerced_entries(payload):
     # the first pair's leading entries as a string and a float, and a bool seed
     payload["pairs"][0][:2] = [str(payload["pairs"][0][0]), float(payload["pairs"][0][1])]

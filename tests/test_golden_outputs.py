@@ -39,7 +39,11 @@ failed witness test skipped the rest of its <x>-conjugation orbit; the
 |C2| <= 50 and types past the budget take different paths, and on A9, whose
 search shuffled the candidates of 65 types, at ee37c88, before a type
 without a witness was decided with no shuffle and the class-type counts
-were read off the same-side half of the class-pair scans.
+were read off the same-side half of the class-pair scans; the `charbound`
+call on L2:8 with `--format json`, whose float maxima are printed in full,
+and the `struct --method both` call on L3:3 (13a, 13b, 8a), at 68ea609,
+before the character table read its class labels, sizes and orders from the
+group's class map.
 A refactor that changes any byte of these outputs (a certificate, a class
 label, a character value, a count) fails here.
 """
@@ -127,6 +131,10 @@ GOLDEN = [
      0, "18ec577a092d808f02aec2c57d7f62c5400ce274b0f27df8faba1cd96ef52f59"),
     ("beauville search --group A9 --format json --seed 0",
      0, "e7b6c636c0cde767d5d4a97cd77928860ddef54bbab8db716c1a2a6ea5649592"),
+    ("charbound --group L2:8 --format json",
+     0, "842acba4a50455ef9e435a568b95bf635a2b7b76ee85f25fa45b6d456b54cef5"),
+    ("struct --group L3:3 --classes 13a,13b,8a --method both --format json",
+     0, "61f5b7e7d297dec635535178ee793e5a03fd3a05230d1f8a7eabc72d17f0c321"),
 ]
 
 

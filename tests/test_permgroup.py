@@ -670,9 +670,9 @@ def test_chain_matches_closure_on_random_sets(spec):
 
 
 def test_conjugacy_capacity_error():
-    G = build_group("A8")
+    G = build_group("S10")  # order 3,628,800 > CLASS_ORDER_BOUND
     with pytest.raises(CapacityError):
-        conjugacy_classes(G, bound=1000)
+        conjugacy_classes(G)
 
 
 def test_determinism_of_construction():
