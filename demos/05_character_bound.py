@@ -30,6 +30,6 @@ print("Nonvanishing scan: n(C1,C2,C3) > 0 whenever C1, C2 are regular semisimple
 print("and C3 is a nontrivial semisimple class:")
 for spec in ("L2:7", "L2:11", "L3:2", "L3:3"):
     G = build_group(spec)
-    report = gow_scan(G, lie_meta(parse_spec(spec)), character_table(G))
+    report = gow_scan(G, lie_meta(parse_spec(spec)))
     print(f"  {spec}: {report.triples_checked} triples over RS classes "
           f"{report.regular_classes}, violations: {len(report.violations)}")

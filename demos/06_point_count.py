@@ -8,14 +8,12 @@ reports the exact count and the ratio without a pass/fail judgment.
 """
 
 from bvl.catalog import build_group, lie_meta, parse_spec
-from bvl.chartab import character_table
 from bvl.numtheory import DomainError
 from bvl.structconst import point_count_probe, regular_semisimple_classes
 
 for spec in ("L3:2", "L3:3"):
     G = build_group(spec)
     meta = lie_meta(parse_spec(spec))
-    T = character_table(G)
     regular = regular_semisimple_classes(G, meta)
     print(f"{spec}: regular semisimple classes {regular}, leading term "
           f"q^10 = {meta.q ** 10}")
@@ -23,7 +21,7 @@ for spec in ("L3:2", "L3:3"):
     for c1 in regular:
         for c2 in regular:
             for c3 in regular:
-                r = point_count_probe(G, meta, T, c1, c2, c3)
+                r = point_count_probe(G, meta, c1, c2, c3)
                 if shown < 6:
                     print(f"  ({c1},{c2},{c3}): n = {r.n_value:4d}, "
                           f"points = {r.exact_count:7d}, ratio = {float(r.ratio):.4f}")
@@ -34,6 +32,6 @@ for spec in ("L3:2", "L3:3"):
 print("Rank-1 groups are rejected (the statement assumes rank > 1):")
 G = build_group("L2:11")
 try:
-    point_count_probe(G, lie_meta(parse_spec("L2:11")), character_table(G), "5a", "5a", "5b")
+    point_count_probe(G, lie_meta(parse_spec("L2:11")), "5a", "5a", "5b")
 except DomainError as exc:
     print(f"  L2:11 -> {exc}")

@@ -18,7 +18,6 @@ pair.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 from math import gcd
 
 from .catalog import _is_int
@@ -41,14 +40,6 @@ DEFAULT_TYPE_BUDGET = 10_000_000
 STATUS_CERTIFICATE = "certificate"
 STATUS_NONE_EXHAUSTED = "none-exhausted"
 STATUS_NONE_BUDGET = "none-budget"
-
-
-class SigmaSet:
-    """Classes covered by the powers of x, y and xy."""
-
-    def __init__(self, *, covered: frozenset[int], covered_labels: tuple[str, ...]):
-        self.covered = covered
-        self.covered_labels = covered_labels
 
 
 class BeauvilleCertificate:
@@ -127,17 +118,19 @@ class SearchResult:
         self.pair_tests = pair_tests
 
 
-def sigma_set(G: PermGroup, x: Permutation, y: Permutation) -> SigmaSet:
-    """Sigma(x, y) as covered classes; class_of raises MembershipError outside G.
+def _class_type(cmap: ClassMap, x: Permutation, y: Permutation) -> tuple[int, int, int]:
+    """The classes of x, y and xy; class_of raises MembershipError outside G."""
+    return cmap.class_of(x), cmap.class_of(y), cmap.class_of(x * y)
 
-    The power_row of a class lists the classes of all powers of its elements.
+
+def sigma_set(G: PermGroup, x: Permutation, y: Permutation) -> int:
+    """Sigma(x, y) as a class mask: bit i for each class i that the powers of
+    x, y or xy meet.  Bit 0, the identity's class, is always set.
     """
     cmap = G.conjugacy_data()
-    covered: set[int] = set()
-    for g in (x, y, x * y):
-        covered.update(cmap.classes[cmap.class_of(g)].power_row)
-    labels = tuple(cmap.classes[i].label for i in sorted(covered))
-    return SigmaSet(covered=frozenset(covered), covered_labels=labels)
+    masks = cmap.power_masks
+    a, b, c = _class_type(cmap, x, y)
+    return masks[a] | masks[b] | masks[c]
 
 
 def _generates(G: PermGroup, x: Permutation, y: Permutation) -> bool | None:
@@ -164,13 +157,9 @@ def is_generating_pair(G: PermGroup, x: Permutation, y: Permutation) -> bool:
     return bool(answer)
 
 
-def _triple_orders(x: Permutation, y: Permutation) -> tuple[int, int, int]:
-    return x.order(), y.order(), (x * y).order()
-
-
-def _is_hyperbolic(x: Permutation, y: Permutation) -> bool:
-    a, b, c = _triple_orders(x, y)
-    return Fraction(1, a) + Fraction(1, b) + Fraction(1, c) < 1
+def _is_hyperbolic(a: int, b: int, c: int) -> bool:
+    """1/a + 1/b + 1/c < 1 for the orders of x, y and xy, in integers."""
+    return a * b + b * c + c * a < a * b * c
 
 
 def verify_beauville(
@@ -184,26 +173,29 @@ def verify_beauville(
 
     Returns (certificate, None) on success, (None, reason) naming the first
     failed condition otherwise.  An element outside G raises MembershipError
-    from is_generating_pair.
+    from is_generating_pair.  Sigma, the orders and hyperbolicity are read
+    off each pair's class type.  Every sigma set holds class 0, the identity,
+    so they meet only in it exactly when their masks meet in 1.
     """
     for idx, (x, y) in enumerate((pair1, pair2), start=1):
         if not is_generating_pair(G, x, y):
             return None, f"generation-pair{idx}"
-    s1 = sigma_set(G, *pair1)
-    s2 = sigma_set(G, *pair2)
-    identity_index = G.conjugacy_data().class_of(G.identity())
-    if s1.covered & s2.covered != {identity_index}:
+    cmap = G.conjugacy_data()
+    masks = cmap.power_masks
+    types = [_class_type(cmap, *pair1), _class_type(cmap, *pair2)]
+    m1, m2 = (masks[a] | masks[b] | masks[c] for a, b, c in types)
+    if m1 & m2 != 1:
         return None, "sigma-intersection"
-    hyper = [_is_hyperbolic(*pair1), _is_hyperbolic(*pair2)]
+    orders = [cmap.classes[i].element_order for t in types for i in t]
+    hyper = [_is_hyperbolic(*orders[:3]), _is_hyperbolic(*orders[3:])]
     if require_hyperbolic and not all(hyper):
         bad = 1 if not hyper[0] else 2
         return None, f"hyperbolicity-pair{bad}"
-    (x1, y1), (x2, y2) = pair1, pair2
     cert = BeauvilleCertificate(
         group=G.spec_string or G.name,
-        pairs=[g.to_list() for g in (x1, y1, x2, y2)],
-        orders=list(_triple_orders(x1, y1)) + list(_triple_orders(x2, y2)),
-        sigma_classes=[list(s1.covered_labels), list(s2.covered_labels)],
+        pairs=[g.to_list() for g in (*pair1, *pair2)],
+        orders=orders,
+        sigma_classes=[[c.label for c in cmap.classes if m >> c.index & 1] for m in (m1, m2)],
         hyperbolic=hyper,
         seed=seed,
     )
@@ -243,34 +235,31 @@ def verify_certificate(
 # search
 
 
-def _class_types(cmap: ClassMap) -> list[tuple[tuple[int, int, int], int, int]]:
+def _class_types(cmap: ClassMap) -> list[tuple[tuple[int, int, int], int]]:
     """All class-type triples with a nonzero pair count, in lexicographic order.
 
     A pair (x, y) has type (c1, c2, c3) when x is in C1, y in C2 and xy in C3.
     With x the representative of C1 the count is T(c1, c2, c3*) / |C1|, with
     C3* the class inverse to C3 and T from ClassMap.triple_tensor, which
     scans only the class pairs on one side of a split of the classes and
-    reads the rest off them.  Each type comes with its sigma set as a bitmask
-    (bit i for class i).
+    reads the rest off them; the count is nonzero exactly when T is.  Each
+    type comes with its sigma set as a class mask (ClassMap.power_masks).
     Types touching the identity class are dropped: such a pair generates a
     cyclic subgroup, and a cyclic group is never the whole group here unless
     G itself is cyclic, in which case the powers of a generator meet every
     class and sigma-disjointness is impossible anyway.
     """
-    classes = cmap.classes
-    k = len(classes)
-    masks = [sum(1 << i for i in set(c.power_row)) for c in classes]
-    inverse = [c.power_row[-1] for c in classes]
+    k = len(cmap.classes)
+    masks = cmap.power_masks
+    inverse = [c.power_row[-1] for c in cmap.classes]
     rows = cmap.triple_tensor()
     out = []
     for i1 in range(1, k):
-        size = classes[i1].size
         for i2 in range(1, k):
             row = rows[i1][i2]
             for i3 in range(1, k):
-                n = row[inverse[i3]] // size
-                if n:
-                    out.append(((i1, i2, i3), masks[i1] | masks[i2] | masks[i3], n))
+                if row[inverse[i3]]:
+                    out.append(((i1, i2, i3), masks[i1] | masks[i2] | masks[i3]))
     return out
 
 
@@ -286,9 +275,9 @@ def _type_pairs(cmap: ClassMap, types, strategy: str):
     read, so a caller can drop the rest of it (search_beauville does once
     type a has no witness).
     """
-    masks = [mask for _, mask, _ in types]
+    masks = [mask for _, mask in types]
     orders = [c.element_order for c in cmap.classes]
-    prods = [orders[i1] * orders[i2] * orders[i3] for (i1, i2, i3), _, _ in types]
+    prods = [orders[i1] * orders[i2] * orders[i3] for (i1, i2, i3), _ in types]
     passes = (True, False) if strategy == "COPRIME_FIRST" else (None,)
 
     def row(a, coprime):
@@ -406,6 +395,9 @@ def search_beauville(
     types = _class_types(cmap)
     searcher = _TypeSearcher(G, seed, budget)
 
+    def hyperbolic(a: int) -> bool:  # read off the class orders of type a
+        return _is_hyperbolic(*(cmap.classes[i].element_order for i in types[a][0]))
+
     for a, row in _type_pairs(cmap, types, strategy):
         for b in row:
             w1 = searcher.witness(types[a][0])
@@ -414,7 +406,7 @@ def search_beauville(
             w2 = searcher.witness(types[b][0])
             if w2 is None:
                 continue
-            if require_hyperbolic and not (_is_hyperbolic(*w1) and _is_hyperbolic(*w2)):
+            if require_hyperbolic and not (hyperbolic(a) and hyperbolic(b)):
                 continue
             cert, reason = verify_beauville(
                 G, w1, w2, require_hyperbolic=require_hyperbolic, seed=seed

@@ -189,7 +189,7 @@ def _cmd_pointcount(args) -> int:
     G = _group_of(args)
     meta = lie_meta(parse_spec(args.group))
     c1, c2, c3 = _parse_class_triple(args.classes)
-    report = point_count_probe(G, meta, character_table(G), c1, c2, c3)
+    report = point_count_probe(G, meta, c1, c2, c3)
     payload = {
         "spec": args.group,
         "classes": list(report.labels),

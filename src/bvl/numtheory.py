@@ -154,9 +154,9 @@ def cyclotomic_poly_eval(n: int, q: int) -> int:
     value = q**n - 1
     for d in divisors(n):
         if d < n:
-            phi_d = cyclotomic_poly_eval(d, q)
-            assert value % phi_d == 0
-            value //= phi_d
+            value, rest = divmod(value, cyclotomic_poly_eval(d, q))
+            if rest:  # explicit, not assert: python -O must not strip it
+                raise ArithmeticError(f"Phi_{d}({q}) does not divide the rest of {q}**{n} - 1")
     return value
 
 

@@ -464,6 +464,11 @@ class ClassMap:
         return lcm(*(c.element_order for c in self.classes))
 
     @cached_property
+    def power_masks(self) -> list[int]:
+        """power_masks[i]: bit j set for each class j that the powers of class i meet."""
+        return [sum(1 << j for j in set(c.power_row)) for c in self.classes]
+
+    @cached_property
     def rational(self) -> list[int]:
         """rational[i]: the least index of a Galois conjugate C_i^k, k coprime to o_i."""
         return [min(c.power_row[k % c.element_order] for k in range(1, c.element_order + 1)
@@ -742,7 +747,7 @@ def conjugacy_classes(G: PermGroup) -> ClassMap:
             f"class enumeration found {len(table)} elements, group has order {G.order}"
         )
 
-    # canonical order: element order, then size, then lex-least representative
+    # canonical order: element order (the identity is class 0), then size, then lex-least rep
     perm_order = sorted(range(len(raw)), key=lambda i: (raw[i][0], raw[i][2], raw[i][1]))
     sorted_raw = [raw[i] for i in perm_order]
     members = [orbits[i] for i in perm_order]

@@ -1,16 +1,16 @@
 """Structure constants n(C1,C2,C3) and the empirical theorem checks.
 
 n(C1,C2,C3) counts, for a fixed x in C1, the pairs (y, z) in C2 x C3 with
-xyz = 1.  Two independent routes are provided: the character formula
+xyz = 1.  Every verdict reads n = T(C1, C2, C3) / |C1|, T the triple count
+of ClassMap.triple_counts: the nonvanishing scan for products of regular
+semisimple classes, and the point-count probe for triple varieties, whose
+point count is T.  The character formula
 
     n = (|C2||C3| / |G|) * sum over irreducible chi of
         chi(C1) chi(C2) chi(C3) / chi(1)
 
-evaluated in exact cyclotomic arithmetic, and n = T(C1, C2, C3) / |C1| with
-T the triple count of ClassMap.triple_counts.
-The module also houses the nonvanishing scan for products of regular
-semisimple classes, the character-value bound check, and the point-count
-probe for triple varieties.
+in exact cyclotomic arithmetic is the independent route that checks the
+counts (`bvl struct --method both`); the character bound reads the table.
 """
 
 from __future__ import annotations
@@ -82,10 +82,16 @@ def structure_constant_formula(T: CharacterTable, c1: str, c2: str, c3: str) -> 
 
 
 def structure_constant_brute(G: PermGroup, c1: str, c2: str, c3: str) -> int:
-    """n(C1,C2,C3) = T(C1, C2, C3) / |C1|, counted by ClassMap.triple_counts."""
+    """n(C1,C2,C3) = T(C1, C2, C3) / |C1|, counted by ClassMap.triple_counts.
+
+    A T that |C1| does not divide is an internal fault, never floored away.
+    """
     cmap = G.conjugacy_data()
     k1, k2, k3 = (cmap.by_label(c) for c in (c1, c2, c3))
-    return cmap.triple_counts(k1.index, k2.index)[k3.index] // k1.size
+    t = cmap.triple_counts(k1.index, k2.index)[k3.index]
+    if t % k1.size:
+        raise TableError(f"T{(c1, c2, c3)} = {t} is not a multiple of |C1| = {k1.size}")
+    return t // k1.size
 
 
 # ---------------------------------------------------------------------------
@@ -108,14 +114,9 @@ def regular_semisimple_classes(G: PermGroup, meta: LieMeta) -> list[str]:
     the classes centralized by a GL2-type subgroup, leaving the torus
     classes the point-count and nonvanishing statements quantify over.
     """
-    p = meta.defining_prime
-    out = []
-    for c in G.conjugacy_data().classes:
-        if c.element_order == 1 or gcd(c.element_order, p) != 1:
-            continue
-        if gcd(G.order // c.size, p) == 1:
-            out.append(c.label)
-    return out
+    cmap = G.conjugacy_data()
+    return [c for c in semisimple_classes(G, meta)
+            if gcd(G.order // cmap.by_label(c).size, meta.defining_prime) == 1]
 
 
 def _require_meta(meta: LieMeta | None) -> LieMeta:
@@ -124,25 +125,19 @@ def _require_meta(meta: LieMeta | None) -> LieMeta:
     return meta
 
 
-def gow_scan(G: PermGroup, meta: LieMeta | None, T: CharacterTable) -> GowScanReport:
+def gow_scan(G: PermGroup, meta: LieMeta | None) -> GowScanReport:
     """Nonvanishing of n(C1,C2,C3) over regular semisimple C1, C2 and
     nontrivial semisimple C3."""
     meta = _require_meta(meta)
     regular = regular_semisimple_classes(G, meta)
     semisimple = semisimple_classes(G, meta)
-    violations = []
-    checked = 0
-    for c1 in regular:
-        for c2 in regular:
-            for c3 in semisimple:
-                checked += 1
-                if structure_constant_formula(T, c1, c2, c3) == 0:
-                    violations.append((c1, c2, c3))
+    violations = [(c1, c2, c3) for c1 in regular for c2 in regular for c3 in semisimple
+                  if structure_constant_brute(G, c1, c2, c3) == 0]
     return GowScanReport(
         group=G.name,
         regular_classes=regular,
         semisimple_classes=semisimple,
-        triples_checked=checked,
+        triples_checked=len(regular) ** 2 * len(semisimple),
         violations=violations,
     )
 
@@ -160,14 +155,15 @@ def char_bound_check(G: PermGroup, meta: LieMeta | None, T: CharacterTable) -> B
 
 
 def point_count_probe(
-    G: PermGroup, meta: LieMeta | None, T: CharacterTable, c1: str, c2: str, c3: str
+    G: PermGroup, meta: LieMeta | None, c1: str, c2: str, c3: str
 ) -> PointCountReport:
-    """Exact count n(C1,C2,C3) * |C1| next to the leading term q^(2 dim - 3r).
+    """Exact count T(C1,C2,C3) = n(C1,C2,C3) * |C1| next to the leading term q^(2 dim - 3r).
 
     The count equals the number of F_q-points of the triple variety
     {(x,y,z) in C1 x C2 x C3 : xyz = 1}; no pass/fail judgment is made since
     the comparison is asymptotic.
     """
+    cmap = G.conjugacy_data()  # first: a group past the class bound is a capacity error
     meta = _require_meta(meta)
     if meta.rank < 2:
         raise DomainError(f"point-count probe needs rank >= 2, got rank {meta.rank}")
@@ -175,8 +171,8 @@ def point_count_probe(
     for c in (c1, c2, c3):
         if c not in regular:
             raise DomainError(f"class {c} is not regular semisimple in {G.name}")
-    n = structure_constant_formula(T, c1, c2, c3)
-    size1 = G.conjugacy_data().by_label(c1).size
+    n = structure_constant_brute(G, c1, c2, c3)
+    size1 = cmap.by_label(c1).size
     predicted = meta.q ** (2 * meta.dim_G - 3 * meta.rank)
     exact = n * size1
     return PointCountReport(

@@ -205,7 +205,7 @@ def test_criterion_07_character_bound():
 def test_criterion_08_gow_scan():
     for spec in ("L2:7", "L2:11", "L3:2", "L3:3"):
         G = build_group(spec)
-        report = gow_scan(G, lie_meta(parse_spec(spec)), character_table(G))
+        report = gow_scan(G, lie_meta(parse_spec(spec)))
         assert report.all_positive, (spec, report.violations)
         assert report.triples_checked > 0
 
@@ -216,13 +216,12 @@ def test_criterion_09_point_count():
         G = build_group(spec)
         cd = G.conjugacy_data()
         meta = lie_meta(parse_spec(spec))
-        T = character_table(G)
         regular = regular_semisimple_classes(G, meta)
         assert regular
         for c1 in regular:
             for c2 in regular:
                 for c3 in regular:
-                    report = point_count_probe(G, meta, T, c1, c2, c3)
+                    report = point_count_probe(G, meta, c1, c2, c3)
                     assert report.exact_count == report.n_value * cd.by_label(c1).size
                     assert report.exact_count > 0, (spec, c1, c2, c3)
                     assert report.predicted == q**10

@@ -1,6 +1,8 @@
+import itertools
 import random
 import time
 from collections import Counter
+from fractions import Fraction
 from math import gcd
 
 import pytest
@@ -31,20 +33,21 @@ def cyc(degree, *cycles):
     return Permutation.from_cycles(degree, cycles)
 
 
+def mask_labels(cd, mask):
+    return tuple(c.label for c in cd.classes if mask >> c.index & 1)
+
+
 def test_sigma_set_examples():
     G = build_group("A5")
     cd = G.conjugacy_data()
     e = G.identity()
-    s = sigma_set(G, e, e)
-    assert s.covered_labels == ("1a",)
+    assert mask_labels(cd, sigma_set(G, e, e)) == ("1a",)
     x = cyc(5, (1, 2, 3, 4, 5))
-    s = sigma_set(G, x, x * x)
-    assert s.covered_labels == ("1a", "5a", "5b")
+    assert mask_labels(cd, sigma_set(G, x, x * x)) == ("1a", "5a", "5b")
     y = next(
         g for g in cd.elements_of(cd.by_label("2a").index) if (x * g).order() == 3
     )
-    s = sigma_set(G, x, y)
-    assert s.covered_labels == ("1a", "2a", "3a", "5a", "5b")
+    assert mask_labels(cd, sigma_set(G, x, y)) == ("1a", "2a", "3a", "5a", "5b")
 
 
 def test_sigma_set_contains_pair_classes_and_identity():
@@ -55,18 +58,64 @@ def test_sigma_set_contains_pair_classes_and_identity():
         x, y = G.random_element(rng), G.random_element(rng)
         s = sigma_set(G, x, y)
         for g in (G.identity(), x, y, x * y):
-            assert cd.class_of(g) in s.covered
+            assert s >> cd.class_of(g) & 1
 
 
 def test_sigma_set_conjugation_invariance():
     G = build_group("A6")
     rng = random.Random(17)
     x, y = cyc(6, (1, 2, 3, 4, 5)), cyc(6, (1, 2), (3, 4, 5, 6))
-    base = sigma_set(G, x, y).covered
+    base = sigma_set(G, x, y)
     for _ in range(100):
         g = G.random_element(rng)
         gi = g.inverse()
-        assert sigma_set(G, gi * x * g, gi * y * g).covered == base
+        assert sigma_set(G, gi * x * g, gi * y * g) == base
+
+
+def _power_classes(cd, x, y):
+    """Reference sigma: the classes of every power of x, y and xy, by Permutation powers."""
+    return {cd.class_of(g ** k) for g in (x, y, x * y) for k in range(g.order())}
+
+
+def _orders_reference(x, y):
+    """o(x), o(y), o(xy) from cycle lengths, and 1/a + 1/b + 1/c < 1 in Fractions."""
+    orders = [x.order(), y.order(), (x * y).order()]
+    return orders, sum(Fraction(1, o) for o in orders) < 1
+
+
+@pytest.mark.parametrize("spec,certified", [
+    ("A5", False), ("L2:7", True), ("file:m11.json", True), ("S5", True),
+])
+def test_sigma_orders_and_hyperbolicity_match_the_permutations(spec, certified):
+    # sigma_set and verify_beauville read sigma, orders and hyperbolicity off
+    # the pair's class type; the references work on the permutations
+    G = build_group(spec)
+    cd = G.conjugacy_data()
+    identity, masks = {cd.class_of(G.identity())}, cd.power_masks
+    rng = random.Random(5)
+    pairs = []
+    for _ in range(60):
+        x, y = G.random_element(rng), G.random_element(rng)
+        mask = sigma_set(G, x, y)
+        assert mask == masks[cd.class_of(x)] | masks[cd.class_of(y)] | masks[cd.class_of(x * y)]
+        assert set(mask_labels(cd, mask)) == {cd.classes[i].label for i in _power_classes(cd, x, y)}
+        if is_generating_pair(G, x, y) and len(pairs) < 16:
+            pairs.append((x, y))
+    for seed in range(3):  # random pairs are rarely sigma-disjoint: add searched ones
+        result = search_beauville(G, seed=seed)
+        if result.certificate is not None:
+            x1, y1, x2, y2 = map(Permutation, result.certificate.pairs)
+            pairs += [(x1, y1), (x2, y2)]
+    certificates = 0
+    for p1, p2 in itertools.combinations(pairs, 2):
+        cert, reason = verify_beauville(G, p1, p2)
+        disjoint = _power_classes(cd, *p1) & _power_classes(cd, *p2) == identity
+        assert (cert is not None, reason) == (disjoint, None if disjoint else "sigma-intersection")
+        if cert is not None:
+            certificates += 1
+            (o1, h1), (o2, h2) = _orders_reference(*p1), _orders_reference(*p2)
+            assert (cert.orders, cert.hyperbolic) == (o1 + o2, [h1, h2])
+    assert (certificates > 0) == certified, certificates
 
 
 def test_sigma_set_membership_error():
@@ -147,6 +196,13 @@ def test_search_with_hyperbolicity_required():
     assert r.certificate.hyperbolic == [True, True]
 
 
+def test_hyperbolicity_in_integers_matches_fractions():
+    # the boundary triples (2, 3, 6), (2, 4, 4) and (3, 3, 3) are Euclidean
+    for a, b, c in itertools.product(range(1, 13), repeat=3):
+        expected = Fraction(1, a) + Fraction(1, b) + Fraction(1, c) < 1
+        assert beauville._is_hyperbolic(a, b, c) == expected, (a, b, c)
+
+
 def test_verify_rejects_tampered_hyperbolic_field():
     G = build_group("L2:7")
     cert = search_beauville(G).certificate
@@ -206,7 +262,7 @@ def test_type_witness_matches_reference_loop(spec, seed, budget):
     G = build_group(spec)
     classdata = G.conjugacy_data()
     searcher = beauville._TypeSearcher(G, seed, budget)
-    for t, _, _ in _class_types(classdata):
+    for t, _ in _class_types(classdata):
         before = searcher.pair_tests
         found = searcher.witness(t)
         expected, tests, hit = _reference_witness(G, classdata, t, seed, budget)
@@ -274,7 +330,7 @@ def test_coprime_orders_suffice():
 def _sorted_pairs_reference(classdata, types, strategy):
     """Build every sigma-disjoint type pair, then sort: the search order before streaming."""
     sigma = [
-        frozenset().union(*(classdata.classes[i].power_row for i in t)) for t, _, _ in types
+        frozenset().union(*(classdata.classes[i].power_row for i in t)) for t, _ in types
     ]
 
     def order_product(t):
@@ -313,8 +369,10 @@ def test_type_pair_stream_matches_sorted_reference(spec, strategy):
     assert streamed == _sorted_pairs_reference(cd, types, strategy)
 
 
-@pytest.mark.parametrize("spec", ["A5", "L2:7", "L2:8", "file:m11.json"])
+@pytest.mark.parametrize("spec", ["A5", "L2:7", "L2:8", "file:m11.json", "L3:3"])
 def test_class_types_match_structure_constant_formula(spec):
+    # the types are the triples with n > 0, and n, read off the triple_tensor
+    # rows that _class_types reads, is the formula's
     G = build_group(spec)
     cd = G.conjugacy_data()
     T = character_table(G)
@@ -328,8 +386,14 @@ def test_class_types_match_structure_constant_formula(spec):
                 if n:
                     expected[(i1, i2, i3)] = n
     types = _class_types(cd)
-    assert [t for t, _, _ in types] == sorted(expected)
-    assert {t: n for t, _, n in types} == expected
+    assert [t for t, _ in types] == sorted(expected)
+    rows = cd.triple_tensor()
+    counts = {}
+    for (i1, i2, i3), _ in types:
+        n, rest = divmod(rows[i1][i2][cd.classes[i3].power_row[-1]], cd.classes[i1].size)
+        assert rest == 0, (i1, i2, i3)
+        counts[(i1, i2, i3)] = n
+    assert counts == expected
 
 
 def test_search_l2_49_within_30_seconds():

@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bvl import numtheory
+from bvl.cli import run
 from bvl.numtheory import (
     DomainError,
     cyclotomic_poly_eval,
@@ -24,6 +26,20 @@ def test_cyclotomic_examples():
     assert cyclotomic_poly_eval(6, 2) == 3
     # 2^12 - 1 = 4095 = 1*3*7*5*3*Phi12
     assert cyclotomic_poly_eval(12, 2) == 13
+
+
+def test_cyclotomic_division_fault_is_internal(monkeypatch, capsys):
+    # a lower factor that does not divide is an explicit ArithmeticError
+    # (exit 4), not an assert that python -O strips
+    evaluate = numtheory.cyclotomic_poly_eval.__wrapped__  # past the cache
+    monkeypatch.setattr(numtheory, "cyclotomic_poly_eval",
+                        lambda n, q: evaluate(n, q) if n == 6 else 5)
+    with pytest.raises(ArithmeticError, match="does not divide"):
+        evaluate(6, 2)
+    code = run(["zsigmondy", "--q", "2", "--n", "6"])
+    out, err = capsys.readouterr()
+    assert (code, out) == (4, "")
+    assert err == "error: internal: ArithmeticError: Phi_1(2) does not divide the rest of 2**6 - 1\n"
 
 
 def test_cyclotomic_rejects_bad_domain():

@@ -285,6 +285,29 @@ def test_class_equation_over_catalog_sample():
         assert sum(c.size for c in G.conjugacy_data().classes) == G.order
 
 
+@pytest.mark.parametrize("spec", ["trivial", "C7", "S3", "A4", "S4", "A5", "S5", "A6", "S6", "L2:7",
+                                  "L2:8", "L2:9", "L2:11", "L2:13", "L2:16", "L2:25", "L2:27",
+                                  "L2:32", "L2:49", "L3:2", "L3:3", "L3:5", "A7", "A8", "A9", "S9",
+                                  "file:m11.json", "file:m12.json"])
+def test_class_0_is_the_identity(spec, tmp_path):
+    # order 1 sorts first: beauville reads sigma-disjointness as masks meeting
+    # in bit 0; each power mask is checked against Permutation powers
+    if spec == "trivial":
+        G = PermGroup([], degree=4)
+    elif spec == "C7":
+        G = file_group(tmp_path, "C7", 7, [[2, 3, 4, 5, 6, 7, 1]])
+    else:
+        G = build_group(spec)
+    cmap = G.conjugacy_data()
+    first = cmap.classes[0]
+    assert first.representative.is_identity() and (first.label, first.size) == ("1a", 1)
+    assert cmap.class_of(G.identity()) == 0
+    for c, mask in zip(cmap.classes, cmap.power_masks):
+        rep = c.representative
+        powers = {cmap.class_of(rep ** k) for k in range(c.element_order)}
+        assert mask == sum(1 << i for i in powers) and mask & 1, c.label
+
+
 def test_class_equation_largest_catalog_groups():
     # completes the order <= 1e6 sweep: the smaller groups are covered above
     # and by the acceptance suite's table checks

@@ -1,9 +1,13 @@
+from array import array
 from fractions import Fraction
 
 import pytest
 
+from bvl import structconst
 from bvl.catalog import build_group, lie_meta, parse_spec
-from bvl.chartab import character_table
+from bvl.chartab import TableError, character_table
+from bvl.cli import run
+from bvl.permgroup import ClassMap
 from bvl.structconst import (
     char_bound_check,
     gow_scan,
@@ -84,18 +88,26 @@ def test_semisimple_classification():
 def test_gow_scan_positive():
     for spec in ("L2:7", "L2:11"):
         G, cd, meta, T = _setup(spec)
-        report = gow_scan(G, meta, T)
+        report = gow_scan(G, meta)
         assert report.all_positive
         assert report.triples_checked == len(report.regular_classes) ** 2 * len(
             report.semisimple_classes
         )
 
 
+def test_gow_scan_reports_a_zero_count(monkeypatch):
+    G, _, meta, _ = _setup("L2:7")
+    brute = structconst.structure_constant_brute
+    monkeypatch.setattr(structconst, "structure_constant_brute",
+                        lambda G, *t: 0 if t == ("3a", "4a", "2a") else brute(G, *t))
+    report = gow_scan(G, meta)
+    assert (report.violations, report.all_positive) == ([("3a", "4a", "2a")], False)
+
+
 def test_gow_scan_rejects_non_lie_group():
     G = build_group("A7")
-    T = character_table(G)
     with pytest.raises(ValueError):
-        gow_scan(G, None, T)
+        gow_scan(G, None)
 
 
 def test_char_bound_examples():
@@ -111,29 +123,84 @@ def test_char_bound_examples():
 
 
 def test_point_count_probe_l3_2():
-    G, cd, meta, T = _setup("L3:2")
-    report = point_count_probe(G, meta, T, "7a", "7a", "7b")
+    G, cd, meta, _ = _setup("L3:2")
+    report = point_count_probe(G, meta, "7a", "7a", "7b")
     assert report.class_size == 24
     assert report.exact_count == report.n_value * 24
     assert report.predicted == 2**10 == 1024
     assert report.ratio == Fraction(report.exact_count, 1024)
-    # formula and brute force agree on the probed triple
+    # the probe reads T; the character formula gives the same n
     nb = structure_constant_brute(G, "7a", "7a", "7b")
-    assert report.n_value == nb
+    assert report.n_value == nb == structure_constant_formula(character_table(G), "7a", "7a", "7b")
 
 
 def test_point_count_probe_l3_3():
-    G, cd, meta, T = _setup("L3:3")
-    report = point_count_probe(G, meta, T, "13a", "13b", "13c")
+    G, cd, meta, _ = _setup("L3:3")
+    report = point_count_probe(G, meta, "13a", "13b", "13c")
     assert report.predicted == 3**10 == 59049
     assert report.exact_count == report.n_value * cd.by_label("13a").size
     assert report.exact_count > 0
 
 
 def test_point_count_rejects_rank_one_and_bad_classes():
-    G, cd, meta, T = _setup("L2:11")
+    G, cd, meta, _ = _setup("L2:11")
     with pytest.raises(ValueError, match="rank"):
-        point_count_probe(G, meta, T, "5a", "5a", "5b")
-    G, cd, meta, T = _setup("L3:2")
+        point_count_probe(G, meta, "5a", "5a", "5b")
+    G, cd, meta, _ = _setup("L3:2")
     with pytest.raises(ValueError, match="regular semisimple"):
-        point_count_probe(G, meta, T, "2a", "7a", "7b")
+        point_count_probe(G, meta, "2a", "7a", "7b")
+
+
+@pytest.mark.parametrize("spec", ["L2:7", "L2:11", "L3:2", "L3:3"])
+def test_verdicts_read_the_counts_the_formula_gives(spec, monkeypatch):
+    # gow_scan and point_count_probe read n from the triple counts; every n
+    # they read is the character formula's
+    G, cd, meta, T = _setup(spec)
+    read = []
+    brute = structconst.structure_constant_brute
+
+    def recorded(G, c1, c2, c3):
+        n = brute(G, c1, c2, c3)
+        read.append(((c1, c2, c3), n))
+        return n
+
+    monkeypatch.setattr(structconst, "structure_constant_brute", recorded)
+    report = gow_scan(G, meta)
+    assert len(read) == report.triples_checked > 0
+    if meta.rank > 1:
+        regular = regular_semisimple_classes(G, meta)
+        for triple in ((a, b, c) for a in regular for b in regular for c in regular):
+            assert point_count_probe(G, meta, *triple).n_value == read[-1][1]
+        assert len(read) == report.triples_checked + len(regular) ** 3
+    for triple, n in read:
+        assert n == structure_constant_formula(T, *triple), (spec, triple)
+
+
+def test_verdicts_need_no_character_table(monkeypatch, capsys):
+    G = build_group("L3:3")
+    meta = lie_meta(parse_spec("L3:3"))
+    argv = ["pointcount", "--group", "L3:3", "--classes", "13a,13a,13b"]
+    assert run(argv) == 0
+    expected = capsys.readouterr().out
+
+    def no_table(G):
+        raise AssertionError("character_table called")
+
+    monkeypatch.setattr("bvl.chartab.character_table", no_table)
+    monkeypatch.setattr("bvl.cli.character_table", no_table)  # the name cli calls
+    assert (run(argv), capsys.readouterr().out) == (0, expected)
+    assert gow_scan(G, meta).all_positive
+
+
+def test_brute_route_refuses_a_count_not_divisible_by_c1(monkeypatch, capsys):
+    # n = T / |C1| exactly, or an internal fault (exit 4): never floored.
+    # Every T one above the count is no longer a multiple of |C1| > 1.
+    counts = ClassMap.triple_counts
+    monkeypatch.setattr(ClassMap, "triple_counts",
+                        lambda self, a, b: array("q", (t + 1 for t in counts(self, a, b))))
+    code = run(["struct", "--group", "S3", "--classes", "2a,2a,3a", "--method", "brute"])
+    out, err = capsys.readouterr()
+    assert (code, out) == (4, "")
+    assert err == "error: internal: TableError: T('2a', '2a', '3a') = 7 is not a multiple of |C1| = 3\n"
+    with pytest.raises(TableError, match="not a multiple"):
+        point_count_probe(build_group("L3:2"), lie_meta(parse_spec("L3:2")), "7a", "7a", "7b")
