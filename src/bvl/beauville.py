@@ -21,9 +21,9 @@ import random
 from math import gcd
 
 from .catalog import _is_int
-from .chartab import MAX_CLASSES
 from .numtheory import DomainError
 from .permgroup import (
+    MAX_CLASSES,
     CapacityError,
     ClassMap,
     MembershipError,

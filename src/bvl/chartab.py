@@ -19,9 +19,7 @@ import math
 
 from .cyclotomic import Conductor, Cyclo
 from .numtheory import divisors, factorize, is_prime, poly_divmod, poly_mul, poly_trim
-from .permgroup import CapacityError, ClassMap, PermGroup
-
-MAX_CLASSES = 60
+from .permgroup import MAX_CLASSES, CapacityError, ClassMap, PermGroup
 
 
 class TableError(RuntimeError):

@@ -10,31 +10,32 @@ fixed invocation and seed.
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import sys
 from pathlib import Path
 
 from . import __version__
-from .beauville import (
-    DEFAULT_TYPE_BUDGET,
-    STATUS_CERTIFICATE,
-    STATUS_NONE_EXHAUSTED,
-    BeauvilleCertificate,
-    all_pairs_generate,
-    search_beauville,
-    search_gen_classes,
-    verify_certificate,
-)
 from .catalog import build_group, lie_meta, parse_spec
-from .chartab import TableError, character_table, verify_orthogonality
 from .numtheory import DomainError, zsigmondy_part
 from .permgroup import CapacityError
-from .structconst import (
-    char_bound_check,
-    point_count_probe,
-    structure_constant_brute,
-    structure_constant_formula,
-)
+
+
+def _lazy(name: str):
+    """bvl.<name>, run on its first attribute access unless already imported."""
+    fullname = "bvl." + name
+    if fullname not in sys.modules:
+        spec = importlib.util.find_spec(fullname)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        sys.modules[fullname] = module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        setattr(sys.modules["bvl"], name, module)
+    return sys.modules[fullname]
+
+
+# Each subcommand runs only the modules it calls; perfbench/trace_cli.py finds all.
+beauville, chartab, cyclotomic, structconst = map(
+    _lazy, ("beauville", "chartab", "cyclotomic", "structconst"))
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -115,10 +116,9 @@ def _cmd_classes(args) -> int:
 
 
 def _cmd_chartab(args) -> int:
-    G = _group_of(args)
-    T = character_table(G)
+    T = chartab.character_table(_group_of(args))
     payload = T.to_json_dict()
-    payload["orthogonality_verified"] = verify_orthogonality(T)
+    payload["orthogonality_verified"] = chartab.verify_orthogonality(T)
     labels = [c.label for c in T.cmap.classes]
     width = max(8, max(len(lbl) for lbl in labels) + 2)
     lines = [
@@ -148,10 +148,10 @@ def _cmd_struct(args) -> int:
     c1, c2, c3 = _parse_class_triple(args.classes)
     results = {}
     if args.method in ("formula", "both"):
-        T = character_table(G)
-        results["formula"] = structure_constant_formula(T, c1, c2, c3)
+        T = chartab.character_table(G)
+        results["formula"] = structconst.structure_constant_formula(T, c1, c2, c3)
     if args.method in ("brute", "both"):
-        results["brute"] = structure_constant_brute(G, c1, c2, c3)
+        results["brute"] = structconst.structure_constant_brute(G, c1, c2, c3)
     payload = {
         "spec": args.group,
         "classes": [c1, c2, c3],
@@ -159,9 +159,7 @@ def _cmd_struct(args) -> int:
         "n": results,
     }
     if len(results) == 2 and results["formula"] != results["brute"]:
-        raise TableError(
-            f"formula/brute disagree on {(c1, c2, c3)}: {results}"
-        )
+        raise chartab.TableError(f"formula/brute disagree on {(c1, c2, c3)}: {results}")
     shown = " ".join(f"{k}={v}" for k, v in sorted(results.items()))
     _emit(args, payload, f"n({c1},{c2},{c3}) in {G.name}: {shown}")
     return EXIT_OK
@@ -169,8 +167,8 @@ def _cmd_struct(args) -> int:
 
 def _cmd_charbound(args) -> int:
     G = _group_of(args)
-    meta = lie_meta(parse_spec(args.group))
-    report = char_bound_check(G, meta, character_table(G))
+    meta = structconst.require_meta(G, lie_meta(parse_spec(args.group)))
+    report = structconst.char_bound_check(G, meta, chartab.character_table(G))
     payload = {
         "spec": args.group,
         "bound": report.bound,
@@ -189,7 +187,7 @@ def _cmd_pointcount(args) -> int:
     G = _group_of(args)
     meta = lie_meta(parse_spec(args.group))
     c1, c2, c3 = _parse_class_triple(args.classes)
-    report = point_count_probe(G, meta, c1, c2, c3)
+    report = structconst.point_count_probe(G, meta, c1, c2, c3)
     payload = {
         "spec": args.group,
         "classes": list(report.labels),
@@ -211,14 +209,11 @@ def _cmd_pointcount(args) -> int:
 def _cmd_beauville_search(args) -> int:
     G = _group_of(args)
     strategy = "COPRIME_FIRST" if args.strategy == "coprime" else "EXHAUSTIVE_CLASSES"
-    result = search_beauville(
-        G,
-        strategy=strategy,
-        seed=args.seed,
-        budget=args.budget,
-        require_hyperbolic=args.require_hyperbolic,
+    result = beauville.search_beauville(
+        G, strategy=strategy, seed=args.seed, require_hyperbolic=args.require_hyperbolic,
+        budget=beauville.DEFAULT_TYPE_BUDGET if args.budget is None else args.budget,
     )
-    if result.status == STATUS_CERTIFICATE:
+    if result.status == beauville.STATUS_CERTIFICATE:
         cert = result.certificate
         cert.group = args.group
         payload = cert.to_json_dict()
@@ -234,7 +229,7 @@ def _cmd_beauville_search(args) -> int:
         "types_examined": result.types_examined,
         "pair_tests": result.pair_tests,
     }
-    if result.status == STATUS_NONE_EXHAUSTED:
+    if result.status == beauville.STATUS_NONE_EXHAUSTED:
         _emit(args, payload, f"NONE_EXHAUSTED: {G.name} admits no unmixed Beauville structure")
         return EXIT_NEGATIVE
     _emit(args, payload, f"NONE_BUDGET: search budget exhausted on {G.name}")
@@ -248,9 +243,9 @@ def _cmd_beauville_verify(args) -> int:
         raise DomainError(f"certificate {args.cert}: cannot read ({exc.strerror})") from None
     except ValueError as exc:  # not UTF-8, or not JSON
         raise DomainError(f"certificate {args.cert}: invalid JSON ({exc})") from None
-    cert = BeauvilleCertificate.from_json_dict(raw)
+    cert = beauville.BeauvilleCertificate.from_json_dict(raw)
     G = build_group(parse_spec(cert.group))
-    ok, reason = verify_certificate(G, cert, require_hyperbolic=args.require_hyperbolic)
+    ok, reason = beauville.verify_certificate(G, cert, require_hyperbolic=args.require_hyperbolic)
     payload = {"group": cert.group, "verified": ok, "reason": reason}
     _emit(args, payload, f"certificate for {cert.group}: {'VERIFIED' if ok else 'REFUSED: ' + reason}")
     return EXIT_OK if ok else EXIT_NEGATIVE
@@ -258,7 +253,7 @@ def _cmd_beauville_verify(args) -> int:
 
 def _cmd_genclasses_search(args) -> int:
     G = _group_of(args)
-    pairs = search_gen_classes(G)
+    pairs = beauville.search_gen_classes(G)
     payload = {"spec": args.group, "pairs": [list(p) for p in pairs]}
     if pairs:
         text = f"all-pairs generating class pairs of {G.name}: " + ", ".join(
@@ -272,7 +267,7 @@ def _cmd_genclasses_search(args) -> int:
 
 def _cmd_genclasses_verify(args) -> int:
     G = _group_of(args)
-    cert = all_pairs_generate(G, args.c, args.d)
+    cert = beauville.all_pairs_generate(G, args.c, args.d)
     payload = {
         "spec": args.group,
         "c": list(cert.c_labels),
@@ -359,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--strategy", choices=("coprime", "exhaustive"), default="coprime")
     ps.add_argument("--require-hyperbolic", action="store_true")
     ps.add_argument("--seed", type=int, default=0)
-    ps.add_argument("--budget", type=int, default=DEFAULT_TYPE_BUDGET)
+    ps.add_argument("--budget", type=int)
     ps.set_defaults(func=_cmd_beauville_search)
     pv = bsub.add_parser("verify")
     pv.add_argument("--cert", required=True, help="certificate JSON file")

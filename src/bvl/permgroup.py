@@ -10,27 +10,18 @@ Products act left-to-right: (p * q) means apply p, then q.
 Stabilizer chains come from one deterministic Schreier-Sims engine (_Chain)
 on Schreier vectors: transversal elements are built on first use, and
 Schreier generators are taken from the top level down.  subgroup_order, and
-with it every generation test, passes the known order |G| as a target: the
-product of the basic orbit lengths built so far is a lower bound on the order
-of the generated subgroup, so construction stops as soon as it reaches |G|.
+with it every generation test, passes the known order |G| as a target, so
+construction stops as soon as the chain proves |G| (see _Chain).
 Only a proper subgroup, or a PermGroup, gets a complete chain.  Inside the
-chain elements stay image bytes, never Permutation objects: each level keeps
-its generators with their padded translate tables and memoises u(beta)^-1 as
-a ready table (bytes.maketrans of u(beta)), so a product, an inversion and a
-sift step are one C call each with no padded copy.  PermGroup wraps the
-strong generators once.
+chain elements stay image bytes, never Permutation objects, with padded
+tables kept per level (see _Level), so a product, an inversion and a sift
+step are one C call each.  PermGroup wraps the strong generators once.
 
-Conjugacy classes come from one path: a walk over the complete stabilizer
-chain draws the elements of G, each at most once (each is uniquely x * u, u
-in the first transversal, x in the point stabilizer), and each element not
-yet in the element-to-class table seeds a conjugation walk under a
-generating pair of G, written straight into that table.  It conjugates one
-of each pair {w, w^-1} and enters w^-1 beside it, so it finds a class and
-its inverse class at half the conjugations.  The draws stop once the table
-holds |G| elements: the classes are disjoint, so by then they cover G.  The
-members of each class are stored per class and sorted only on request.
-Groups above CLASS_ORDER_BOUND (2,000,000; S10 is the smallest catalog group
-past it) raise CapacityError instead.
+Conjugacy classes come from one path, conjugacy_classes: each element of G
+drawn from its complete chain and not yet classed seeds a conjugation walk,
+which finds its class and the inverse class together.  Groups above
+CLASS_ORDER_BOUND (2,000,000; S10 is the smallest catalog group past it)
+raise CapacityError instead.
 """
 
 from __future__ import annotations
@@ -45,8 +36,9 @@ from math import gcd, lcm, prod
 from .numtheory import DomainError, divisors
 
 # Largest group order whose elements conjugacy_classes walks and sorts into
-# conjugation orbits.
+# conjugation orbits, and most classes a table or class-type search takes.
 CLASS_ORDER_BOUND = 2_000_000
+MAX_CLASSES = 60
 
 # Largest degree whose points fit in one byte each.
 MAX_DEGREE = 255
@@ -668,23 +660,23 @@ def _powers(images: bytes, count: int):
 def _chain_elements(G: PermGroup):
     """Image bytes of every element of G, each exactly once, from its chain.
 
-    G's chain is complete, so each element is uniquely x * u with u in the
-    level-0 transversal and x in the stabilizer of the first base point.  The
-    stabilizer's elements are built as a list, level by level from the
-    deepest; the products with u are yielded lazily.
+    G's chain is complete, so each element is uniquely x * u1 * u0 with u0
+    and u1 in the level-0 and level-1 transversals and x in the stabilizer
+    of the first two base points.  Only that stabilizer's elements are built
+    as a list, level by level from the deepest; the rest are yielded lazily.
     """
-    levels = G._chain.levels
-    stabilizer = [_PAD[: G.degree + 1]]
-    if not levels:
-        yield from stabilizer
-        return
-    for lv in reversed(levels[1:]):
+    levels, identity = G._chain.levels, _PAD[: G.degree + 1]
+    stabilizer = [identity]
+    for lv in reversed(levels[2:]):
         pads = [_pad(lv.u(beta)) for beta in lv.orbit]
         stabilizer = [x.translate(t) for t in pads for x in stabilizer]
-    for beta in levels[0].orbit:
-        t = _pad(levels[0].u(beta))
-        for x in stabilizer:
-            yield x.translate(t)
+    tops = [[lv.u(beta) for beta in lv.orbit] for lv in levels[:2]] + [[identity]] * 2
+    for u0 in tops[0]:
+        t0 = _pad(u0)
+        for u1 in tops[1]:
+            t = _pad(u1.translate(t0))
+            for x in stabilizer:
+                yield x.translate(t)
 
 
 def _assign_labels(raw: list[tuple[int, bytes, int]]) -> list[str]:

@@ -22,7 +22,7 @@ from .catalog import LieMeta
 from .chartab import CharacterTable, TableError
 from .cyclotomic import Cyclo
 from .numtheory import DomainError
-from .permgroup import PermGroup
+from .permgroup import CLASS_ORDER_BOUND, CapacityError, PermGroup
 
 BOUND_TOLERANCE = 1e-6
 
@@ -119,7 +119,17 @@ def regular_semisimple_classes(G: PermGroup, meta: LieMeta) -> list[str]:
             if gcd(G.order // cmap.by_label(c).size, meta.defining_prime) == 1]
 
 
-def _require_meta(meta: LieMeta | None) -> LieMeta:
+def require_meta(G: PermGroup, meta: LieMeta | None) -> LieMeta:
+    """The Lie metadata of G, checked before any class or table work.
+
+    A group past the class bound is a capacity error whether or not it has
+    metadata, as its class enumeration would raise; any other group without
+    metadata is a usage error.
+    """
+    if G.order > CLASS_ORDER_BOUND:
+        raise CapacityError(
+            f"conjugacy classes need order <= {CLASS_ORDER_BOUND}, group has order {G.order}"
+        )
     if meta is None:
         raise DomainError("operation needs a Lie-type catalog group (no metadata)")
     return meta
@@ -128,7 +138,7 @@ def _require_meta(meta: LieMeta | None) -> LieMeta:
 def gow_scan(G: PermGroup, meta: LieMeta | None) -> GowScanReport:
     """Nonvanishing of n(C1,C2,C3) over regular semisimple C1, C2 and
     nontrivial semisimple C3."""
-    meta = _require_meta(meta)
+    meta = require_meta(G, meta)
     regular = regular_semisimple_classes(G, meta)
     semisimple = semisimple_classes(G, meta)
     violations = [(c1, c2, c3) for c1 in regular for c2 in regular for c3 in semisimple
@@ -145,7 +155,7 @@ def gow_scan(G: PermGroup, meta: LieMeta | None) -> GowScanReport:
 def char_bound_check(G: PermGroup, meta: LieMeta | None, T: CharacterTable) -> BoundReport:
     """Max |chi(s)| over irreducibles per regular semisimple class,
     compared against the Weyl-group order."""
-    meta = _require_meta(meta)
+    meta = require_meta(G, meta)
     per_class: dict[str, float] = {}
     for label in regular_semisimple_classes(G, meta):
         idx = T.cmap.by_label(label).index
@@ -163,8 +173,7 @@ def point_count_probe(
     {(x,y,z) in C1 x C2 x C3 : xyz = 1}; no pass/fail judgment is made since
     the comparison is asymptotic.
     """
-    cmap = G.conjugacy_data()  # first: a group past the class bound is a capacity error
-    meta = _require_meta(meta)
+    meta = require_meta(G, meta)
     if meta.rank < 2:
         raise DomainError(f"point-count probe needs rank >= 2, got rank {meta.rank}")
     regular = set(regular_semisimple_classes(G, meta))
@@ -172,7 +181,7 @@ def point_count_probe(
         if c not in regular:
             raise DomainError(f"class {c} is not regular semisimple in {G.name}")
     n = structure_constant_brute(G, c1, c2, c3)
-    size1 = cmap.by_label(c1).size
+    size1 = G.conjugacy_data().by_label(c1).size
     predicted = meta.q ** (2 * meta.dim_G - 3 * meta.rank)
     exact = n * size1
     return PointCountReport(

@@ -219,6 +219,31 @@ def test_capacity_exit_code(tmp_path, capsys):
     assert code == 3 and "capacity" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["charbound", "--group", "A9"],
+    ["pointcount", "--group", "A9", "--classes", "5a,5a,5b"],
+], ids=["charbound", "pointcount"])
+def test_missing_metadata_is_reported_before_class_work(argv, monkeypatch, capsys):
+    def no_classes(G):
+        raise AssertionError("conjugacy_classes called")
+
+    monkeypatch.setattr("bvl.permgroup.conjugacy_classes", no_classes)
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: usage: operation needs a Lie-type catalog group (no metadata)\n"
+    # past the class bound it is a capacity error, metadata or not
+    code, out, err = run_cli([argv[0], "--group", "A11", *argv[3:]], capsys)
+    assert (code, out) == (3, "") and err.startswith("error: capacity: conjugacy classes need")
+
+
+def test_charbound_without_metadata_is_usage_error_past_max_classes(tmp_path, capsys):
+    # C61 has one class more than MAX_CLASSES; no table is built to find that out
+    path = tmp_path / "c61.json"
+    path.write_text(json.dumps({"name": "C61", "degree": 61, "generators": [list(range(2, 62)) + [1]]}))
+    code, out, err = run_cli(["charbound", "--group", f"file:{path}"], capsys)
+    assert (code, out) == (2, "") and err.startswith("error: usage:")
+
+
 @pytest.mark.parametrize(
     "payload",
     [
@@ -270,7 +295,7 @@ def test_internal_error_exit_code(monkeypatch, capsys):
     def broken_table(G):
         raise TableError("class matrices failed to split the class algebra")
 
-    monkeypatch.setattr("bvl.cli.character_table", broken_table)
+    monkeypatch.setattr("bvl.chartab.character_table", broken_table)
     code, _, err = run_cli(["chartab", "--group", "A5"], capsys)
     assert code == 4 and "error: internal:" in err
 
@@ -303,7 +328,7 @@ def test_only_input_errors_exit_2(argv, fault, code, err, tmp_path, monkeypatch,
     # DomainError is raised where input is read; any other exception is a fault
     (tmp_path / "cert.json").write_text("not json")
     if fault is not None:
-        monkeypatch.setattr("bvl.cli.character_table", mock.Mock(side_effect=fault))
+        monkeypatch.setattr("bvl.chartab.character_table", mock.Mock(side_effect=fault))
     got = run_cli([a.format(dir=tmp_path) for a in argv], capsys)
     assert got == (code, "", err.format(dir=tmp_path))
 

@@ -15,3 +15,32 @@ def test_no_assert_statements(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert not lines, f"{path.name}: assert at lines {lines}"
+
+
+def _module_level_imports(name):
+    """The bvl modules that bvl.<name> imports at module level."""
+    tree = ast.parse((SRC / f"{name}.py").read_text())
+    found = set()
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            found |= {node.module} if node.module else {a.name for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("bvl."):
+            found.add(node.module[4:])
+        elif isinstance(node, ast.Import):
+            found |= {a.name[4:] for a in node.names if a.name.startswith("bvl.")}
+    return {m for m in found if (SRC / f"{m}.py").exists()}
+
+
+def test_group_commands_do_not_import_the_table_layers():
+    # bvl.cli loads chartab, cyclotomic and structconst lazily, on first use;
+    # one module-level import from a module every group command runs, or
+    # from beauville, would compile them on every start again
+    reached = {}
+    todo = ["cli", "catalog", "permgroup", "numtheory", "beauville"]
+    while todo:
+        name = todo.pop()
+        for dep in _module_level_imports(name) - reached.keys():
+            reached[dep] = name
+            todo.append(dep)
+    bad = {m: reached[m] for m in ("chartab", "cyclotomic", "structconst") if m in reached}
+    assert not bad, f"imported at module level (module: importer): {bad}"
