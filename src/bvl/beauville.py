@@ -295,10 +295,14 @@ class _TypeSearcher:
     """Finds (and memoizes) a generating pair of a given class type.
 
     x is the representative of C1 and y walks C2 in a seeded shuffle, one
-    pair test per position (witness says which types need no shuffle).  The
-    class of xy is read from a row memoised per (i1, i2)
-    (ClassMap.product_classes), and class members lie in G, so the test is
+    pair test per position: the class of y * x (conjugate to xy) must be C3,
+    and then <x, y> = G.  Class members lie in G, so the generation test is
     _generates: an intransitive pair is refused without a sift.
+
+    A generating pair of a transitive G on n points is transitive, so by the
+    Riemann-Hurwitz bound (Scott, Ann. of Math. 1977) c(x) + c(y) + c(xy)
+    <= n + 2, where c counts cycles, fixed points included.  cycles[i] is c
+    of the representative of class i; a type past the bound is not walked.
     """
 
     def __init__(self, G: PermGroup, seed: int, budget: int):
@@ -306,64 +310,52 @@ class _TypeSearcher:
         self.cmap = G.conjugacy_data()
         self.seed = seed
         self.budget = budget
+        self.cycles = [G.degree - sum(len(c) - 1 for c in cl.representative.cycles())
+                       for cl in self.cmap.classes]
         self.cache: dict[tuple[int, int, int], tuple[Permutation, Permutation] | None] = {}
-        self.rows: dict[tuple[int, int], bytes] = {}
         self.budget_hit = False
         self.pair_tests = 0
 
     def witness(self, t: tuple[int, int, int]):
         """A generating pair of type t, or None.
 
-        A failed y fails with its <x>-conjugation orbit, which keeps the type
-        (x x^-1 y x = x^-1 (x y) x), as <x, x^-1 y x> = x^-1 <x, y> x.  Later
-        positions in it are counted, after the budget check, but not tested.
+        A type past the Riemann-Hurwitz bound has no generating pair: it gets
+        None and is charged what the walk would test, every position of C2
+        or budget + 1 of them, without a walk.
 
-        When |C2| <= budget, the positions of type t are first tested in
-        natural order.  If none generates, the shuffled walk would test every
-        position and find nothing, whatever its order: the type gets None and
-        |C2| pair tests with no shuffle.  Otherwise the shuffled walk runs as
-        before, with the orbits failed so far (they hold no witness) skipped.
+        In the walk, a failed y fails with its <x>-conjugation orbit, which
+        keeps the type (x x^-1 y x = x^-1 (x y) x), as <x, x^-1 y x> =
+        x^-1 <x, y> x.  Later positions in it are counted, after the budget
+        check, but not tested.
         """
         if t in self.cache:
             return self.cache[t]
         i1, i2, i3 = t
         cmap = self.cmap
-        x = cmap.classes[i1].representative
-        candidates = cmap.elements_of(i2)
-        row = self.rows.get((i1, i2))
-        if row is None:
-            row = self.rows[i1, i2] = cmap.product_classes(i1, i2)
-        conjugates = _conjugates_by(x)
-        failed: set[bytes] = set()
-
-        def generates(y: Permutation) -> bool:
-            if y.images in failed:
-                return False
-            if _generates(self.G, x, y):
-                return True
-            failed.update(conjugates(y.images))
-            return False
-
-        if len(candidates) <= self.budget:
-            pos = row.find(i3)
-            while pos >= 0 and not generates(candidates[pos]):
-                pos = row.find(i3, pos + 1)
-            if pos < 0:
-                self.pair_tests += len(candidates)
-                self.cache[t] = None
-                return None
-        order = list(range(len(candidates)))
-        rng = random.Random(self.seed * 1_000_003 + i1 * 3721 + i2 * 61 + i3)
-        rng.shuffle(order)
         found = None
         tests = 0
-        for tests, pos in enumerate(order, 1):
-            if tests > self.budget:
-                self.budget_hit = True
-                break
-            if row[pos] == i3 and generates(candidates[pos]):
-                found = (x, candidates[pos])
-                break
+        if self.G.is_transitive and sum(self.cycles[i] for i in t) > self.G.degree + 2:
+            tests = min(cmap.classes[i2].size, self.budget + 1)
+            self.budget_hit |= tests > self.budget
+        else:
+            x = cmap.classes[i1].representative
+            candidates = cmap.elements_of(i2)
+            conjugates = _conjugates_by(x)
+            failed: set[bytes] = set()
+            order = list(range(len(candidates)))
+            rng = random.Random(self.seed * 1_000_003 + i1 * 3721 + i2 * 61 + i3)
+            rng.shuffle(order)
+            for tests, pos in enumerate(order, 1):
+                if tests > self.budget:
+                    self.budget_hit = True
+                    break
+                y = candidates[pos]
+                if cmap.class_of(y * x) != i3 or y.images in failed:
+                    continue
+                if _generates(self.G, x, y):
+                    found = (x, y)
+                    break
+                failed.update(conjugates(y.images))
         self.pair_tests += tests
         self.cache[t] = found
         return found

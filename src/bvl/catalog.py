@@ -38,15 +38,6 @@ class GroupSpec:
     def __eq__(self, other) -> bool:
         return isinstance(other, GroupSpec) and vars(self) == vars(other)
 
-    def __str__(self) -> str:
-        if self.family == "ALT":
-            return f"A{self.n}"
-        if self.family == "SYM":
-            return f"S{self.n}"
-        if self.family in _LINEAR_DIM:
-            return f"L{_LINEAR_DIM[self.family]}:{self.q}"
-        return f"file:{self.path}"
-
 
 class LieMeta:
     """Lie-theoretic metadata of the ambient simple algebraic group."""
@@ -104,7 +95,6 @@ class GF:
         digits = [_digits(a, p, self.f) for a in range(q)]
         self.add = [[sum((x + y) % p * w for x, y, w in zip(da, db, weights)) for db in digits]
                     for da in digits]
-        self.neg = [row.index(0) for row in self.add]
         exp = self._primitive_powers()
         log = [0] * q
         for i, e in enumerate(exp):

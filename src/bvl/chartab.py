@@ -227,11 +227,20 @@ def class_matrix(cmap: ClassMap, i: int, rows) -> list[list[int]]:
     character_table asks only for the pivot rows of its unsplit eigenspaces:
     the eigenspaces are A-invariant, and a vector of such a space is fixed by
     its pivot coordinates, so those rows alone give the action of A on it.
-    Pass range(k) for the whole matrix.
+    Pass range(k) for the whole matrix.  A T that |C_l| does not divide is
+    an internal fault, never floored away.
     """
     classes = cmap.classes
-    counts = [cmap.triple_counts(i, j) for j in rows]
-    return [[row[c.power_row[-1]] // c.size for c in classes] for row in counts]
+    matrix = []
+    for j in rows:
+        row = cmap.triple_counts(i, j)
+        counts = [row[c.power_row[-1]] for c in classes]
+        bad = [c.label for c, t in zip(classes, counts) if t % c.size]
+        if bad:
+            raise TableError(f"class matrix of {classes[i].label}, row {classes[j].label}: "
+                             f"T is not a multiple of |C_l| for l in {bad}")
+        matrix.append([t // c.size for c, t in zip(classes, counts)])
+    return matrix
 
 
 def character_table(G: PermGroup) -> CharacterTable:
@@ -374,14 +383,6 @@ def character_table(G: PermGroup) -> CharacterTable:
 # verification
 
 
-def _conj_coeffs(value: Cyclo, cond: Conductor) -> dict:
-    raw = {}
-    n = cond.n
-    for j, c in value.coeffs.items():
-        raw[(n - j) % n] = raw.get((n - j) % n, 0) + c
-    return cond.reduce_raw(raw)
-
-
 def verify_orthogonality(T: CharacterTable) -> bool:
     """Both orthogonality relations, checked exactly in cyclotomic arithmetic."""
     sizes = [c.size for c in T.cmap.classes]
@@ -389,7 +390,7 @@ def verify_orthogonality(T: CharacterTable) -> bool:
     cond = Conductor(T.conductor)
     n = T.conductor
     vals = [[v.coeffs for v in row] for row in T.rows]
-    conj = [[_conj_coeffs(v, cond) for v in row] for row in T.rows]
+    conj = [[v.conj().coeffs for v in row] for row in T.rows]
 
     def inner(weights, us, vs) -> dict:
         """Reduced sum over l of weights[l] * us[l] * vs[l], on raw coefficient dicts."""

@@ -560,21 +560,9 @@ class ClassMap:
         """
         classes = self.classes
         s, l = (a, b) if classes[a].size <= classes[b].size else (b, a)
-        counts = Counter(self._times(self._members[s], l))
+        table, right = self._table, _pad(classes[l].representative.images)
+        counts = Counter([table[y.translate(right)] for y in self._members[s]])
         return array("q", [classes[l].size * counts[c.power_row[-1]] for c in classes])
-
-    def product_classes(self, a: int, b: int) -> bytes:
-        """Class index of y * r for each y of elements_of(b), r the representative of class a.
-
-        y * r = r^-1 (r * y) r, so each entry is also the class of r * y.
-        One byte per entry: at most 256 classes.
-        """
-        return bytes(self._times((y.images for y in self.elements_of(b)), a))
-
-    def _times(self, members, a: int) -> list[int]:
-        """Class index of y * r for each image bytes y in members, r the representative of a."""
-        table, right = self._table, _pad(self.classes[a].representative.images)
-        return [table[y.translate(right)] for y in members]
 
 
 def _conjugators(G: PermGroup) -> tuple[Permutation, ...]:
@@ -620,8 +608,8 @@ def _conjugation_orbit(conjugators, images: bytes, table: dict[bytes, int],
     get, append, maketrans = table.get, members.append, bytes.maketrans
     for v in islice(members, 0, None, 2):  # breadth first: also visits the w appended meanwhile
         v += tail
-        for s_inv_times, s in pairs:
-            w = s_inv_times(v).translate(s)  # s^-1 * v * s
+        for s_inv_mul, s in pairs:
+            w = s_inv_mul(v).translate(s)  # s^-1 * v * s
             t = get(w)
             if t is None:
                 inverse = maketrans(w, identity)[:n]
@@ -636,14 +624,14 @@ def _conjugation_orbit(conjugators, images: bytes, table: dict[bytes, int],
 
 def _conjugates_by(x: Permutation):
     """A function from image bytes y to its <x>-conjugation orbit y, x^-1 y x, ..."""
-    x_inv_times, right, tail = x.inverse().images.translate, _pad(x.images), _PAD[len(x.images):]
+    x_inv_mul, right, tail = x.inverse().images.translate, _pad(x.images), _PAD[len(x.images):]
 
     def orbit(y: bytes) -> list[bytes]:
         members = [y]
-        e = x_inv_times(y + tail).translate(right)
+        e = x_inv_mul(y + tail).translate(right)
         while e != y:
             members.append(e)
-            e = x_inv_times(e + tail).translate(right)
+            e = x_inv_mul(e + tail).translate(right)
         return members
 
     return orbit

@@ -235,8 +235,8 @@ def test_verify_refuses_element_outside_group():
 
 
 def _reference_witness(G, cmap, t, seed, budget):
-    # the witness loop before product-class rows: x * y per position, and
-    # the public generation test
+    # the plain witness loop: x * y per position, the public generation test
+    # and no Riemann-Hurwitz bound
     i1, i2, i3 = t
     x = cmap.classes[i1].representative
     candidates = cmap.elements_of(i2)
@@ -253,13 +253,22 @@ def _reference_witness(G, cmap, t, seed, budget):
     return None, tests, False
 
 
+def _witness_group(spec):
+    if spec == "S3xS3":  # intransitive on 6 points: the bound does not apply
+        return PermGroup([cyc(6, (1, 2, 3)), cyc(6, (1, 2)), cyc(6, (4, 5, 6)), cyc(6, (4, 5))])
+    return build_group(spec)
+
+
 @pytest.mark.parametrize("spec,seed,budget", [
     ("L2:25", 0, 10_000_000), ("L2:25", 7, 10_000_000), ("L2:25", 0, 5), ("file:m11.json", 0, 5),
-], ids=["0-10000000", "7-10000000", "0-5", "M11-0-5"])
+    ("A5", 0, 10_000_000), ("L2:7", 0, 10_000_000), ("L3:3", 0, 10_000_000),
+    ("S5", 0, 10_000_000), ("S3xS3", 0, 10_000_000),
+], ids=["0-10000000", "7-10000000", "0-5", "M11-0-5", "A5", "L2:7", "L3:3", "S5", "S3xS3"])
 def test_type_witness_matches_reference_loop(spec, seed, budget):
-    # skipping a y whose <x>-conjugation orbit already failed keeps every
-    # witness and every pair_tests count of the loop that tests each position
-    G = build_group(spec)
+    # skipping a y whose <x>-conjugation orbit already failed, and refusing a
+    # type past the Riemann-Hurwitz bound unwalked, keep every witness and
+    # every pair_tests count of the loop that tests each position
+    G = _witness_group(spec)
     classdata = G.conjugacy_data()
     searcher = beauville._TypeSearcher(G, seed, budget)
     for t, _ in _class_types(classdata):
@@ -274,8 +283,9 @@ def test_type_witness_matches_reference_loop(spec, seed, budget):
 
 def test_search_beauville_m11_generation_test_gate(monkeypatch):
     # a bound on work, not time: a failed test skips the rest of its
-    # <x>-conjugation orbit, still counted in pair_tests (2,350 generation
-    # tests when every position was tested, 1,030 with the skip)
+    # <x>-conjugation orbit, still counted in pair_tests, and a type past the
+    # Riemann-Hurwitz bound is not walked (2,350 generation tests when every
+    # position was tested, 1,044 with the skip, 303 with the bound)
     G = build_group("file:m11.json")
     calls = []
     generates = beauville._generates
@@ -286,23 +296,36 @@ def test_search_beauville_m11_generation_test_gate(monkeypatch):
 
     monkeypatch.setattr(beauville, "_generates", counted)
     assert search_beauville(G, seed=0).pair_tests == 18_312
-    assert len(calls) <= 1_100, len(calls)
+    assert len(calls) <= 320, len(calls)
 
 
-def test_search_beauville_m11_shuffles_only_types_with_a_witness(monkeypatch):
-    # a type with no generating pair and |C2| <= budget is decided by one
-    # pass in natural order, with no shuffle (30 shuffles when every type
-    # searched was shuffled)
-    shuffles = []
-    shuffle = random.Random.shuffle
+def test_riemann_hurwitz_bound_refuses_types_without_a_walk(monkeypatch):
+    # a type with c(C1) + c(C2) + c(C3) > n + 2 makes no shuffle and no
+    # generation test; of the 28 types with no witness that the search on M11
+    # meets at seed 0, 8 pass the bound and are walked: 10 shuffles in all
+    shuffles, calls = [], []
+    shuffle, generates = random.Random.shuffle, beauville._generates
 
-    def counted(self, x):
+    def counted_shuffle(self, x):
         shuffles.append(len(x))
         return shuffle(self, x)
 
-    monkeypatch.setattr(random.Random, "shuffle", counted)
-    result = search_beauville(build_group("file:m11.json"), seed=0)
-    assert (len(shuffles), result.pair_tests) == (2, 18_312)
+    def counted_generates(G, x, y):
+        calls.append(y)
+        return generates(G, x, y)
+
+    monkeypatch.setattr(random.Random, "shuffle", counted_shuffle)
+    monkeypatch.setattr(beauville, "_generates", counted_generates)
+    G = build_group("file:m11.json")
+    searcher = beauville._TypeSearcher(G, 0, 10_000_000)
+    refused = [t for t, _ in _class_types(G.conjugacy_data())
+               if sum(searcher.cycles[i] for i in t) > G.degree + 2]
+    assert refused
+    for t in refused:
+        assert searcher.witness(t) is None, t
+    assert (shuffles, calls) == ([], [])
+    result = search_beauville(G, seed=0)
+    assert (len(shuffles), len(calls), result.pair_tests) == (10, 303, 18_312)
 
 
 def test_search_seed_determinism():

@@ -1,4 +1,5 @@
 import json
+from array import array
 from math import gcd
 
 import pytest
@@ -6,10 +7,12 @@ import pytest
 import bvl.permgroup as pg
 from bvl.catalog import build_group, load_group_file
 from bvl.chartab import (
+    TableError,
     character_table,
     class_matrix,
     verify_orthogonality,
 )
+from bvl.cli import run
 from bvl.cyclotomic import Cyclo
 from bvl.numtheory import DomainError
 from bvl.permgroup import CapacityError
@@ -173,6 +176,21 @@ def test_class_matrix_rows_match_whole_matrix(spec):
         picked = class_matrix(cd, i, rows)
         whole = class_matrix(cd, i, range(k))
         assert picked == [whole[j] for j in rows], (spec, i)
+
+
+def test_class_matrix_refuses_a_count_not_divisible_by_the_class_size(monkeypatch, capsys):
+    # A[j][l] = T(i, j, l*) / |C_l| exactly, or an internal fault (exit 4):
+    # never floored.  Every T one above the count is no longer a multiple of
+    # a class size above 1.
+    counts = pg.ClassMap.triple_counts
+    monkeypatch.setattr(pg.ClassMap, "triple_counts",
+                        lambda self, a, b: array("q", (t + 1 for t in counts(self, a, b))))
+    code = run(["chartab", "--group", "S3"])
+    out, err = capsys.readouterr()
+    assert (code, out) == (4, "")
+    assert err.startswith("error: internal: TableError: class matrix of "), err
+    with pytest.raises(TableError, match=r"not a multiple of \|C_l\| for l in \['2a', '3a'\]"):
+        class_matrix(build_group("S3").conjugacy_data(), 1, [1])
 
 
 def test_character_table_scans_only_pivot_rows(monkeypatch):

@@ -47,7 +47,12 @@ group's class map; the `pointcount` call on L3:5 (31a, 31a, 31b) and the
 `beauville search --require-hyperbolic` calls on S5 (a certificate) and S4
 (none exhausted), at 419662e, before the point count read T from the class
 map instead of the character formula and the search and its verifier read
-sigma sets, orders and hyperbolicity off class types.
+sigma sets, orders and hyperbolicity off class types.  The `beauville
+search` digests held when the Riemann-Hurwitz bound (c(x) + c(y) + c(xy) <=
+n + 2 for a transitive pair, c counting cycles) replaced the natural-order
+pass and the product-class rows: each type the bound does not refuse takes
+one seeded shuffled walk that reads the class of y * x per position, and a
+refused type is charged the pair tests that walk would make.
 A refactor that changes any byte of these outputs (a certificate, a class
 label, a character value, a count) fails here.
 """

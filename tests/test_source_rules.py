@@ -44,3 +44,16 @@ def test_group_commands_do_not_import_the_table_layers():
             todo.append(dep)
     bad = {m: reached[m] for m in ("chartab", "cyclotomic", "structconst") if m in reached}
     assert not bad, f"imported at module level (module: importer): {bad}"
+
+
+@pytest.mark.parametrize("path", [p for p in sorted(SRC.glob("*.py")) if p.name != "permgroup.py"],
+                         ids=lambda p: p.name)
+def test_class_map_internals_stay_in_permgroup(path):
+    # image bytes and the element-to-class table belong to permgroup; other
+    # modules ask ClassMap through its methods (class_of, elements_of,
+    # triple_counts), as the witness walk does with class_of(y * x)
+    private = {"_table", "_members", "_triples", "_elements"}
+    tree = ast.parse(path.read_text(), filename=str(path))
+    lines = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr in private]
+    assert not lines, f"{path.name}: private ClassMap attribute read at lines {lines}"
