@@ -20,17 +20,16 @@ from __future__ import annotations
 import random
 from math import gcd
 
-from .catalog import _is_int
-from .numtheory import DomainError
+from .catalog import is_json_int
+from .numtheory import CapacityError, DomainError
 from .permgroup import (
     MAX_CLASSES,
-    CapacityError,
     ClassMap,
     MembershipError,
     PermGroup,
     Permutation,
-    _conjugates_by,
-    _powers,
+    conjugates_by,
+    image_powers,
     is_transitive_on_group_domain,
     subgroup_order,
 )
@@ -78,11 +77,11 @@ class BeauvilleCertificate:
 
         checks = {
             "group": is_a(str),
-            "pairs": list_of(list_of(_is_int)),
-            "orders": list_of(_is_int),
+            "pairs": list_of(list_of(is_json_int)),
+            "orders": list_of(is_json_int),
             "sigma_classes": list_of(list_of(is_a(str))),
             "hyperbolic": list_of(is_a(bool)),
-            "seed": _is_int,
+            "seed": is_json_int,
         }
         for key, ok in checks.items():
             if key not in payload:
@@ -95,9 +94,8 @@ class BeauvilleCertificate:
 class GenClassCertificate:
     """Exhaustive all-pairs generation verdict for classes C (or a set) and D."""
 
-    def __init__(self, *, group: str, c_labels: tuple[str, ...], d_label: str, exhaustive: bool,
+    def __init__(self, *, c_labels: tuple[str, ...], d_label: str, exhaustive: bool,
                  pairs_tested: int, counterexample: tuple[list[int], list[int]] | None = None):
-        self.group = group
         self.c_labels = c_labels
         self.d_label = d_label
         self.exhaustive = exhaustive
@@ -340,7 +338,7 @@ class _TypeSearcher:
         else:
             x = cmap.classes[i1].representative
             candidates = cmap.elements_of(i2)
-            conjugates = _conjugates_by(x)
+            conjugates = conjugates_by(x)
             failed: set[bytes] = set()
             order = list(range(len(candidates)))
             rng = random.Random(self.seed * 1_000_003 + i1 * 3721 + i2 * 61 + i3)
@@ -377,6 +375,8 @@ def search_beauville(
     """
     if strategy not in ("COPRIME_FIRST", "EXHAUSTIVE_CLASSES"):
         raise ValueError(f"unknown strategy {strategy!r}")
+    if budget < 0:
+        raise DomainError(f"budget must be >= 0, got {budget}")
     cmap = G.conjugacy_data()
     if G.order == 1:
         return SearchResult(status=STATUS_NONE_EXHAUSTED)
@@ -443,7 +443,7 @@ def all_pairs_generate(G: PermGroup, c_labels, d_label: str) -> GenClassCertific
     tested = 0
     for c_label in c_labels:
         c_rep = cmap.by_label(c_label).representative
-        conjugates = _conjugates_by(c_rep)
+        conjugates = conjugates_by(c_rep)
         covered: set[bytes] = set()
         for d in d_elements:
             tested += 1
@@ -451,18 +451,16 @@ def all_pairs_generate(G: PermGroup, c_labels, d_label: str) -> GenClassCertific
                 continue
             if not is_generating_pair(G, c_rep, d):
                 return GenClassCertificate(
-                    group=G.name,
                     c_labels=c_labels,
                     d_label=d_label,
                     exhaustive=True,
                     pairs_tested=tested,
                     counterexample=(c_rep.to_list(), d.to_list()),
                 )
-            for i, power in zip(d_class.power_row, _powers(d.images, d_class.element_order)):
+            for i, power in zip(d_class.power_row, image_powers(d.images, d_class.element_order)):
                 if i == d_class.index and power not in covered:
                     covered.update(conjugates(power))
     return GenClassCertificate(
-        group=G.name,
         c_labels=c_labels,
         d_label=d_label,
         exhaustive=True,
@@ -493,7 +491,7 @@ def search_gen_classes(G: PermGroup) -> list[tuple[str, str]]:
     classes = [c for c in cmap.classes if c.element_order > 1]
     rational = cmap.rational
     verdicts: dict[tuple[int, int], bool] = {}
-    good: list[tuple[str, str]] = []
+    good: list[tuple[int, int]] = []
     for i, x in enumerate(classes):
         for y in classes[i:]:
             key = tuple(sorted((rational[x.index], rational[y.index])))
@@ -502,8 +500,7 @@ def search_gen_classes(G: PermGroup) -> list[tuple[str, str]]:
                 c, d = (y, x) if y.size * y.element_order > x.size * x.element_order else (x, y)
                 verdicts[key] = all_pairs_generate(G, c.label, d.label).all_generate
             if verdicts[key]:
-                good.append((x.label, y.label))
+                good.append((x.index, y.index))
                 if x is not y:
-                    good.append((y.label, x.label))
-    good.sort(key=lambda pair: (cmap.by_label(pair[0]).index, cmap.by_label(pair[1]).index))
-    return good
+                    good.append((y.index, x.index))
+    return [(cmap.classes[i].label, cmap.classes[j].label) for i, j in sorted(good)]

@@ -211,7 +211,7 @@ def data_dir() -> Path:
     return Path(__file__).parent / "data"
 
 
-def _is_int(x) -> bool:
+def is_json_int(x) -> bool:
     """A JSON integer: bool is an int subclass, so true/false are refused here."""
     return isinstance(x, int) and not isinstance(x, bool)
 
@@ -241,13 +241,13 @@ def load_group_file(path: str | Path) -> PermGroup:
         if key not in payload:
             raise DomainError(f"group file {path}: missing field {key!r}")
     degree = payload["degree"]
-    if not _is_int(degree) or degree < 1:
+    if not is_json_int(degree) or degree < 1:
         raise DomainError(f"group file {path}: bad degree {degree!r}")
     if not isinstance(payload["generators"], list):
         raise DomainError(f"group file {path}: generators must be a list")
     gens = []
     for idx, arr in enumerate(payload["generators"]):
-        if not isinstance(arr, list) or not all(_is_int(x) for x in arr):
+        if not isinstance(arr, list) or not all(is_json_int(x) for x in arr):
             raise DomainError(f"group file {path}: generator {idx} is not a list of integers")
         if sorted(arr) != list(range(1, degree + 1)):
             raise DomainError(

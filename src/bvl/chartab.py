@@ -18,8 +18,8 @@ from __future__ import annotations
 import math
 
 from .cyclotomic import Conductor, Cyclo
-from .numtheory import divisors, factorize, is_prime, poly_divmod, poly_mul, poly_trim
-from .permgroup import MAX_CLASSES, CapacityError, ClassMap, PermGroup
+from .numtheory import CapacityError, divisors, factorize, is_prime, poly_divmod, poly_mul, poly_trim
+from .permgroup import MAX_CLASSES, ClassMap, PermGroup
 
 
 class TableError(RuntimeError):

@@ -17,8 +17,7 @@ from pathlib import Path
 
 from . import __version__
 from .catalog import build_group, lie_meta, parse_spec
-from .numtheory import DomainError, zsigmondy_part
-from .permgroup import CapacityError
+from .numtheory import CapacityError, DomainError, zsigmondy_part
 
 
 def _lazy(name: str):

@@ -126,22 +126,13 @@ class Cyclo:
 
     # -- structure ----------------------------------------------------------
 
-    def promote(self, m: int) -> "Cyclo":
-        """Reinterpret in Q(zeta_m) for a multiple m of the conductor."""
-        if m == self.n:
-            return self
-        if m % self.n:
-            raise ValueError(f"{m} is not a multiple of conductor {self.n}")
-        scale = m // self.n
-        return Cyclo(m, {j * scale: c for j, c in self.coeffs.items()})
-
-    def _pair(self, other) -> tuple["Cyclo", "Cyclo"]:
+    def _pair(self, other) -> "Cyclo":
+        """other in this field: a rational is read in it; a Cyclo must share it."""
         if not isinstance(other, Cyclo):
-            other = Cyclo.from_rational(other)
-        if self.n == other.n:
-            return self, other
-        m = self.n * other.n // gcd(self.n, other.n)
-        return self.promote(m), other.promote(m)
+            return Cyclo.from_rational(other, self.n)
+        if other.n != self.n:
+            raise ValueError(f"conductors differ: {self.n} and {other.n}")
+        return other
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -157,15 +148,14 @@ class Cyclo:
     # -- arithmetic ----------------------------------------------------------
 
     def __add__(self, other) -> "Cyclo":
-        a, b = self._pair(other)
-        out = dict(a.coeffs)
-        for j, c in b.coeffs.items():
+        out = dict(self.coeffs)
+        for j, c in self._pair(other).coeffs.items():
             v = out.get(j, 0) + c
             if v:
                 out[j] = _norm_coeff(v)
             else:
                 out.pop(j, None)
-        return Cyclo._make(a.n, out)
+        return Cyclo._make(self.n, out)
 
     __radd__ = __add__
 
@@ -173,8 +163,7 @@ class Cyclo:
         return Cyclo._make(self.n, {j: -c for j, c in self.coeffs.items()})
 
     def __sub__(self, other) -> "Cyclo":
-        a, b = self._pair(other)
-        return a + (-b)
+        return self + (-self._pair(other))
 
     def __rsub__(self, other) -> "Cyclo":
         return (-self) + other
@@ -186,14 +175,14 @@ class Cyclo:
             return Cyclo._make(
                 self.n, {j: _norm_coeff(c * other) for j, c in self.coeffs.items()}
             )
-        a, b = self._pair(other)
-        cond = Conductor(a.n)
+        b = self._pair(other)
+        n = self.n
         raw: dict[int, object] = {}
-        for j1, c1 in a.coeffs.items():
+        for j1, c1 in self.coeffs.items():
             for j2, c2 in b.coeffs.items():
-                j = (j1 + j2) % a.n
+                j = (j1 + j2) % n
                 raw[j] = raw.get(j, 0) + c1 * c2
-        return Cyclo._make(a.n, cond.reduce_raw(raw))
+        return Cyclo._make(n, Conductor(n).reduce_raw(raw))
 
     __rmul__ = __mul__
 
@@ -230,10 +219,7 @@ class Cyclo:
             return self.is_rational() and self.rational_value() == other
         if not isinstance(other, Cyclo):
             return NotImplemented
-        a, b = self._pair(other)
-        return a.coeffs == b.coeffs
-
-    __hash__ = None  # equality crosses conductors; no canonical cheap hash
+        return self.coeffs == self._pair(other).coeffs
 
     def sort_key(self) -> tuple:
         """Deterministic total order among values sharing one conductor."""

@@ -33,7 +33,7 @@ from functools import cached_property
 from itertools import combinations, combinations_with_replacement, islice, repeat
 from math import gcd, lcm, prod
 
-from .numtheory import DomainError, divisors
+from .numtheory import CapacityError, DomainError, divisors
 
 # Largest group order whose elements conjugacy_classes walks and sorts into
 # conjugation orbits, and most classes a table or class-type search takes.
@@ -46,10 +46,6 @@ MAX_DEGREE = 255
 # The identity on every byte value: bytes.translate needs a 256-entry table,
 # so a right operand is padded with fixed points while an operation runs.
 _PAD = bytes(range(256))
-
-
-class CapacityError(RuntimeError):
-    """Raised when a computation exceeds its configured size bound."""
 
 
 class EnumerationError(RuntimeError):
@@ -109,9 +105,6 @@ class Permutation:
     def degree(self) -> int:
         return len(self.images) - 1
 
-    def apply(self, point: int) -> int:
-        return self.images[point]
-
     # __mul__ and inverse inline _pad and _raw: they are on the per-pair paths
     # of the witness search and all_pairs_generate.
     def __mul__(self, other: "Permutation") -> "Permutation":
@@ -137,9 +130,6 @@ class Permutation:
             base = base * base
             k >>= 1
         return result
-
-    def is_identity(self) -> bool:
-        return self.images == _PAD[: len(self.images)]
 
     def cycles(self) -> list[tuple[int, ...]]:
         """Nontrivial cycles, each starting at its least point."""
@@ -622,7 +612,7 @@ def _conjugation_orbit(conjugators, images: bytes, table: dict[bytes, int],
     return members, real
 
 
-def _conjugates_by(x: Permutation):
+def conjugates_by(x: Permutation):
     """A function from image bytes y to its <x>-conjugation orbit y, x^-1 y x, ..."""
     x_inv_mul, right, tail = x.inverse().images.translate, _pad(x.images), _PAD[len(x.images):]
 
@@ -637,7 +627,7 @@ def _conjugates_by(x: Permutation):
     return orbit
 
 
-def _powers(images: bytes, count: int):
+def image_powers(images: bytes, count: int):
     """Image bytes of g^0, g^1, ..., g^(count - 1), for g given by its image bytes."""
     step, power = _pad(images), _PAD[: len(images)]
     for _ in range(count):
@@ -685,6 +675,14 @@ def _assign_labels(raw: list[tuple[int, bytes, int]]) -> list[str]:
     return labels
 
 
+def check_class_order(G: PermGroup) -> None:
+    """CapacityError for a group whose classes conjugacy_classes refuses."""
+    if G.order > CLASS_ORDER_BOUND:
+        raise CapacityError(
+            f"conjugacy classes need order <= {CLASS_ORDER_BOUND}, group has order {G.order}"
+        )
+
+
 def conjugacy_classes(G: PermGroup) -> ClassMap:
     """Complete conjugacy-class list with canonical labels and power maps.
 
@@ -697,10 +695,7 @@ def conjugacy_classes(G: PermGroup) -> ClassMap:
     unsorted; after the canonical sort the table values are rewritten once
     with the final indices.
     """
-    if G.order > CLASS_ORDER_BOUND:
-        raise CapacityError(
-            f"conjugacy classes need order <= {CLASS_ORDER_BOUND}, group has order {G.order}"
-        )
+    check_class_order(G)
     conjugators = _conjugators(G)
     table: dict[bytes, int] = {}
     orbits: list[list[bytes]] = []
@@ -753,7 +748,7 @@ def conjugacy_classes(G: PermGroup) -> ClassMap:
 def _fill_power_maps(cmap: ClassMap) -> None:
     classes, table = cmap.classes, cmap._table
     for c in classes:
-        powers = _powers(c.representative.images, c.element_order)
+        powers = image_powers(c.representative.images, c.element_order)
         c.power_row = tuple(map(table.__getitem__, powers))
         c.inverse_class = classes[c.power_row[-1]].label  # rep^(o-1) = rep^-1
         c.power_classes = {

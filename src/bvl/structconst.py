@@ -22,7 +22,7 @@ from .catalog import LieMeta
 from .chartab import CharacterTable, TableError
 from .cyclotomic import Cyclo
 from .numtheory import DomainError
-from .permgroup import CLASS_ORDER_BOUND, CapacityError, PermGroup
+from .permgroup import PermGroup, check_class_order
 
 BOUND_TOLERANCE = 1e-6
 
@@ -30,8 +30,7 @@ BOUND_TOLERANCE = 1e-6
 class BoundReport:
     """Max |chi(s)| per regular semisimple class against the Weyl bound."""
 
-    def __init__(self, *, group: str, per_class_max: dict[str, float], bound: int, passed: bool):
-        self.group = group
+    def __init__(self, *, per_class_max: dict[str, float], bound: int, passed: bool):
         self.per_class_max = per_class_max
         self.bound = bound
         self.passed = passed
@@ -40,9 +39,8 @@ class BoundReport:
 class PointCountReport:
     """Exact F_q-point count of a triple variety next to its leading term."""
 
-    def __init__(self, *, group: str, labels: tuple[str, str, str], n_value: int,
+    def __init__(self, *, labels: tuple[str, str, str], n_value: int,
                  class_size: int, exact_count: int, predicted: int, ratio: Fraction):
-        self.group = group
         self.labels = labels
         self.n_value = n_value
         self.class_size = class_size
@@ -52,9 +50,8 @@ class PointCountReport:
 
 
 class GowScanReport:
-    def __init__(self, *, group: str, regular_classes: list[str], semisimple_classes: list[str],
+    def __init__(self, *, regular_classes: list[str], semisimple_classes: list[str],
                  triples_checked: int, violations: list[tuple[str, str, str]]):
-        self.group = group
         self.regular_classes = regular_classes
         self.semisimple_classes = semisimple_classes
         self.triples_checked = triples_checked
@@ -126,10 +123,7 @@ def require_meta(G: PermGroup, meta: LieMeta | None) -> LieMeta:
     metadata, as its class enumeration would raise; any other group without
     metadata is a usage error.
     """
-    if G.order > CLASS_ORDER_BOUND:
-        raise CapacityError(
-            f"conjugacy classes need order <= {CLASS_ORDER_BOUND}, group has order {G.order}"
-        )
+    check_class_order(G)
     if meta is None:
         raise DomainError("operation needs a Lie-type catalog group (no metadata)")
     return meta
@@ -144,7 +138,6 @@ def gow_scan(G: PermGroup, meta: LieMeta | None) -> GowScanReport:
     violations = [(c1, c2, c3) for c1 in regular for c2 in regular for c3 in semisimple
                   if structure_constant_brute(G, c1, c2, c3) == 0]
     return GowScanReport(
-        group=G.name,
         regular_classes=regular,
         semisimple_classes=semisimple,
         triples_checked=len(regular) ** 2 * len(semisimple),
@@ -161,7 +154,7 @@ def char_bound_check(G: PermGroup, meta: LieMeta | None, T: CharacterTable) -> B
         idx = T.cmap.by_label(label).index
         per_class[label] = max(row[idx].abs_value() for row in T.rows)
     passed = all(v <= meta.weyl_order + BOUND_TOLERANCE for v in per_class.values())
-    return BoundReport(group=G.name, per_class_max=per_class, bound=meta.weyl_order, passed=passed)
+    return BoundReport(per_class_max=per_class, bound=meta.weyl_order, passed=passed)
 
 
 def point_count_probe(
@@ -185,7 +178,6 @@ def point_count_probe(
     predicted = meta.q ** (2 * meta.dim_G - 3 * meta.rank)
     exact = n * size1
     return PointCountReport(
-        group=G.name,
         labels=(c1, c2, c3),
         n_value=n,
         class_size=size1,

@@ -24,6 +24,7 @@ from bvl.beauville import (
     verify_certificate,
 )
 from bvl.catalog import build_group
+from bvl.numtheory import DomainError
 from bvl.chartab import character_table
 from bvl.permgroup import MembershipError, PermGroup, Permutation, _Chain, subgroup_order
 from bvl.structconst import structure_constant_formula
@@ -188,6 +189,8 @@ def test_search_rejects_unknown_strategy():
 def test_search_budget_exhaustion():
     r = search_beauville(build_group("L2:7"), budget=1)
     assert r.status == STATUS_NONE_BUDGET
+    with pytest.raises(DomainError, match="budget must be >= 0"):
+        search_beauville(build_group("L2:7"), budget=-1)
 
 
 def test_search_with_hyperbolicity_required():

@@ -130,7 +130,7 @@ def test_psl2_two_transitive():
         while stack:
             a, b = stack.pop()
             for g in G.generators:
-                img = (g.apply(a), g.apply(b))
+                img = (g.images[a], g.images[b])
                 if img not in seen:
                     seen.add(img)
                     stack.append(img)

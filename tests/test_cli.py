@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 from unittest import mock
 
 import pytest
@@ -26,6 +27,15 @@ def test_zsigmondy_text_and_json(capsys):
     assert payload == {
         "n": 4, "phi_value": 5, "primitive_part": 5, "primitive_primes": [5], "q": 2
     }
+
+
+def test_zsigmondy_past_the_factoring_cap_exits_3_fast(capsys):
+    # rho splits four factors off Phi_500(2), then stalls on a 132-bit
+    # composite until numtheory.RHO_STEP_CAP stops it
+    start = time.monotonic()
+    code, out, err = run_cli(["zsigmondy", "--q", "2", "--n", "500"], capsys)
+    assert (code, out) == (3, "") and err.startswith("error: capacity: factoring a 132-bit")
+    assert time.monotonic() - start < 10
 
 
 def test_group_and_classes(capsys):
@@ -354,6 +364,13 @@ def test_search_budget_exit_code(capsys):
         ["beauville", "search", "--group", "L2:7", "--budget", "1"], capsys
     )
     assert code == 3 and "NONE_BUDGET" in out
+    argv = ["beauville", "search", "--group", "L2:7", "--format", "json", "--budget"]
+    code, out, _ = run_cli(argv + ["0"], capsys)
+    assert code == 3 and json.loads(out) == {
+        "pair_tests": 41, "spec": "L2:7", "status": "none-budget", "types_examined": 107
+    }
+    code, out, err = run_cli(argv + ["-1"], capsys)
+    assert (code, out) == (2, "") and err.startswith("error: usage: budget must be >= 0")
 
 
 def test_console_entry_point_subprocess():

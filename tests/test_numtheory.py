@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from bvl import numtheory
 from bvl.cli import run
 from bvl.numtheory import (
+    CapacityError,
     DomainError,
     cyclotomic_poly_eval,
     divisors,
@@ -126,6 +127,13 @@ def test_prime_power_detection():
     assert is_prime_power(32) == (2, 5)
     assert is_prime_power(6) is None
     assert is_prime_power(1) is None
+
+
+def test_factoring_past_the_rho_step_cap_is_a_capacity_error(monkeypatch):
+    # (2^61 - 1)^2 is a prime power, but rho needs about 2^30 steps to split it
+    monkeypatch.setattr(numtheory, "RHO_STEP_CAP", 1000)
+    with pytest.raises(CapacityError, match="122-bit composite"):
+        is_prime_power((2**61 - 1) ** 2)
 
 
 @settings(max_examples=200, deadline=None)

@@ -17,6 +17,18 @@ def test_no_assert_statements(path):
     assert not lines, f"{path.name}: assert at lines {lines}"
 
 
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_private_names_imported_across_modules(path):
+    # an underscore name belongs to its module; a name that another module
+    # needs is public in its owner (dunders, like __version__, excepted)
+    tree = ast.parse(path.read_text(), filename=str(path))
+    lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+             and (node.level or (node.module or "").startswith("bvl"))
+             for alias in node.names
+             if alias.name.startswith("_") and not alias.name.endswith("__")]
+    assert not lines, f"{path.name}: private name imported at lines {lines}"
+
+
 def _module_level_imports(name):
     """The bvl modules that bvl.<name> imports at module level."""
     tree = ast.parse((SRC / f"{name}.py").read_text())
