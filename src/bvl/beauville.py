@@ -206,7 +206,7 @@ def verify_certificate(
     """Re-verify a parsed certificate from scratch against the group."""
     try:
         perms = [Permutation(arr) for arr in cert.pairs]
-    except ValueError as exc:
+    except (ValueError, CapacityError) as exc:  # not a bijection, or past MAX_DEGREE points
         return False, f"malformed-permutation: {exc}"
     if len(perms) != 4:
         return False, "malformed-pairs"
@@ -238,23 +238,33 @@ def _class_types(cmap: ClassMap) -> list[tuple[tuple[int, int, int], int]]:
 
     A pair (x, y) has type (c1, c2, c3) when x is in C1, y in C2 and xy in C3.
     With x the representative of C1 the count is T(c1, c2, c3*) / |C1|, with
-    C3* the class inverse to C3 and T from ClassMap.triple_tensor, which
-    scans only the class pairs on one side of a split of the classes and
-    reads the rest off them; the count is nonzero exactly when T is.  Each
-    type comes with its sigma set as a class mask (ClassMap.power_masks).
+    C3* the class inverse to C3; it is nonzero exactly when T is.  Galois
+    orbits of classes (ClassMap.rational) go to two sides, alternately by
+    size.  Two of any three classes share a side, so by the symmetry of T,
+    T(a, b, c) is ClassMap.triple_counts row {a, b} at c if a and b share a
+    side, else row {a, c} at b or row {b, c} at a.  Only same-side rows of
+    nontrivial classes are read, and the sides are Galois-stable, so
+    triple_counts scans one pair per Galois orbit of them.
+    Each type comes with its sigma set as a class mask (ClassMap.power_masks).
     Types touching the identity class are dropped: such a pair generates a
     cyclic subgroup, and a cyclic group is never the whole group here unless
     G itself is cyclic, in which case the powers of a generator meet every
     class and sigma-disjointness is impossible anyway.
     """
-    k = len(cmap.classes)
-    masks = cmap.power_masks
-    inverse = [c.power_row[-1] for c in cmap.classes]
-    rows = cmap.triple_tensor()
+    classes, rational, masks = cmap.classes, cmap.rational, cmap.power_masks
+    k = len(classes)
+    orbits = sorted(set(rational), key=lambda r: (classes[r].size, r))
+    side = [orbits.index(r) % 2 for r in rational]
+    rows = [[cmap.triple_counts(a, b) if a and b and side[a] == side[b] else None
+             for b in range(k)] for a in range(k)]
+    inverse = [c.power_row[-1] for c in classes]
     out = []
     for i1 in range(1, k):
         for i2 in range(1, k):
             row = rows[i1][i2]
+            if row is None:
+                row = [0] + [rows[i1][c][i2] if side[c] == side[i1] else rows[i2][c][i1]
+                             for c in range(1, k)]
             for i3 in range(1, k):
                 if row[inverse[i3]]:
                     out.append(((i1, i2, i3), masks[i1] | masks[i2] | masks[i3]))

@@ -121,8 +121,19 @@ def _pollard_rho(n: int) -> int:
             return d
 
 
+def _integer_root(n: int, k: int) -> int:
+    """floor(n ** (1/k)) for n >= 1: Newton's method in integers, from above."""
+    y = 1 << -(-n.bit_length() // k)  # 2^ceil(bits / k) exceeds the root
+    x = y + 1
+    while y < x:
+        x, y = y, ((k - 1) * y + n // y ** (k - 1)) // k
+    return x
+
+
 def factorize(n: int) -> dict[int, int]:
-    """Prime factorization as {prime: multiplicity}."""
+    """Prime factorization as {prime: multiplicity}: trial division, then a
+    perfect power r^j split at its integer root (r > 47, so j <= bits / 5;
+    rho would take about sqrt(r) steps), then Pollard rho."""
     if n < 1:
         raise DomainError(f"factorize: need n >= 1, got {n}")
     out: dict[int, int] = {}
@@ -133,14 +144,15 @@ def factorize(n: int) -> dict[int, int]:
     stack = [n] if n > 1 else []
     while stack:
         m = stack.pop()
-        if m == 1:
-            continue
         if is_prime(m):
             out[m] = out.get(m, 0) + 1
             continue
-        d = _pollard_rho(m)
-        stack.append(d)
-        stack.append(m // d)
+        j = next((j for j in range(2, m.bit_length() // 5 + 1) if _integer_root(m, j) ** j == m), 0)
+        if j:
+            stack += [_integer_root(m, j)] * j
+        else:
+            d = _pollard_rho(m)
+            stack += [d, m // d]
     return dict(sorted(out.items()))
 
 

@@ -30,7 +30,7 @@ import random
 from array import array
 from collections import Counter
 from functools import cached_property
-from itertools import combinations, combinations_with_replacement, islice, repeat
+from itertools import islice, repeat
 from math import gcd, lcm, prod
 
 from .numtheory import CapacityError, DomainError, divisors
@@ -516,30 +516,6 @@ class ClassMap:
                 row = array("q", [base[c.power_row[k % len(c.power_row)]] for c in self.classes])
             self._triples[key] = row
         return row
-
-    def triple_tensor(self) -> list[list[array]]:
-        """rows[a][b] = triple_counts(a, b) for all classes a, b, scanning about half.
-
-        Galois orbits of classes go to two sides, alternately by class size;
-        same-side pairs go to triple_counts (the sides are Galois-stable).  Two
-        of any three classes share a side, so a cross row {a, b} is read off
-        those by the symmetry of T: T(a, b, c) = T(a, c, b) from row {a, c} if
-        c is on a's side, else T(b, c, a) from row {b, c}.
-        """
-        classes, rational = self.classes, self.rational
-        orbits = sorted(set(rational), key=lambda r: (classes[r].size, r))
-        side = [orbits.index(r) % 2 for r in rational]
-        k = len(classes)
-        rows: list[list] = [[None] * k for _ in range(k)]
-        for a, b in combinations_with_replacement(range(k), 2):
-            if side[a] == side[b]:
-                rows[a][b] = rows[b][a] = self.triple_counts(a, b)
-        for a, b in combinations(range(k), 2):
-            if side[a] != side[b]:
-                ra, rb = rows[a], rows[b]
-                rows[a][b] = rows[b][a] = self._triples[a, b] = array(
-                    "q", [ra[c][b] if side[c] == side[a] else rb[c][a] for c in range(k)])
-        return rows
 
     def _scan(self, a: int, b: int) -> array:
         """The triple_counts row of {a, b}: the one class-product counting loop.

@@ -397,8 +397,8 @@ def test_type_pair_stream_matches_sorted_reference(spec, strategy):
 
 @pytest.mark.parametrize("spec", ["A5", "L2:7", "L2:8", "file:m11.json", "L3:3"])
 def test_class_types_match_structure_constant_formula(spec):
-    # the types are the triples with n > 0, and n, read off the triple_tensor
-    # rows that _class_types reads, is the formula's
+    # the types are the triples with n > 0, and n, read off the
+    # ClassMap.triple_counts rows that _class_types reads, is the formula's
     G = build_group(spec)
     cd = G.conjugacy_data()
     T = character_table(G)
@@ -413,10 +413,10 @@ def test_class_types_match_structure_constant_formula(spec):
                     expected[(i1, i2, i3)] = n
     types = _class_types(cd)
     assert [t for t, _ in types] == sorted(expected)
-    rows = cd.triple_tensor()
     counts = {}
     for (i1, i2, i3), _ in types:
-        n, rest = divmod(rows[i1][i2][cd.classes[i3].power_row[-1]], cd.classes[i1].size)
+        t = cd.triple_counts(i1, i2)[cd.classes[i3].power_row[-1]]
+        n, rest = divmod(t, cd.classes[i1].size)
         assert rest == 0, (i1, i2, i3)
         counts[(i1, i2, i3)] = n
     assert counts == expected

@@ -143,6 +143,19 @@ def test_beauville_verify_refuses_zero_prefixed_pairs(tmp_path, capsys):
     assert out.startswith("certificate for L2:7: REFUSED: malformed-permutation")
 
 
+def test_beauville_verify_refuses_an_oversized_pair_array(tmp_path, capsys):
+    # a pair array past 255 points is a malformed certificate (exit 1), not a
+    # capacity bound of the run (exit 3)
+    cert = tmp_path / "cert.json"
+    run_cli(["beauville", "search", "--group", "L2:7", "--format", "json", "--out", str(cert)], capsys)
+    payload = json.loads(cert.read_text())
+    payload["pairs"][0] = list(range(1, 301))
+    cert.write_text(json.dumps(payload))
+    code, out, err = run_cli(["beauville", "verify", "--cert", str(cert)], capsys)
+    assert (code, out, err) == (1, "certificate for L2:7: REFUSED: malformed-permutation: "
+                                   "permutation degree must be <= 255, got 300\n", "")
+
+
 def _coerced_entries(payload):
     # the first pair's leading entries as a string and a float, and a bool seed
     payload["pairs"][0][:2] = [str(payload["pairs"][0][0]), float(payload["pairs"][0][1])]

@@ -130,10 +130,18 @@ def test_prime_power_detection():
 
 
 def test_factoring_past_the_rho_step_cap_is_a_capacity_error(monkeypatch):
-    # (2^61 - 1)^2 is a prime power, but rho needs about 2^30 steps to split it
+    # two distinct primes near 2^61: rho needs about 2^30 steps to split them
     monkeypatch.setattr(numtheory, "RHO_STEP_CAP", 1000)
     with pytest.raises(CapacityError, match="122-bit composite"):
-        is_prime_power((2**61 - 1) ** 2)
+        factorize((2**61 - 1) * (2**61 - 31))
+
+
+def test_perfect_powers_split_without_rho(monkeypatch):
+    # an integer root answers a prime square that rho could not split
+    monkeypatch.setattr(numtheory, "RHO_STEP_CAP", 1000)
+    assert is_prime_power((2**61 - 1) ** 2) == (2**61 - 1, 2)
+    assert factorize((2**61 - 1) ** 6 * 3) == {3: 1, 2**61 - 1: 6}
+    assert factorize((53 * 59) ** 4) == {53: 4, 59: 4}
 
 
 @settings(max_examples=200, deadline=None)

@@ -390,11 +390,11 @@ def test_galois_folded_rows_match_direct_scans(spec):
         assert cmap.triple_counts(a, b) == cmap._scan(a, b), (spec, a, b)
 
 
-@pytest.mark.parametrize("spec,scans,pairs", [("L2:25", 29, 105), ("L2:49", 54, 351)])
+@pytest.mark.parametrize("spec,scans,pairs", [("L2:25", 24, 105), ("L2:49", 48, 351)])
 def test_class_types_scan_once_per_galois_orbit(monkeypatch, spec, scans, pairs):
-    # the class types read every unordered pair of nontrivial classes; only
-    # the same-side pairs of ClassMap.triple_tensor are scanned (the
-    # identity's pairs among them), one per Galois orbit
+    # the class types read every unordered pair of nontrivial classes off the
+    # rows of nontrivial pairs on one side of a Galois-stable split, so only
+    # those are scanned, one per Galois orbit
     scanned = []
     scan = pg.ClassMap._scan
 
@@ -411,13 +411,15 @@ def test_class_types_scan_once_per_galois_orbit(monkeypatch, spec, scans, pairs)
 
 
 @pytest.mark.parametrize("spec", ["A5", "L2:7", "L2:25", "file:m11.json", "L3:3"])
-def test_triple_tensor_rows_match_direct_scans(spec):
-    # every row, the cross rows read off same-side scans included
+def test_class_types_match_direct_scans(spec):
+    # the counts of cross-side pairs, read off rows from the other side,
+    # against a scan of every ordered pair of nontrivial classes
     cmap = build_group(spec).conjugacy_data()
-    rows = cmap.triple_tensor()
-    k = len(cmap.classes)
-    for a, b in itertools.product(range(k), repeat=2):
-        assert rows[a][b] == cmap._scan(a, b), (spec, a, b)
+    k, masks = len(cmap.classes), cmap.power_masks
+    expected = [((i1, i2, i3), masks[i1] | masks[i2] | masks[i3])
+                for i1 in range(1, k) for i2 in range(1, k) for row in [cmap._scan(i1, i2)]
+                for i3 in range(1, k) if row[cmap.classes[i3].power_row[-1]]]
+    assert _class_types(cmap) == expected
 
 
 def test_class_types_l3_5_scan_gate(monkeypatch):

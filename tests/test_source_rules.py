@@ -69,3 +69,25 @@ def test_class_map_internals_stay_in_permgroup(path):
     lines = [node.lineno for node in ast.walk(tree)
              if isinstance(node, ast.Attribute) and node.attr in private]
     assert not lines, f"{path.name}: private ClassMap attribute read at lines {lines}"
+
+
+def _stores_into(attr, tree):
+    """Lines in tree that write into the container held by attribute attr."""
+    mutators = {"update", "setdefault", "pop", "popitem", "clear"}
+    return {node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Subscript) and not isinstance(node.ctx, ast.Load)
+            and isinstance(node.value, ast.Attribute) and node.value.attr == attr
+            or isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr in mutators
+            and isinstance(node.func.value, ast.Attribute) and node.func.value.attr == attr}
+
+
+def test_triple_rows_are_stored_only_by_triple_counts():
+    # the memo of T rows has one writer, the Galois-folded scan; a reader
+    # that needs other rows (the class-type search) reads them off its rows
+    tree = ast.parse((SRC / "permgroup.py").read_text())
+    class_map = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "ClassMap")
+    method = next(n for n in class_map.body
+                  if isinstance(n, ast.FunctionDef) and n.name == "triple_counts")
+    inside, everywhere = _stores_into("_triples", method), _stores_into("_triples", tree)
+    assert inside and everywhere == inside, f"_triples stored into at lines {sorted(everywhere - inside)}"
