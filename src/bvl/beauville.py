@@ -94,17 +94,16 @@ class BeauvilleCertificate:
 class GenClassCertificate:
     """Exhaustive all-pairs generation verdict for classes C (or a set) and D."""
 
-    def __init__(self, *, c_labels: tuple[str, ...], d_label: str, exhaustive: bool,
-                 pairs_tested: int, counterexample: tuple[list[int], list[int]] | None = None):
+    def __init__(self, *, c_labels: tuple[str, ...], d_label: str, pairs_tested: int,
+                 counterexample: tuple[list[int], list[int]] | None = None):
         self.c_labels = c_labels
         self.d_label = d_label
-        self.exhaustive = exhaustive
         self.pairs_tested = pairs_tested  # pairs decided: tested, or covered (see all_pairs_generate)
         self.counterexample = counterexample
 
     @property
     def all_generate(self) -> bool:
-        return self.exhaustive and self.counterexample is None
+        return self.counterexample is None
 
 
 class SearchResult:
@@ -463,7 +462,6 @@ def all_pairs_generate(G: PermGroup, c_labels, d_label: str) -> GenClassCertific
                 return GenClassCertificate(
                     c_labels=c_labels,
                     d_label=d_label,
-                    exhaustive=True,
                     pairs_tested=tested,
                     counterexample=(c_rep.to_list(), d.to_list()),
                 )
@@ -473,7 +471,6 @@ def all_pairs_generate(G: PermGroup, c_labels, d_label: str) -> GenClassCertific
     return GenClassCertificate(
         c_labels=c_labels,
         d_label=d_label,
-        exhaustive=True,
         pairs_tested=tested,
         counterexample=None,
     )

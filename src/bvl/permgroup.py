@@ -30,7 +30,7 @@ import random
 from array import array
 from collections import Counter
 from functools import cached_property
-from itertools import islice, repeat
+from itertools import islice
 from math import gcd, lcm, prod
 
 from .numtheory import CapacityError, DomainError, divisors
@@ -427,16 +427,19 @@ class ConjugacyClass:
 class ClassMap:
     """The class data of a group: its classes and an element-to-class table.
 
-    The members of each class are stored per class as image bytes in no
-    particular order; elements_of sorts and wraps one class on its first
-    request.
+    The table maps image bytes to the slot its class walk entered them
+    under, and _index maps a slot to its class index (both slots of a real
+    class to the one class).  The members of each class are stored per class
+    as image bytes in no particular order; elements_of sorts and wraps one
+    class on its first request.
     """
 
     def __init__(self, classes: list[ConjugacyClass], members: list[list[bytes]],
-                 table: dict[bytes, int]):
+                 table: dict[bytes, int], index: list[int]):
         self.classes = classes
         self._members = members
         self._table = table
+        self._index = index
         self._elements: list[list[Permutation] | None] = [None] * len(classes)
         self._triples: dict[tuple[int, int], array] = {}
 
@@ -465,7 +468,7 @@ class ClassMap:
     def class_of(self, g: Permutation) -> int:
         """Index of the class containing g."""
         try:
-            return self._table[g.images]
+            return self._index[self._table[g.images]]
         except KeyError:
             raise MembershipError("element is not in the group") from None
 
@@ -527,7 +530,9 @@ class ClassMap:
         classes = self.classes
         s, l = (a, b) if classes[a].size <= classes[b].size else (b, a)
         table, right = self._table, _pad(classes[l].representative.images)
-        counts = Counter([table[y.translate(right)] for y in self._members[s]])
+        counts = [0] * len(classes)
+        for slot, n in Counter([table[y.translate(right)] for y in self._members[s]]).items():
+            counts[self._index[slot]] += n
         return array("q", [classes[l].size * counts[c.power_row[-1]] for c in classes])
 
 
@@ -668,24 +673,27 @@ def conjugacy_classes(G: PermGroup) -> ClassMap:
     G-classes (the conjugators generate G), disjoint (a seed is taken only
     when not in the table), so the walk stops once the table holds |G|
     elements: on M12 at element 8,600 of 95,040.  Members are kept per class,
-    unsorted; after the canonical sort the table values are rewritten once
-    with the final indices.
+    unsorted.  Each walk takes two table slots, for C and C^-1 (one class if
+    C is real); the table keeps them, and the canonical sort fills the short
+    slot-to-class list instead of rewriting |G| table values.
     """
     check_class_order(G)
     conjugators = _conjugators(G)
     table: dict[bytes, int] = {}
     orbits: list[list[bytes]] = []
     raw: list[tuple[int, bytes, int]] = []  # (order, lex-least rep images, size)
+    slots: list[int] = []  # table slot -> index in orbits
     for images in _chain_elements(G):
         if images in table:
             continue
-        walk, real = _conjugation_orbit(conjugators, images, table, len(orbits))
+        walk, real = _conjugation_orbit(conjugators, images, table, len(slots))
         if not real:  # walk alternates the members of C and of C^-1
             found = (walk[0::2], walk[1::2])
         elif walk[1] == images:  # every member is its own inverse
             found = (walk[0::2],)
         else:
             found = (walk,)
+        slots += (len(orbits), len(orbits) + len(found) - 1)
         for orbit in found:
             orbits.append(orbit)
             rep = min(orbit)
@@ -702,8 +710,9 @@ def conjugacy_classes(G: PermGroup) -> ClassMap:
     perm_order = sorted(range(len(raw)), key=lambda i: (raw[i][0], raw[i][2], raw[i][1]))
     sorted_raw = [raw[i] for i in perm_order]
     members = [orbits[i] for i in perm_order]
-    for i, orbit in enumerate(members):
-        table.update(zip(orbit, repeat(i)))
+    rank = [0] * len(raw)
+    for i, o in enumerate(perm_order):
+        rank[o] = i
 
     labels = _assign_labels(sorted_raw)
     classes = [
@@ -716,16 +725,16 @@ def conjugacy_classes(G: PermGroup) -> ClassMap:
         )
         for i, (order_, rep, size) in enumerate(sorted_raw)
     ]
-    cmap = ClassMap(classes, members, table)
+    cmap = ClassMap(classes, members, table, [rank[o] for o in slots])
     _fill_power_maps(cmap)
     return cmap
 
 
 def _fill_power_maps(cmap: ClassMap) -> None:
-    classes, table = cmap.classes, cmap._table
+    classes, table, index = cmap.classes, cmap._table, cmap._index
     for c in classes:
         powers = image_powers(c.representative.images, c.element_order)
-        c.power_row = tuple(map(table.__getitem__, powers))
+        c.power_row = tuple(index[table[power]] for power in powers)
         c.inverse_class = classes[c.power_row[-1]].label  # rep^(o-1) = rep^-1
         c.power_classes = {
             k: classes[c.power_row[k % c.element_order]].label

@@ -497,7 +497,8 @@ def class_snapshot(G):
     cd = conjugacy_classes(G)
     classes = [(c.label, c.representative, c.size, c.element_order, c.power_row)
                for c in cd.classes]
-    return classes, cd._table
+    # walk slots depend on the conjugators, class indices do not
+    return classes, {images: cd._index[slot] for images, slot in cd._table.items()}
 
 
 @pytest.mark.parametrize("spec", ["L2:25", "L3:3", "L2:32", "file:m12.json"])
