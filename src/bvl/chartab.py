@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 
-from .cyclotomic import Conductor, Cyclo
+from .cyclotomic import Cyclo
 from .numtheory import CapacityError, divisors, factorize, is_prime, poly_divmod, poly_mul, poly_trim
 from .permgroup import MAX_CLASSES, ClassMap, PermGroup
 
@@ -390,34 +390,15 @@ def character_table(G: PermGroup) -> CharacterTable:
 
 
 def verify_orthogonality(T: CharacterTable) -> bool:
-    """Both orthogonality relations, checked exactly in cyclotomic arithmetic."""
+    """Both orthogonality relations, checked exactly in cyclotomic arithmetic:
+    sum over l of |C_l| chi_i(l) conj(chi_j(l)) = |G| [i = j] for the rows, and
+    sum over chi of chi(a) conj(chi(b)) = |G| / |C_a| [a = b] for the columns."""
     sizes = [c.size for c in T.cmap.classes]
     k = len(sizes)
-    cond = Conductor(T.conductor)
-    n = T.conductor
-    vals = [[v.coeffs for v in row] for row in T.rows]
-    conj = [[v.conj().coeffs for v in row] for row in T.rows]
-
-    def inner(weights, us, vs) -> dict:
-        """Reduced sum over l of weights[l] * us[l] * vs[l], on raw coefficient dicts."""
-        raw: dict[int, object] = {}
-        for weight, u, v in zip(weights, us, vs):
-            for e1, c1 in u.items():
-                c1 *= weight
-                for e2, c2 in v.items():
-                    key = (e1 + e2) % n
-                    raw[key] = raw.get(key, 0) + c1 * c2
-        return cond.reduce_raw(raw)
-
-    for i in range(k):
-        for j in range(i, k):
-            expected = {0: T.group_order} if i == j else {}
-            if inner(sizes, vals[i], conj[j]) != expected:
-                return False
-    ones, columns, conj_columns = [1] * k, list(zip(*vals)), list(zip(*conj))
-    for a in range(k):
-        for b in range(a, k):
-            expected = {0: T.group_order // sizes[a]} if a == b else {}
-            if inner(ones, columns[a], conj_columns[b]) != expected:
-                return False
-    return True
+    order, rows, conj = T.group_order, T.rows, [[v.conj() for v in row] for row in T.rows]
+    if not all(Cyclo.dot(sizes, rows[i], conj[j]) == (order if i == j else 0)
+               for i in range(k) for j in range(i, k)):
+        return False
+    ones, columns, conj_columns = [1] * k, list(zip(*rows)), list(zip(*conj))
+    return all(Cyclo.dot(ones, columns[a], conj_columns[b]) == (order // sizes[a] if a == b else 0)
+               for a in range(k) for b in range(a, k))

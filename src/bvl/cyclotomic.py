@@ -1,31 +1,26 @@
-"""Exact cyclotomic numbers with decidable equality.
+"""Exact cyclotomic integers with decidable equality.
 
-An element of Q(zeta_n) is stored on the tensor basis built from the power
+An element of Z[zeta_n] is stored on the tensor basis built from the power
 bases of the prime-power components: zeta_n**j is a basis vector iff, for
 every prime power q = p**v exactly dividing n, the q-component of j is below
 phi(q).  A non-basis root of unity rewrites through the single relation
 1 + zeta_p + ... + zeta_p**(p-1) = 0 per prime, so reduction stays sparse and
-coefficients stay rational with no denominator growth.
+every coefficient stays an integer.  Character values are algebraic integers,
+so a character table needs no denominators: its sums are integer-weighted
+(Cyclo.dot), and a caller that must divide does so once, on a rational
+integer, at the end.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from math import gcd
 
 from .numtheory import factorize
 
 
-def _norm_coeff(c):
-    """Collapse integral Fractions to int; keep exact otherwise."""
-    if isinstance(c, Fraction) and c.denominator == 1:
-        return int(c)
-    return c
-
-
 class Conductor:
-    """Reduction tables for one cyclotomic field Q(zeta_n)."""
+    """Reduction tables for one cyclotomic ring Z[zeta_n]."""
 
     _cache: dict[int, "Conductor"] = {}
 
@@ -43,13 +38,6 @@ class Conductor:
         self._reduce_memo: dict[int, dict[int, int]] = {}
         cls._cache[n] = self
         return self
-
-    def is_basis_exponent(self, j: int) -> bool:
-        for p, q, _M, phi_q, _step in self.prime_powers:
-            m = self.n // q
-            if j * pow(m, -1, q) % q >= phi_q:
-                return False
-        return True
 
     def reduce_exponent(self, j: int) -> dict[int, int]:
         """Write zeta_n**j on the basis: {basis exponent: +-1 coefficient}."""
@@ -80,9 +68,9 @@ class Conductor:
         memo[j] = out
         return out
 
-    def reduce_raw(self, raw: dict) -> dict:
+    def reduce_raw(self, raw: dict[int, int]) -> dict[int, int]:
         """Canonicalize a sparse exponent->coefficient dict."""
-        out: dict[int, object] = {}
+        out: dict[int, int] = {}
         for j, c in raw.items():
             if not c:
                 continue
@@ -92,11 +80,11 @@ class Conductor:
                     out[jb] = v
                 else:
                     out.pop(jb, None)
-        return {j: _norm_coeff(c) for j, c in out.items() if c}
+        return out
 
 
 class Cyclo:
-    """An exact element of a cyclotomic field, on the canonical basis."""
+    """An exact element of Z[zeta_n], on the canonical basis."""
 
     __slots__ = ("n", "coeffs")
 
@@ -116,20 +104,17 @@ class Cyclo:
         return cls._make(n, {})
 
     @classmethod
-    def from_rational(cls, r, n: int = 1) -> "Cyclo":
-        r = _norm_coeff(Fraction(r))
-        return cls._make(n, {0: r} if r else {})
-
-    @classmethod
     def zeta(cls, n: int, j: int = 1) -> "Cyclo":
         return cls(n, {j % n: 1})
 
     # -- structure ----------------------------------------------------------
 
     def _pair(self, other) -> "Cyclo":
-        """other in this field: a rational is read in it; a Cyclo must share it."""
+        """other in this ring: an int is read in it; a Cyclo must share it."""
+        if isinstance(other, int):
+            return Cyclo._make(self.n, {0: other} if other else {})
         if not isinstance(other, Cyclo):
-            return Cyclo.from_rational(other, self.n)
+            raise TypeError(f"not a cyclotomic integer: {other!r}")
         if other.n != self.n:
             raise ValueError(f"conductors differ: {self.n} and {other.n}")
         return other
@@ -140,10 +125,10 @@ class Cyclo:
     def is_rational(self) -> bool:
         return not self.coeffs or set(self.coeffs) == {0}
 
-    def rational_value(self) -> Fraction:
+    def rational_value(self) -> int:
         if not self.is_rational():
             raise ValueError(f"not a rational value: {self!r}")
-        return Fraction(self.coeffs.get(0, 0))
+        return self.coeffs.get(0, 0)
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -152,7 +137,7 @@ class Cyclo:
         for j, c in self._pair(other).coeffs.items():
             v = out.get(j, 0) + c
             if v:
-                out[j] = _norm_coeff(v)
+                out[j] = v
             else:
                 out.pop(j, None)
         return Cyclo._make(self.n, out)
@@ -165,31 +150,28 @@ class Cyclo:
     def __sub__(self, other) -> "Cyclo":
         return self + (-self._pair(other))
 
-    def __rsub__(self, other) -> "Cyclo":
-        return (-self) + other
+    @staticmethod
+    def dot(weights, xs, ys) -> "Cyclo":
+        """The sum of w * x * y over zip(weights, xs, ys), reduced once.
 
-    def __mul__(self, other) -> "Cyclo":
-        if isinstance(other, (int, Fraction)):
-            if not other:
-                return Cyclo.zero(self.n)
-            return Cyclo._make(
-                self.n, {j: _norm_coeff(c * other) for j, c in self.coeffs.items()}
-            )
-        b = self._pair(other)
-        n = self.n
-        raw: dict[int, object] = {}
-        for j1, c1 in self.coeffs.items():
-            for j2, c2 in b.coeffs.items():
-                j = (j1 + j2) % n
-                raw[j] = raw.get(j, 0) + c1 * c2
+        The weights are ints, and every x and y lies in the ring of xs[0]:
+        the caller pairs its operands (the operators do, through _pair).
+        """
+        n = xs[0].n
+        raw: dict[int, int] = {}
+        for w, x, y in zip(weights, xs, ys):
+            terms = y.coeffs.items()
+            for j1, c1 in x.coeffs.items():
+                c1 *= w
+                for j2, c2 in terms:
+                    j = (j1 + j2) % n
+                    raw[j] = raw.get(j, 0) + c1 * c2
         return Cyclo._make(n, Conductor(n).reduce_raw(raw))
 
-    __rmul__ = __mul__
+    def __mul__(self, other) -> "Cyclo":
+        return Cyclo.dot((1,), (self,), (self._pair(other),))
 
-    def __truediv__(self, other) -> "Cyclo":
-        if isinstance(other, (int, Fraction)):
-            return self * (Fraction(1) / Fraction(other))
-        raise TypeError("division only by rational scalars")
+    __rmul__ = __mul__
 
     def conj(self) -> "Cyclo":
         return self.galois(self.n - 1) if self.n > 1 else self
@@ -215,26 +197,20 @@ class Cyclo:
     # -- comparison and display ----------------------------------------------
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            return self.is_rational() and self.rational_value() == other
+        if isinstance(other, int):
+            return self.coeffs == ({0: other} if other else {})
         if not isinstance(other, Cyclo):
             return NotImplemented
         return self.coeffs == self._pair(other).coeffs
 
     def sort_key(self) -> tuple:
         """Deterministic total order among values sharing one conductor."""
-        return tuple(
-            (j, Fraction(c).numerator, Fraction(c).denominator)
-            for j, c in sorted(self.coeffs.items())
-        )
+        return tuple(sorted(self.coeffs.items()))
 
     def to_json_dict(self) -> dict:
         return {
             "conductor": self.n,
-            "coefficients": {
-                str(j): [Fraction(c).numerator, Fraction(c).denominator]
-                for j, c in sorted(self.coeffs.items())
-            },
+            "coefficients": {str(j): [c, 1] for j, c in sorted(self.coeffs.items())},
         }
 
     def __repr__(self) -> str:

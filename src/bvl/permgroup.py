@@ -12,7 +12,9 @@ on Schreier vectors: transversal elements are built on first use, and
 Schreier generators are taken from the top level down.  subgroup_order, and
 with it every generation test, passes the known order |G| as a target, so
 construction stops as soon as the chain proves |G| (see _Chain).
-Only a proper subgroup, or a PermGroup, gets a complete chain.  Inside the
+Only a proper subgroup, or a PermGroup, gets a complete chain.  A build
+that sifts more than CHAIN_SIFT_CAP Schreier generators raises
+CapacityError, so a large-degree file group ends in seconds.  Inside the
 chain elements stay image bytes, never Permutation objects, with padded
 tables kept per level (see _Level), so a product, an inversion and a sift
 step are one C call each.  PermGroup wraps the strong generators once.
@@ -42,6 +44,14 @@ MAX_CLASSES = 60
 
 # Largest degree whose points fit in one byte each.
 MAX_DEGREE = 255
+
+# Most Schreier generators one stabilizer-chain build sifts: 12 times the 820
+# that S12 takes, the most of any catalog group.  Each residue grows an orbit
+# by a point, so a chain takes at most R = sum of (orbit length - 1) residues,
+# no level holds more than R generators, and a build sifts at most
+# (sum of orbit lengths) * R: 77 * 66 = 5,082 at degree 12, so no group of
+# degree <= 12 reaches the cap.
+CHAIN_SIFT_CAP = 10_000
 
 # The identity on every byte value: bytes.translate needs a 256-entry table,
 # so a right operand is padded with fixed points while an operation runs.
@@ -267,6 +277,7 @@ class _Chain:
         for g in generators:
             if self._add_residue(*self._sift(g.images, 0), 0):
                 return
+        sifted = 0
         for i, lv in enumerate(self.levels):  # also visits levels added meanwhile
             for beta in lv.orbit:
                 u = lv.u(beta)
@@ -274,6 +285,10 @@ class _Chain:
                     img = s[beta]
                     if lv.edge[img] == (beta, k):
                         continue
+                    sifted += 1
+                    if sifted > CHAIN_SIFT_CAP:
+                        raise CapacityError(f"stabilizer chain needs over {CHAIN_SIFT_CAP} "
+                                            "sifted Schreier generators")
                     schreier = u.translate(lv.tables[k]).translate(lv.u_inv(img))
                     if self._add_residue(*self._sift(schreier, i + 1), i + 1):
                         return

@@ -9,8 +9,10 @@ point count is T.  The character formula
     n = (|C2||C3| / |G|) * sum over irreducible chi of
         chi(C1) chi(C2) chi(C3) / chi(1)
 
-in exact cyclotomic arithmetic is the independent route that checks the
-counts (`bvl struct --method both`); the character bound reads the table.
+is the independent route that checks the counts (`bvl struct --method
+both`).  It is summed in cyclotomic integers, with the integer weights
+|G| / chi(1), and divided once, by |G|^2, at the end.  The character bound
+reads the table.
 """
 
 from __future__ import annotations
@@ -63,19 +65,20 @@ class GowScanReport:
 
 
 def structure_constant_formula(T: CharacterTable, c1: str, c2: str, c3: str) -> int:
-    """n(C1,C2,C3) through the character formula, in exact arithmetic."""
+    """n(C1,C2,C3) = S |C2| |C3| / |G|^2, S the cyclotomic integer
+    sum over chi of (|G| / chi(1)) chi(C1) chi(C2) chi(C3).  An S off Z, or a
+    quotient that is inexact or negative, is an internal fault, never rounded."""
     k1, k2, k3 = (T.cmap.by_label(c) for c in (c1, c2, c3))
-    total = Cyclo.zero(T.conductor)
-    for row, degree in zip(T.rows, T.degrees):
-        v = row[k1.index] * row[k2.index] * row[k3.index]
-        if not v.is_zero():
-            total = total + v / degree
+    total = Cyclo.dot([T.group_order // d for d in T.degrees],
+                      [row[k1.index] * row[k2.index] for row in T.rows],
+                      [row[k3.index] for row in T.rows])
     if not total.is_rational():
         raise TableError(f"non-rational structure-constant sum for {(c1, c2, c3)}")
-    n = total.rational_value() * k2.size * k3.size / T.group_order
-    if n.denominator != 1 or n < 0:
-        raise TableError(f"structure constant {(c1, c2, c3)} is not a nonnegative integer: {n}")
-    return int(n)
+    n, rest = divmod(total.rational_value() * k2.size * k3.size, T.group_order ** 2)
+    if rest or n < 0:
+        raise TableError(f"structure constant {(c1, c2, c3)} is not a nonnegative integer: "
+                         f"{n} + {rest}/{T.group_order ** 2}")
+    return n
 
 
 def structure_constant_brute(G: PermGroup, c1: str, c2: str, c3: str) -> int:

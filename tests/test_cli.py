@@ -1,7 +1,9 @@
 import json
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -9,6 +11,8 @@ import pytest
 from bvl.chartab import TableError
 from bvl.cli import run
 from bvl.permgroup import MembershipError
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run_cli(argv, capsys):
@@ -35,6 +39,22 @@ def test_zsigmondy_past_the_factoring_cap_exits_3_fast(capsys):
     start = time.monotonic()
     code, out, err = run_cli(["zsigmondy", "--q", "2", "--n", "500"], capsys)
     assert (code, out) == (3, "") and err.startswith("error: capacity: factoring a 132-bit")
+    assert time.monotonic() - start < 10
+
+
+def test_group_past_the_chain_sift_cap_exits_3_fast(tmp_path):
+    # (1 2) and (1 2 ... 255) generate S255, whose complete chain would sift
+    # millions of Schreier generators; permgroup.CHAIN_SIFT_CAP stops the build
+    n = 255
+    path = tmp_path / "s255.json"
+    gens = [[2, 1, *range(3, n + 1)], [*range(2, n + 1), 1]]
+    path.write_text(json.dumps({"name": "S255", "degree": n, "generators": gens}))
+    start = time.monotonic()
+    proc = subprocess.run([sys.executable, "-m", "bvl.cli", "group", "--group", f"file:{path}"],
+                          env=dict(os.environ, PYTHONPATH=str(SRC)), capture_output=True,
+                          text=True, timeout=60)
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr == "error: capacity: stabilizer chain needs over 10000 sifted Schreier generators\n"
     assert time.monotonic() - start < 10
 
 

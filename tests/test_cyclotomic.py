@@ -11,7 +11,7 @@ from bvl.cyclotomic import Conductor, Cyclo
 def test_basis_exponents_have_canonical_digits():
     for n in (12, 30, 40, 105):
         cond = Conductor(n)
-        count = sum(1 for j in range(n) if cond.is_basis_exponent(j))
+        count = sum(1 for j in range(n) if cond.reduce_exponent(j) == {j: 1})
         phi = sum(1 for j in range(1, n + 1) if math.gcd(j, n) == 1)
         assert count == phi
 
@@ -21,7 +21,7 @@ def test_values_live_on_basis():
         cond = Conductor(n)
         for j in range(n):
             z = Cyclo.zeta(n, j)
-            assert all(cond.is_basis_exponent(e) for e in z.coeffs)
+            assert all(cond.reduce_exponent(e) == {e: 1} for e in z.coeffs)
             # reducing must preserve the complex value
             direct = complex(math.cos(2 * math.pi * j / n), math.sin(2 * math.pi * j / n))
             assert abs(z.complex_value() - direct) < 1e-9
@@ -41,14 +41,20 @@ def test_root_of_unity_sums_vanish():
 
 
 def test_rational_detection_and_value():
-    x = Cyclo.from_rational(Fraction(3, 2), 12)
-    assert x.is_rational() and x.rational_value() == Fraction(3, 2)
-    assert (x * 2).rational_value() == 3
-    assert (x / 3).rational_value() == Fraction(1, 2)
+    x = Cyclo(12, {0: 3})
+    assert x.is_rational() and x.rational_value() == 3
+    assert type(x.rational_value()) is int
+    assert (x * 2).rational_value() == 6
+    assert (2 * x - 7).rational_value() == -1
     z = Cyclo.zeta(7)
     assert not z.is_rational()
     with pytest.raises(ValueError):
         z.rational_value()
+    # the ring is Z[zeta_n]: no operand outside it is read in
+    for other in (Fraction(1, 2), 0.5):
+        for op in (lambda a, b: a + b, lambda a, b: a * b, lambda a, b: b * a):
+            with pytest.raises(TypeError):
+                op(x, other)
 
 
 def test_conjugation_and_abs():
@@ -94,6 +100,17 @@ def test_ring_axioms(a, b, c):
     assert (a + b) + c == a + (b + c)
     assert a * (b * c) == (a * b) * c
     assert (a - a).is_zero()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.integers(min_value=-50, max_value=50), small_values, small_values),
+                min_size=1, max_size=4))
+def test_dot_is_the_weighted_sum_of_products(terms):
+    weights, xs, ys = zip(*terms)
+    expected = Cyclo.zero(12)
+    for w, x, y in terms:
+        expected = expected + x * y * w
+    assert Cyclo.dot(weights, xs, ys) == expected
 
 
 @settings(max_examples=100, deadline=None)

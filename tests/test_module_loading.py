@@ -74,7 +74,7 @@ trace_cli.Tracer().install()
 
 @pytest.mark.parametrize("code", [
     # imported first, a module is kept: running chartab and cyclotomic a
-    # second time would make a second Cyclo class, which Fraction refuses
+    # second time would make a second Cyclo class, which Cyclo arithmetic refuses
     """
 import sys
 import bvl.chartab, bvl.cyclotomic

@@ -716,6 +716,15 @@ def test_conjugacy_capacity_error():
         conjugacy_classes(G)
 
 
+def test_chain_sift_cap_sits_above_the_catalog_counts(monkeypatch):
+    # a complete chain of S12 sifts 820 Schreier generators, the most of any
+    # catalog group; with the cap one below that count the build is refused
+    assert build_group("S12").order == math.factorial(12)
+    monkeypatch.setattr(pg, "CHAIN_SIFT_CAP", 819)
+    with pytest.raises(CapacityError, match="over 819 sifted Schreier generators"):
+        build_group("S12")
+
+
 def test_determinism_of_construction():
     gens = [cyc(8, (1, 2, 3, 4, 5, 6, 7, 8)), cyc(8, (1, 2))]
     G1 = PermGroup(gens)

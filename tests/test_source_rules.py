@@ -91,3 +91,17 @@ def test_triple_rows_are_stored_only_by_triple_counts():
                   if isinstance(n, ast.FunctionDef) and n.name == "triple_counts")
     inside, everywhere = _stores_into("_triples", method), _stores_into("_triples", tree)
     assert inside and everywhere == inside, f"_triples stored into at lines {sorted(everywhere - inside)}"
+
+
+@pytest.mark.parametrize("path", [p for p in sorted(SRC.glob("*.py")) if p.name != "cyclotomic.py"],
+                         ids=lambda p: p.name)
+def test_cyclotomic_coefficients_stay_in_cyclotomic(path):
+    # the coefficient dicts of Cyclo and their reduction tables belong to
+    # cyclotomic; other modules compute through Cyclo's operators and
+    # Cyclo.dot, so the multiply-accumulate loop has one home
+    tree = ast.parse(path.read_text(), filename=str(path))
+    private = {"Conductor", "coeffs", "reduce_raw"}
+    lines = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr in private
+             or isinstance(node, ast.ImportFrom) and any(a.name in private for a in node.names)]
+    assert not lines, f"{path.name}: cyclotomic internals used at lines {lines}"

@@ -7,6 +7,7 @@ from bvl import structconst
 from bvl.catalog import build_group, lie_meta, parse_spec
 from bvl.chartab import TableError, character_table
 from bvl.cli import run
+from bvl.cyclotomic import Cyclo
 from bvl.permgroup import ClassMap
 from bvl.structconst import (
     char_bound_check,
@@ -203,3 +204,35 @@ def test_brute_route_refuses_a_count_not_divisible_by_c1(monkeypatch, capsys):
     assert err == "error: internal: TableError: T('2a', '2a', '3a') = 7 is not a multiple of |C1| = 3\n"
     with pytest.raises(TableError, match="not a multiple"):
         point_count_probe(build_group("L3:2"), lie_meta(parse_spec("L3:2")), "7a", "7a", "7b")
+
+
+def test_formula_route_refuses_an_inexact_or_negative_quotient(monkeypatch, capsys):
+    # n = S |C2||C3| / |G|^2, S a rational integer, the quotient exact and
+    # nonnegative, or an internal fault (exit 4): never rounded.  S3 has
+    # degrees 1, 1, 2 and S(3a, 3a, 3a) = 6 + 6 - 3 = 9, so n = 9 * 4 / 36 = 1.
+    table = character_table
+
+    def doctored(G):
+        # degree 2 read as 3: the weight |G| / chi(1) falls to 2, S rises to
+        # 10, and 10 * 4 / 36 is not an integer
+        T = table(G)
+        T.degrees = [3 if d == 2 else d for d in T.degrees]
+        return T
+
+    monkeypatch.setattr("bvl.chartab.character_table", doctored)  # cli calls it through chartab
+    code = run(["struct", "--group", "S3", "--classes", "3a,3a,3a", "--method", "formula"])
+    out, err = capsys.readouterr()
+    assert (code, out) == (4, "")
+    assert err == ("error: internal: TableError: structure constant ('3a', '3a', '3a') "
+                   "is not a nonnegative integer: 1 + 4/36\n")
+
+    T = table(build_group("S3"))
+    assert structure_constant_formula(T, "3a", "3a", "3a") == 1
+    T.rows = [[-v for v in row] for row in T.rows]  # every triple product changes sign
+    with pytest.raises(TableError, match=r"nonnegative integer: -1 \+ 0/36"):
+        structure_constant_formula(T, "3a", "3a", "3a")
+    T = table(build_group("S3"))
+    assert (T.degrees[-1], structure_constant_formula(T, "1a", "1a", "3a")) == (2, 0)
+    T.rows[-1][T.cmap.by_label("3a").index] = Cyclo.zeta(T.conductor)
+    with pytest.raises(TableError, match="non-rational"):
+        structure_constant_formula(T, "1a", "1a", "3a")
