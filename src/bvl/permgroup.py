@@ -21,9 +21,10 @@ step are one C call each.  PermGroup wraps the strong generators once.
 
 Conjugacy classes come from one path, conjugacy_classes: each element of G
 drawn from its complete chain and not yet classed seeds a conjugation walk,
-which finds its class and the inverse class together.  Groups above
-CLASS_ORDER_BOUND (2,000,000; S10 is the smallest catalog group past it)
-raise CapacityError instead.
+which finds its class and the inverse class together.  The element-to-class
+table stores one element of each pair {w, w^-1}; ClassMap._slots finds the
+other through its inverse.  Groups above CLASS_ORDER_BOUND (2,000,000; S10
+is the smallest catalog group past it) raise CapacityError instead.
 """
 
 from __future__ import annotations
@@ -32,8 +33,9 @@ import random
 from array import array
 from collections import Counter
 from functools import cached_property
-from itertools import islice
+from itertools import islice, repeat
 from math import gcd, lcm, prod
+from operator import itemgetter
 
 from .numtheory import CapacityError, DomainError, divisors
 
@@ -442,20 +444,22 @@ class ConjugacyClass:
 class ClassMap:
     """The class data of a group: its classes and an element-to-class table.
 
-    The table maps image bytes to the slot its class walk entered them
-    under, and _index maps a slot to its class index (both slots of a real
-    class to the one class).  The members of each class are stored per class
-    as image bytes in no particular order; elements_of sorts and wraps one
-    class on its first request.
+    Walk k of conjugacy_classes enters the elements W it walked in the table
+    under slot 2k, and no others: W u W^-1 is a class and its inverse, so
+    the table holds one element of each pair {w, w^-1}, and _slots finds an
+    element of W^-1 under the partner slot 2k + 1 through its inverse.
+    _index maps a slot to its class index.  _members[i] lists the sides of
+    class i, (W, 0) for W and (W, 1) for W^-1, sharing one list per walk;
+    elements_of sorts and wraps one class on its first request.
     """
 
-    def __init__(self, classes: list[ConjugacyClass], members: list[list[bytes]],
-                 table: dict[bytes, int], index: list[int]):
-        self.classes = classes
-        self._members = members
+    def __init__(self, table: dict[bytes, int], degree: int):
         self._table = table
-        self._index = index
-        self._elements: list[list[Permutation] | None] = [None] * len(classes)
+        self._identity = _PAD[: degree + 1]
+        self.classes: list[ConjugacyClass] = []
+        self._members: list[tuple[tuple[list[bytes], int], ...]] = []
+        self._index: list[int] = []
+        self._elements: dict[int, list[Permutation]] = {}
         self._triples: dict[tuple[int, int], array] = {}
 
     @cached_property
@@ -480,19 +484,37 @@ class ClassMap:
                 return c
         raise DomainError(f"unknown class label {label!r}")
 
+    def _slots(self, elements: list[bytes]) -> list[int]:
+        """The table slot of each element, in order: the one reader of the table.
+
+        One C-level map looks every element up.  An element that misses is
+        inverted and looked up once more, its inverse's slot s giving s ^ 1.
+        -1 marks an element that misses twice: outside G, or not classed yet.
+        """
+        table, identity, n = self._table, self._identity, len(self._identity)
+        slots = list(map(table.get, elements))
+        if None in slots:
+            for i, slot in enumerate(slots):
+                if slot is None:
+                    slots[i] = table.get(bytes.maketrans(elements[i], identity)[:n], -2) ^ 1
+        return slots
+
     def class_of(self, g: Permutation) -> int:
         """Index of the class containing g."""
-        try:
-            return self._index[self._table[g.images]]
-        except KeyError:
-            raise MembershipError("element is not in the group") from None
+        slot = self._slots((g.images,))[0]
+        if slot < 0:
+            raise MembershipError("element is not in the group")
+        return self._index[slot]
 
     def elements_of(self, index: int) -> list[Permutation]:
         """All elements of the class, in ascending image order."""
-        elements = self._elements[index]
+        elements = self._elements.get(index)
         if elements is None:
-            elements = [Permutation._raw(images) for images in sorted(self._members[index])]
-            self._elements[index] = elements
+            images, identity = [], self._identity
+            for walk, side in self._members[index]:  # the inverses as one C-level map
+                images += map(itemgetter(slice(len(identity))),
+                              map(bytes.maketrans, walk, repeat(identity))) if side else walk
+            elements = self._elements[index] = [Permutation._raw(x) for x in sorted(images)]
         return elements
 
     def triple_counts(self, a: int, b: int) -> array:
@@ -541,13 +563,17 @@ class ClassMap:
         It runs over the smaller class C_s with the representative r of the
         other class C_l: conjugating x to r gives T(l, s, c) =
         |C_l| * #{y in C_s : y*r ~ r*y lies in the class inverse to C_c}.
+        On the unstored side W^-1 of C_s, y = w^-1 and y*r ~ r*y = (w*r^-1)^-1,
+        so the partner of the slot of w*r^-1 classes y*r.
         """
         classes = self.classes
         s, l = (a, b) if classes[a].size <= classes[b].size else (b, a)
-        table, right = self._table, _pad(classes[l].representative.images)
+        r = classes[l].representative
         counts = [0] * len(classes)
-        for slot, n in Counter([table[y.translate(right)] for y in self._members[s]]).items():
-            counts[self._index[slot]] += n
+        for walk, side in self._members[s]:
+            right = _pad((r.inverse() if side else r).images)
+            for slot, n in Counter(self._slots([w.translate(right) for w in walk])).items():
+                counts[self._index[slot ^ side]] += n
         return array("q", [classes[l].size * counts[c.power_row[-1]] for c in classes])
 
 
@@ -569,43 +595,41 @@ def _conjugators(G: PermGroup) -> tuple[Permutation, ...]:
 
 
 def _conjugation_orbit(conjugators, images: bytes, table: dict[bytes, int],
-                       index: int) -> tuple[list[bytes], bool]:
-    """The class C of images and C^-1, walking one of each pair {w, w^-1}.
+                       slot: int) -> tuple[list[bytes], bytes, bool]:
+    """The walked half W of the class C of images: (W, least of W^-1, C is real).
 
-    Returns (members, real); members alternates w, w^-1.  A new conjugate w
-    is entered in table under index and walked; w^-1 is entered under
-    index + 1 and not walked.  table holds whole pairs, so w^-1 is new when
-    w is, and whole classes, so a conjugate is new, a w or a w^-1.  As
-    (s^-1 v s)^-1 = s^-1 v^-1 s, members is closed under conjugators: it is
-    C u C^-1.  C = C^-1 exactly when images is its own inverse or a
-    conjugate lands on a w^-1 (if C = C^-1, the w are half of it, so not
-    closed).  Otherwise the w are closed, so they are C, and the w^-1 are
-    C^-1 at no cost in conjugations.
+    A conjugate w is walked and entered in table under slot when neither w
+    nor w^-1 is there yet, so W holds one element of each pair {w, w^-1}.
+    As (s^-1 v s)^-1 = s^-1 v^-1 s, W u W^-1 is closed under conjugators:
+    it is C u C^-1.  C = C^-1 exactly when images is its own inverse or a
+    conjugate is the inverse of a walked w (if C = C^-1, W is half of it,
+    so not closed).  Otherwise W is closed, so it is C, and W^-1 is C^-1 at
+    no cost in conjugations.  The inverse of each new w is computed anyway,
+    so the least of them is kept on the way.
     """
     n = len(images)
     tail, identity = _PAD[n:], _PAD[:n]
     pairs = [(s.inverse().images.translate, _pad(s.images)) for s in conjugators]
-    partner = index + 1
-    inverse = bytes.maketrans(images, identity)[:n]
-    real = inverse == images
-    table[images] = index
-    table[inverse] = partner
-    members = [images, inverse]
-    get, append, maketrans = table.get, members.append, bytes.maketrans
-    for v in islice(members, 0, None, 2):  # breadth first: also visits the w appended meanwhile
+    low = bytes.maketrans(images, identity)[:n]
+    real = low == images
+    table[images] = slot
+    members = [images]
+    append, maketrans = members.append, bytes.maketrans
+    for v in members:  # breadth first: also visits the w appended meanwhile
         v += tail
         for s_inv_mul, s in pairs:
             w = s_inv_mul(v).translate(s)  # s^-1 * v * s
-            t = get(w)
-            if t is None:
-                inverse = maketrans(w, identity)[:n]
-                table[w] = index
-                table[inverse] = partner
-                append(w)
-                append(inverse)
-            elif t == partner:
+            if w in table:
+                continue
+            inverse = maketrans(w, identity)[:n]
+            if inverse in table:
                 real = True
-    return members, real
+            else:
+                table[w] = slot
+                append(w)
+                if inverse < low:
+                    low = inverse
+    return members, low, real
 
 
 def conjugates_by(x: Permutation):
@@ -653,20 +677,15 @@ def _chain_elements(G: PermGroup):
                 yield x.translate(t)
 
 
-def _assign_labels(raw: list[tuple[int, bytes, int]]) -> list[str]:
-    """Labels like 5a, 5b from (element order, rep images, size) sort keys."""
-    labels = []
-    counters: dict[int, int] = {}
-    for order_, _rep, _size in raw:
-        k = counters.get(order_, 0)
-        counters[order_] = k + 1
-        suffix = ""
-        k2 = k
-        while True:
-            suffix = chr(ord("a") + k2 % 26) + suffix
-            k2 = k2 // 26 - 1
-            if k2 < 0:
-                break
+def _assign_labels(orders: list[int]) -> list[str]:
+    """Labels like 5a, 5b, ..., 5z, 5aa for classes in canonical order."""
+    labels, counters = [], Counter()
+    for order_ in orders:
+        k, suffix = counters[order_], ""
+        counters[order_] += 1
+        while k >= 0:
+            suffix = chr(ord("a") + k % 26) + suffix
+            k = k // 26 - 1
         labels.append(f"{order_}{suffix}")
     return labels
 
@@ -674,85 +693,66 @@ def _assign_labels(raw: list[tuple[int, bytes, int]]) -> list[str]:
 def check_class_order(G: PermGroup) -> None:
     """CapacityError for a group whose classes conjugacy_classes refuses."""
     if G.order > CLASS_ORDER_BOUND:
-        raise CapacityError(
-            f"conjugacy classes need order <= {CLASS_ORDER_BOUND}, group has order {G.order}"
-        )
+        raise CapacityError(f"conjugacy classes need order <= {CLASS_ORDER_BOUND}, "
+                            f"group has order {G.order}")
 
 
 def conjugacy_classes(G: PermGroup) -> ClassMap:
     """Complete conjugacy-class list with canonical labels and power maps.
 
-    Walks the elements of G (_chain_elements); each one not yet in the
-    element-to-class table seeds _conjugation_orbit, which enters its class
-    and the inverse class there under provisional indices.  These are whole
-    G-classes (the conjugators generate G), disjoint (a seed is taken only
-    when not in the table), so the walk stops once the table holds |G|
-    elements: on M12 at element 8,600 of 95,040.  Members are kept per class,
-    unsorted.  Each walk takes two table slots, for C and C^-1 (one class if
-    C is real); the table keeps them, and the canonical sort fills the short
-    slot-to-class list instead of rewriting |G| table values.
+    Walks the elements of G (_chain_elements), looked up in blocks that grow
+    while every draw is classed; a draw that ClassMap._slots does not find
+    seeds _conjugation_orbit, and walk k enters its half W of C u C^-1 in
+    the table under slot 2k.  The classes are whole (the conjugators
+    generate G) and disjoint (a seed is not yet classed), so the draws stop
+    once the class sizes add up to |G|: on M12 at element 8,600 of 95,040.
+    The canonical sort fills the short slot-to-class list, not the table.
     """
     check_class_order(G)
     conjugators = _conjugators(G)
     table: dict[bytes, int] = {}
-    orbits: list[list[bytes]] = []
-    raw: list[tuple[int, bytes, int]] = []  # (order, lex-least rep images, size)
-    slots: list[int] = []  # table slot -> index in orbits
-    for images in _chain_elements(G):
-        if images in table:
-            continue
-        walk, real = _conjugation_orbit(conjugators, images, table, len(slots))
-        if not real:  # walk alternates the members of C and of C^-1
-            found = (walk[0::2], walk[1::2])
-        elif walk[1] == images:  # every member is its own inverse
-            found = (walk[0::2],)
-        else:
-            found = (walk,)
-        slots += (len(orbits), len(orbits) + len(found) - 1)
-        for orbit in found:
-            orbits.append(orbit)
-            rep = min(orbit)
-            raw.append((Permutation._raw(rep).order(), rep, len(orbit)))
-        if len(table) == G.order:
-            break
-    # explicit, not assert: python -O must not strip the exactness check
-    if len(table) != G.order or sum(size for _, _, size in raw) != G.order:
-        raise EnumerationError(
-            f"class enumeration found {len(table)} elements, group has order {G.order}"
-        )
+    cmap = ClassMap(table, G.degree)
+    raw: list[tuple] = []  # (order, lex-least rep images, size, sides) per class
+    slots: list[int] = []  # table slot -> index in raw
+    total, draws, batch = 0, _chain_elements(G), 1
+    while total < G.order and (block := list(islice(draws, batch))):
+        batch = min(2 * batch, 256)  # draws looked up at once, back to 1 after a walk
+        for images, slot in zip(block, cmap._slots(block)):
+            if slot >= 0 or cmap._slots((images,))[0] >= 0:  # or classed by a walk since
+                continue
+            walk, low, real = _conjugation_orbit(conjugators, images, table, len(slots))
+            rep = min(walk)
+            if not real:  # C = W and C^-1 = W^-1
+                found = [(rep, ((walk, 0),)), (low, ((walk, 1),))]
+            else:  # C = W u W^-1, or W alone if its members are their own inverses (low = rep)
+                found = [(min(rep, low), ((walk, 0),) if low == rep else ((walk, 0), (walk, 1)))]
+            slots += (len(raw), len(raw) + len(found) - 1)
+            for rep, sides in found:
+                raw.append((Permutation._raw(rep).order(), rep, len(walk) * len(sides), sides))
+                total += raw[-1][2]
+            batch = 1
+            if total == G.order:
+                break
+    # explicit, not assert: python -O must not strip the exactness check;
+    # the table holds every g with g^2 = 1 and one of each other pair {g, g^-1}
+    stored = (total + sum(n for order_, _, n, _ in raw if order_ <= 2)) // 2
+    if len(table) != stored or total != G.order:
+        raise EnumerationError(f"class enumeration found {total} elements, {len(table)} stored "
+                               f"of {stored}, group has order {G.order}")
 
     # canonical order: element order (the identity is class 0), then size, then lex-least rep
-    perm_order = sorted(range(len(raw)), key=lambda i: (raw[i][0], raw[i][2], raw[i][1]))
-    sorted_raw = [raw[i] for i in perm_order]
-    members = [orbits[i] for i in perm_order]
-    rank = [0] * len(raw)
-    for i, o in enumerate(perm_order):
-        rank[o] = i
-
-    labels = _assign_labels(sorted_raw)
-    classes = [
-        ConjugacyClass(
-            label=labels[i],
-            index=i,
-            representative=Permutation._raw(rep),
-            size=size,
-            element_order=order_,
-        )
-        for i, (order_, rep, size) in enumerate(sorted_raw)
-    ]
-    cmap = ClassMap(classes, members, table, [rank[o] for o in slots])
-    _fill_power_maps(cmap)
+    order = sorted(range(len(raw)), key=lambda i: (raw[i][0], raw[i][2], raw[i][1]))
+    labels = _assign_labels([raw[o][0] for o in order])
+    cmap.classes = [ConjugacyClass(label=labels[i], index=i, representative=Permutation._raw(rep),
+                                   size=size, element_order=order_)
+                    for i, (order_, rep, size, _) in enumerate(raw[o] for o in order)]
+    cmap._members = [raw[o][3] for o in order]
+    rank = sorted(range(len(order)), key=order.__getitem__)  # index in raw -> class index
+    cmap._index = [rank[r] for r in slots]
+    for c in cmap.classes:
+        powers = cmap._slots(list(image_powers(c.representative.images, c.element_order)))
+        c.power_row = tuple(cmap._index[slot] for slot in powers)
+        c.inverse_class = cmap.classes[c.power_row[-1]].label  # rep^(o-1) = rep^-1
+        c.power_classes = {k: cmap.classes[c.power_row[k % c.element_order]].label
+                           for k in divisors(c.element_order)}
     return cmap
-
-
-def _fill_power_maps(cmap: ClassMap) -> None:
-    classes, table, index = cmap.classes, cmap._table, cmap._index
-    for c in classes:
-        powers = image_powers(c.representative.images, c.element_order)
-        c.power_row = tuple(index[table[power]] for power in powers)
-        c.inverse_class = classes[c.power_row[-1]].label  # rep^(o-1) = rep^-1
-        c.power_classes = {
-            k: classes[c.power_row[k % c.element_order]].label
-            for k in divisors(c.element_order)
-        }
-

@@ -8,6 +8,7 @@ from unittest import mock
 
 import pytest
 
+import bvl.permgroup as pg
 from bvl.chartab import TableError
 from bvl.cli import run
 from bvl.permgroup import MembershipError
@@ -381,6 +382,23 @@ def test_incomplete_class_enumeration_is_internal_error(monkeypatch, capsys):
     monkeypatch.setattr("bvl.permgroup._chain_elements", lambda G: iter([G.identity().images]))
     code, _, err = run_cli(["classes", "--group", "A5"], capsys)
     assert code == 4 and "error: internal: EnumerationError:" in err
+
+
+@pytest.mark.parametrize("lost_from", ["walk", "table"])
+def test_walk_that_loses_an_element_is_internal_error(lost_from, monkeypatch, capsys):
+    # the class sizes must add up to |G| and the table must hold one element
+    # of each pair {g, g^-1}: losing one walked element breaks one or the other
+    walk, lost = pg._conjugation_orbit, []
+
+    def lossy(conjugators, images, table, slot):
+        members, low, real = walk(conjugators, images, table, slot)
+        if not lost and len(members) > 1:
+            lost.append(members.pop() if lost_from == "walk" else table.pop(members[-1]))
+        return members, low, real
+
+    monkeypatch.setattr(pg, "_conjugation_orbit", lossy)
+    code, out, err = run_cli(["classes", "--group", "A5"], capsys)
+    assert lost and (code, out) == (4, "") and "error: internal: EnumerationError:" in err, err
 
 
 def test_search_fault_is_internal_not_a_verdict(monkeypatch, capsys):

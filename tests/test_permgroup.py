@@ -255,7 +255,9 @@ def test_conjugacy_classes_against_naive_partition(spec, tmp_path, monkeypatch):
     cmap = conjugacy_classes(G)
     classes = {frozenset(g.images for g in cmap.elements_of(i)) for i in range(len(cmap.classes))}
     assert classes == naive_classes(G)
-    assert set(cmap._table) == closure(G.generators, G.degree)
+    # the table stores half of G; class_of finds every element, stored or not
+    index = {g: i for i in range(len(cmap.classes)) for g in (x.images for x in cmap.elements_of(i))}
+    assert {g: cmap.class_of(Permutation._raw(g)) for g in closure(G.generators, G.degree)} == index
     if spec == "C7":
         # abelian: every class is one element, and each draw g also enters the
         # class of g^-1, so the walk draws 1, g, g^2, g^3 and then stops
@@ -498,7 +500,7 @@ def class_snapshot(G):
     classes = [(c.label, c.representative, c.size, c.element_order, c.power_row)
                for c in cd.classes]
     # walk slots depend on the conjugators, class indices do not
-    return classes, {images: cd._index[slot] for images, slot in cd._table.items()}
+    return classes, {images: cd.class_of(Permutation._raw(images)) for images in pg._chain_elements(G)}
 
 
 @pytest.mark.parametrize("spec", ["L2:25", "L3:3", "L2:32", "file:m12.json"])
@@ -583,20 +585,69 @@ def test_paired_walk_matches_plain_conjugation_closure(spec):
 
 
 def test_m12_class_walk_conjugates_one_of_each_inverse_pair(monkeypatch):
-    # the walk enters each conjugate's inverse unwalked: 47,966 walked
+    # the walk skips a conjugate whose inverse it has walked: 47,966 walked
     # elements (95,932 conjugations); a closure of every class walks 95,040
     walked = []
     walk = pg._conjugation_orbit
 
     def counted(*args):
-        members, real = walk(*args)
-        walked.append(len(members) // 2)  # members alternates walked w and unwalked w^-1
-        return members, real
+        members, low, real = walk(*args)
+        walked.append(len(members))  # members holds the walked elements only
+        return members, low, real
 
     monkeypatch.setattr(pg, "_conjugation_orbit", counted)
     G = load_group_file("m12.json")
     assert sum(c.size for c in conjugacy_classes(G).classes) == G.order
     assert sum(walked) <= 48_000, sum(walked)
+
+
+def half_table_group(spec):
+    if spec == "C12":
+        return PermGroup([cyc(7, (1, 2, 3), (4, 5, 6, 7))])
+    return build_group(spec)
+
+
+@pytest.mark.parametrize("spec", ["A5", "L2:7", "L2:25", "file:m11.json", "C12"])
+def test_class_of_agrees_with_elements_of_on_stored_and_inverse_lookups(spec):
+    G = half_table_group(spec)
+    cmap = conjugacy_classes(G)
+    kinds = Counter()
+    for i in range(len(cmap.classes)):
+        for g in cmap.elements_of(i):
+            assert cmap.class_of(g) == i
+            kinds[g.images in cmap._table] += 1
+    # both halves are looked up: stored elements and inverses of stored ones
+    assert sum(kinds.values()) == G.order and kinds[True] and kinds[False]
+    # each group lies in the alternating group of its degree: a transposition
+    # misses the table, and so does its inverse, itself
+    with pytest.raises(MembershipError):
+        cmap.class_of(cyc(G.degree, (1, 2)))
+
+
+@pytest.mark.parametrize("spec", ["A5", "L2:7", "L2:25", "file:m11.json", "C12"])
+def test_class_table_holds_one_element_of_each_inverse_pair(spec):
+    G = half_table_group(spec)
+    elements = closure(G.generators, G.degree)
+    assert len(elements) == G.order
+    square_one = sum(1 for g in elements if plain_inverse(g) == g)  # g^2 = 1
+    table = conjugacy_classes(G)._table
+    assert len(table) == (G.order + square_one) // 2
+    assert set(table) <= elements
+    assert not any(plain_inverse(g) in table for g in table if plain_inverse(g) != g)
+
+
+def test_class_table_memory_per_element():
+    # one table entry per pair {g, g^-1}: the traced peak of the walk is
+    # about 67 bytes per element of M12, where a table of every element
+    # took 133
+    G = load_group_file("m12.json")
+    tracemalloc.start()
+    try:
+        conjugacy_classes(G)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 90 * G.order, peak / G.order
 
 
 def test_power_rows_multiply_no_permutations(monkeypatch):

@@ -64,7 +64,7 @@ def test_class_map_internals_stay_in_permgroup(path):
     # image bytes and the element-to-class table belong to permgroup; other
     # modules ask ClassMap through its methods (class_of, elements_of,
     # triple_counts), as the witness walk does with class_of(y * x)
-    private = {"_table", "_index", "_members", "_triples", "_elements"}
+    private = {"_table", "_slots", "_identity", "_index", "_members", "_triples", "_elements"}
     tree = ast.parse(path.read_text(), filename=str(path))
     lines = [node.lineno for node in ast.walk(tree)
              if isinstance(node, ast.Attribute) and node.attr in private]
@@ -91,6 +91,22 @@ def test_triple_rows_are_stored_only_by_triple_counts():
                   if isinstance(n, ast.FunctionDef) and n.name == "triple_counts")
     inside, everywhere = _stores_into("_triples", method), _stores_into("_triples", tree)
     assert inside and everywhere == inside, f"_triples stored into at lines {sorted(everywhere - inside)}"
+
+
+def test_class_table_is_read_only_by_slots():
+    # the element-to-class table stores one element of each pair {g, g^-1};
+    # ClassMap._slots finds the other through its inverse, so it is the one
+    # reader: a direct lookup would miss half of G.  The walk that fills the
+    # table holds it as a local, before any ClassMap reads it.
+    tree = ast.parse((SRC / "permgroup.py").read_text())
+    class_map = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "ClassMap")
+    method = next(n for n in class_map.body
+                  if isinstance(n, ast.FunctionDef) and n.name == "_slots")
+    reads = {node.lineno for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+             and node.attr == "_table" and not isinstance(node.ctx, ast.Store)}
+    inside = {node.lineno for node in ast.walk(method) if isinstance(node, ast.Attribute)
+              and node.attr == "_table"}
+    assert inside and reads == inside, f"_table read at lines {sorted(reads - inside)}"
 
 
 @pytest.mark.parametrize("path", [p for p in sorted(SRC.glob("*.py")) if p.name != "cyclotomic.py"],
