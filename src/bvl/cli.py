@@ -3,8 +3,8 @@ Beauville search/verify, generating-class search/verify, Zsigmondy parts.
 
 Exit codes: 0 success, 1 negative mathematical verdict, 2 usage error
 (argparse or DomainError, raised where input is read), 3 capacity error,
-4 internal fault (any other exception).  JSON output is byte-stable for a
-fixed invocation and seed.
+4 internal fault (any other exception, or a stdout that cannot be written).
+JSON output is byte-stable for a fixed invocation and seed.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import importlib.util
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -401,7 +402,22 @@ def run(argv) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    """The `bvl` console script and `python -m bvl.cli`: run, flush, os._exit.
+
+    Once run has written its output, nothing reads the interpreter's state,
+    so the process ends without module teardown, garbage collection or
+    deallocation.  Atexit handlers that site hooks register do not run; bvl
+    registers none.  Embedders call run(argv), which returns the exit code
+    and never ends the process.
+    """
+    rc = run(sys.argv[1:])
+    try:
+        sys.stdout.flush()
+    except OSError as exc:  # buffered output to a closed stdout: exit 4, as from run
+        print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
+        rc = EXIT_INTERNAL
+    sys.stderr.flush()
+    os._exit(rc)
 
 
 if __name__ == "__main__":

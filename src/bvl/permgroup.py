@@ -734,11 +734,14 @@ def conjugacy_classes(G: PermGroup) -> ClassMap:
             if total == G.order:
                 break
     # explicit, not assert: python -O must not strip the exactness check;
-    # the table holds every g with g^2 = 1 and one of each other pair {g, g^-1}
+    # the table holds every g with g^2 = 1 and one of each other pair {g, g^-1},
+    # and |C| divides |G| / o(rep), as <rep> lies in the centralizer of rep
     stored = (total + sum(n for order_, _, n, _ in raw if order_ <= 2)) // 2
-    if len(table) != stored or total != G.order:
+    not_dividing = sorted(n for order_, _, n, _ in raw if G.order % (order_ * n))
+    if len(table) != stored or total != G.order or not_dividing:
         raise EnumerationError(f"class enumeration found {total} elements, {len(table)} stored "
-                               f"of {stored}, group has order {G.order}")
+                               f"of {stored}, class sizes {not_dividing} not dividing |G| / o, "
+                               f"group has order {G.order}")
 
     # canonical order: element order (the identity is class 0), then size, then lex-least rep
     order = sorted(range(len(raw)), key=lambda i: (raw[i][0], raw[i][2], raw[i][1]))

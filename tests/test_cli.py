@@ -22,6 +22,16 @@ def run_cli(argv, capsys):
     return code, out.out, out.err
 
 
+def bvl_process(argv, env=(), **kwargs):
+    """python -m bvl.cli argv in a child, so through cli.main.
+
+    env entries are added to os.environ; an empty value removes its variable.
+    """
+    env = {k: v for k, v in {**os.environ, "PYTHONPATH": str(SRC), **dict(env)}.items() if v}
+    return subprocess.run([sys.executable, "-m", "bvl.cli", *argv], text=True, timeout=60,
+                          env=env, **kwargs)
+
+
 def test_zsigmondy_text_and_json(capsys):
     code, out, _ = run_cli(["zsigmondy", "--q", "2", "--n", "6"], capsys)
     assert code == 0
@@ -51,9 +61,7 @@ def test_group_past_the_chain_sift_cap_exits_3_fast(tmp_path):
     gens = [[2, 1, *range(3, n + 1)], [*range(2, n + 1), 1]]
     path.write_text(json.dumps({"name": "S255", "degree": n, "generators": gens}))
     start = time.monotonic()
-    proc = subprocess.run([sys.executable, "-m", "bvl.cli", "group", "--group", f"file:{path}"],
-                          env=dict(os.environ, PYTHONPATH=str(SRC)), capture_output=True,
-                          text=True, timeout=60)
+    proc = bvl_process(["group", "--group", f"file:{path}"], capture_output=True)
     assert (proc.returncode, proc.stdout) == (3, "")
     assert proc.stderr == "error: capacity: stabilizer chain needs over 10000 sifted Schreier generators\n"
     assert time.monotonic() - start < 10
@@ -401,6 +409,23 @@ def test_walk_that_loses_an_element_is_internal_error(lost_from, monkeypatch, ca
     assert lost and (code, out) == (4, "") and "error: internal: EnumerationError:" in err, err
 
 
+def test_walks_that_lose_an_element_from_list_and_table_are_internal_error(monkeypatch, capsys):
+    # a lost element is drawn again and seeds a class of its own, so the
+    # counts add up; the class sizes do not: on A5 classes of 14, 18, 10 and
+    # 10 elements, none dividing |G| / o(rep) as every true class size does
+    walk = pg._conjugation_orbit
+
+    def lossy(conjugators, images, table, slot):
+        members, low, real = walk(conjugators, images, table, slot)
+        if len(members) > 1:
+            del table[members.pop()]
+        return members, low, real
+
+    monkeypatch.setattr(pg, "_conjugation_orbit", lossy)
+    code, out, err = run_cli(["classes", "--group", "A5"], capsys)
+    assert (code, out) == (4, "") and "class sizes [10, 10, 14, 18] not dividing" in err, err
+
+
 def test_search_fault_is_internal_not_a_verdict(monkeypatch, capsys):
     # a search whose pair fails re-verification is a bug, not "no structure"
     monkeypatch.setattr(
@@ -424,11 +449,35 @@ def test_search_budget_exit_code(capsys):
     assert (code, out) == (2, "") and err.startswith("error: usage: budget must be >= 0")
 
 
-def test_console_entry_point_subprocess():
-    proc = subprocess.run(
-        [sys.executable, "-m", "bvl.cli", "zsigmondy", "--q", "2", "--n", "12", "--format", "json"],
-        capture_output=True,
-        text=True,
-    )
-    assert proc.returncode == 0
-    assert json.loads(proc.stdout)["primitive_primes"] == [13]
+@pytest.mark.parametrize("code, argv", [
+    (0, ["chartab", "--group", "A5", "--format", "json"]),
+    (0, ["beauville", "search", "--group", "L2:7", "--seed", "1", "--format", "json", "--out"]),
+    (1, ["beauville", "search", "--group", "A5"]),
+    (2, ["group", "--group", "Q9"]),
+    (3, ["classes", "--group", "A11"]),
+], ids=["exit0-json", "exit0-out", "exit1", "exit2", "exit3"])
+def test_console_entry_point_subprocess(code, argv, tmp_path, capsys):
+    # main ends the child with os._exit after flushing: the same exit code,
+    # stdout, stderr and --out bytes as run in process
+    out = argv[-1] == "--out"
+    child, here = tmp_path / "child.json", tmp_path / "here.json"
+    proc = bvl_process(argv + [str(child)] * out, capture_output=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == run_cli(argv + [str(here)] * out, capsys)
+    assert proc.returncode == code and proc.stdout + proc.stderr
+    if out:
+        assert child.read_text() == here.read_text() == proc.stdout
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+def test_console_entry_point_closed_stdout_is_internal_error(unbuffered):
+    # stdout is a pipe whose read end is closed before the child starts; a
+    # buffered stdout fails at main's flush, an unbuffered one at run's
+    # write: both exit 4, not 120 from a flush in interpreter teardown
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = bvl_process(["chartab", "--group", "A5"], env={"PYTHONUNBUFFERED": unbuffered},
+                           stdout=write, stderr=subprocess.PIPE)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (4, "error: internal: BrokenPipeError: [Errno 32] Broken pipe\n")

@@ -29,6 +29,32 @@ def test_no_private_names_imported_across_modules(path):
     assert not lines, f"{path.name}: private name imported at lines {lines}"
 
 
+EXITS = {("os", "_exit"), ("sys", "exit")}
+
+
+def _exit_calls(tree):
+    """Lines in tree that call os._exit or sys.exit, or import either by name."""
+    return {node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and isinstance(node.func.value, ast.Name) and (node.func.value.id, node.func.attr) in EXITS
+            or isinstance(node, ast.ImportFrom) and any((node.module, a.name) in EXITS for a in node.names)}
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_only_cli_main_ends_the_process(path):
+    # the console script's main ends the process, with os._exit once run has
+    # written its output; run(argv) and every library function return to
+    # their caller, so an embedder's process outlives any bvl call
+    tree = ast.parse(path.read_text(), filename=str(path))
+    allowed = set()
+    if path.name == "cli.py":
+        main = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "main")
+        allowed = _exit_calls(main)
+        assert allowed, "cli.main must end the process itself"
+    lines = sorted(_exit_calls(tree) - allowed)
+    assert not lines, f"{path.name}: process exit at lines {lines}"
+
+
 def _module_level_imports(name):
     """The bvl modules that bvl.<name> imports at module level."""
     tree = ast.parse((SRC / f"{name}.py").read_text())
