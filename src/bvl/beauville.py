@@ -310,6 +310,8 @@ class _TypeSearcher:
     Riemann-Hurwitz bound (Scott, Ann. of Math. 1977) c(x) + c(y) + c(xy)
     <= n + 2, where c counts cycles, fixed points included.  cycles[i] is c
     of the representative of class i; a type past the bound is not walked.
+    By Scott's bound on the sign character, a G with an odd element is not
+    generated by two even classes; odd[i] is (n - c) mod 2 of class i.
     """
 
     def __init__(self, G: PermGroup, seed: int, budget: int):
@@ -319,6 +321,8 @@ class _TypeSearcher:
         self.budget = budget
         self.cycles = [G.degree - sum(len(c) - 1 for c in cl.representative.cycles())
                        for cl in self.cmap.classes]
+        self.odd = [(G.degree - c) % 2 for c in self.cycles]
+        self.has_odd = 1 in self.odd
         self.cache: dict[tuple[int, int, int], tuple[Permutation, Permutation] | None] = {}
         self.budget_hit = False
         self.pair_tests = 0
@@ -326,9 +330,9 @@ class _TypeSearcher:
     def witness(self, t: tuple[int, int, int]):
         """A generating pair of type t, or None.
 
-        A type past the Riemann-Hurwitz bound has no generating pair: it gets
-        None and is charged what the walk would test, every position of C2
-        or budget + 1 of them, without a walk.
+        A type past either bound has no generating pair: it gets None and is
+        charged what the walk would test, every position of C2 or budget + 1
+        of them, without a walk.
 
         In the walk, a failed y fails with its <x>-conjugation orbit, which
         keeps the type (x x^-1 y x = x^-1 (x y) x), as <x, x^-1 y x> =
@@ -341,7 +345,8 @@ class _TypeSearcher:
         cmap = self.cmap
         found = None
         tests = 0
-        if self.G.is_transitive and sum(self.cycles[i] for i in t) > self.G.degree + 2:
+        if (self.G.is_transitive and sum(self.cycles[i] for i in t) > self.G.degree + 2
+                or self.has_odd and not (self.odd[i1] or self.odd[i2])):
             tests = min(cmap.classes[i2].size, self.budget + 1)
             self.budget_hit |= tests > self.budget
         else:

@@ -4,7 +4,9 @@ Beauville search/verify, generating-class search/verify, Zsigmondy parts.
 Exit codes: 0 success, 1 negative mathematical verdict, 2 usage error
 (argparse or DomainError, raised where input is read), 3 capacity error,
 4 internal fault (any other exception, or a stdout that cannot be written).
-JSON output is byte-stable for a fixed invocation and seed.
+JSON output is byte-stable for a fixed invocation and seed.  Each
+subcommand returns (exit code, JSON payload, text); run writes them once,
+--out first and then stdout, so a verdict that exits 1 or 3 prints too.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .catalog import build_group, lie_meta, parse_spec
+from .catalog import build_group, lie_meta
 from .numtheory import CapacityError, DomainError, zsigmondy_part
 
 
@@ -44,33 +46,23 @@ EXIT_CAPACITY = 3
 EXIT_INTERNAL = 4
 
 
-def _json_bytes(payload: dict) -> str:
-    return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
-
-
 def _emit(args, payload: dict, text: str) -> None:
     """Write --out first, so a path that cannot be written prints nothing."""
+    data = json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
     if args.out:
         try:
-            Path(args.out).write_text(_json_bytes(payload))
+            Path(args.out).write_text(data)
         except OSError as exc:  # a directory, a missing parent, or unwritable
             raise DomainError(f"--out {args.out}: cannot write ({exc.strerror})") from None
-    if args.format == "json":
-        sys.stdout.write(_json_bytes(payload))
-    else:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
-
-
-def _group_of(args):
-    return build_group(parse_spec(args.group))
+    sys.stdout.write(data if args.format == "json" else text + "\n")
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
 
-def _cmd_group(args) -> int:
-    G = _group_of(args)
+def _cmd_group(args) -> tuple[int, dict, str]:
+    G = build_group(args.group)
     payload = {
         "spec": args.group,
         "name": G.name,
@@ -84,12 +76,11 @@ def _cmd_group(args) -> int:
         f"group {G.name}: degree {G.degree}, order {G.order}\n"
         f"base {G.base}, basic orbits {G.basic_orbit_sizes}"
     )
-    _emit(args, payload, text)
-    return EXIT_OK
+    return EXIT_OK, payload, text
 
 
-def _cmd_classes(args) -> int:
-    G = _group_of(args)
+def _cmd_classes(args) -> tuple[int, dict, str]:
+    G = build_group(args.group)
     cd = G.conjugacy_data()
     payload = {
         "spec": args.group,
@@ -111,12 +102,11 @@ def _cmd_classes(args) -> int:
     lines.append(f"{'label':>6} {'size':>8} {'order':>6} {'inverse':>8}")
     for c in cd.classes:
         lines.append(f"{c.label:>6} {c.size:>8} {c.element_order:>6} {c.inverse_class:>8}")
-    _emit(args, payload, "\n".join(lines))
-    return EXIT_OK
+    return EXIT_OK, payload, "\n".join(lines)
 
 
-def _cmd_chartab(args) -> int:
-    T = chartab.character_table(_group_of(args))
+def _cmd_chartab(args) -> tuple[int, dict, str]:
+    T = chartab.character_table(build_group(args.group))
     payload = T.to_json_dict()
     payload["orthogonality_verified"] = chartab.verify_orthogonality(T)
     labels = [c.label for c in T.cmap.classes]
@@ -132,8 +122,7 @@ def _cmd_chartab(args) -> int:
             s = repr(v)
             cells.append(s if len(s) <= width - 1 else s[: width - 2] + "~")
         lines.append(f"chi{deg:<4}" + "".join(f"{c:>{width}}" for c in cells))
-    _emit(args, payload, "\n".join(lines))
-    return EXIT_OK
+    return EXIT_OK, payload, "\n".join(lines)
 
 
 def _parse_class_triple(text: str) -> tuple[str, str, str]:
@@ -143,8 +132,8 @@ def _parse_class_triple(text: str) -> tuple[str, str, str]:
     return parts[0], parts[1], parts[2]
 
 
-def _cmd_struct(args) -> int:
-    G = _group_of(args)
+def _cmd_struct(args) -> tuple[int, dict, str]:
+    G = build_group(args.group)
     c1, c2, c3 = _parse_class_triple(args.classes)
     results = {}
     if args.method in ("formula", "both"):
@@ -161,13 +150,12 @@ def _cmd_struct(args) -> int:
     if len(results) == 2 and results["formula"] != results["brute"]:
         raise chartab.TableError(f"formula/brute disagree on {(c1, c2, c3)}: {results}")
     shown = " ".join(f"{k}={v}" for k, v in sorted(results.items()))
-    _emit(args, payload, f"n({c1},{c2},{c3}) in {G.name}: {shown}")
-    return EXIT_OK
+    return EXIT_OK, payload, f"n({c1},{c2},{c3}) in {G.name}: {shown}"
 
 
-def _cmd_charbound(args) -> int:
-    G = _group_of(args)
-    meta = structconst.require_meta(G, lie_meta(parse_spec(args.group)))
+def _cmd_charbound(args) -> tuple[int, dict, str]:
+    G = build_group(args.group)
+    meta = structconst.require_meta(G, lie_meta(args.group))
     report = structconst.char_bound_check(G, meta, chartab.character_table(G))
     payload = {
         "spec": args.group,
@@ -179,13 +167,12 @@ def _cmd_charbound(args) -> int:
     for label, value in sorted(report.per_class_max.items()):
         lines.append(f"  {label:>6}: max |chi| = {value:.6f}")
     lines.append("PASS" if report.passed else "FAIL")
-    _emit(args, payload, "\n".join(lines))
-    return EXIT_OK if report.passed else EXIT_NEGATIVE
+    return EXIT_OK if report.passed else EXIT_NEGATIVE, payload, "\n".join(lines)
 
 
-def _cmd_pointcount(args) -> int:
-    G = _group_of(args)
-    meta = lie_meta(parse_spec(args.group))
+def _cmd_pointcount(args) -> tuple[int, dict, str]:
+    G = build_group(args.group)
+    meta = lie_meta(args.group)
     c1, c2, c3 = _parse_class_triple(args.classes)
     report = structconst.point_count_probe(G, meta, c1, c2, c3)
     payload = {
@@ -202,12 +189,11 @@ def _cmd_pointcount(args) -> int:
         f"exact {report.exact_count} = n({report.n_value}) * |C1|({report.class_size}), "
         f"leading term {report.predicted}, ratio {report.ratio}"
     )
-    _emit(args, payload, text)
-    return EXIT_OK
+    return EXIT_OK, payload, text
 
 
-def _cmd_beauville_search(args) -> int:
-    G = _group_of(args)
+def _cmd_beauville_search(args) -> tuple[int, dict, str]:
+    G = build_group(args.group)
     strategy = "COPRIME_FIRST" if args.strategy == "coprime" else "EXHAUSTIVE_CLASSES"
     result = beauville.search_beauville(
         G, strategy=strategy, seed=args.seed, require_hyperbolic=args.require_hyperbolic,
@@ -221,8 +207,7 @@ def _cmd_beauville_search(args) -> int:
             f"Beauville structure found for {G.name}: orders {cert.orders}, "
             f"sigma classes {cert.sigma_classes[0]} | {cert.sigma_classes[1]}"
         )
-        _emit(args, payload, text)
-        return EXIT_OK
+        return EXIT_OK, payload, text
     payload = {
         "spec": args.group,
         "status": result.status,
@@ -230,13 +215,12 @@ def _cmd_beauville_search(args) -> int:
         "pair_tests": result.pair_tests,
     }
     if result.status == beauville.STATUS_NONE_EXHAUSTED:
-        _emit(args, payload, f"NONE_EXHAUSTED: {G.name} admits no unmixed Beauville structure")
-        return EXIT_NEGATIVE
-    _emit(args, payload, f"NONE_BUDGET: search budget exhausted on {G.name}")
-    return EXIT_CAPACITY
+        text = f"NONE_EXHAUSTED: {G.name} admits no unmixed Beauville structure"
+        return EXIT_NEGATIVE, payload, text
+    return EXIT_CAPACITY, payload, f"NONE_BUDGET: search budget exhausted on {G.name}"
 
 
-def _cmd_beauville_verify(args) -> int:
+def _cmd_beauville_verify(args) -> tuple[int, dict, str]:
     try:
         raw = json.loads(Path(args.cert).read_text())
     except OSError as exc:  # missing, a directory, or unreadable
@@ -244,29 +228,25 @@ def _cmd_beauville_verify(args) -> int:
     except ValueError as exc:  # not UTF-8, or not JSON
         raise DomainError(f"certificate {args.cert}: invalid JSON ({exc})") from None
     cert = beauville.BeauvilleCertificate.from_json_dict(raw)
-    G = build_group(parse_spec(cert.group))
+    G = build_group(cert.group)
     ok, reason = beauville.verify_certificate(G, cert, require_hyperbolic=args.require_hyperbolic)
     payload = {"group": cert.group, "verified": ok, "reason": reason}
-    _emit(args, payload, f"certificate for {cert.group}: {'VERIFIED' if ok else 'REFUSED: ' + reason}")
-    return EXIT_OK if ok else EXIT_NEGATIVE
+    verdict = "VERIFIED" if ok else "REFUSED: " + reason
+    return EXIT_OK if ok else EXIT_NEGATIVE, payload, f"certificate for {cert.group}: {verdict}"
 
 
-def _cmd_genclasses_search(args) -> int:
-    G = _group_of(args)
+def _cmd_genclasses_search(args) -> tuple[int, dict, str]:
+    G = build_group(args.group)
     pairs = beauville.search_gen_classes(G)
     payload = {"spec": args.group, "pairs": [list(p) for p in pairs]}
     if pairs:
-        text = f"all-pairs generating class pairs of {G.name}: " + ", ".join(
-            f"({c},{d})" for c, d in pairs
-        )
-        _emit(args, payload, text)
-        return EXIT_OK
-    _emit(args, payload, f"no all-pairs generating class pairs in {G.name}")
-    return EXIT_NEGATIVE
+        shown = ", ".join(f"({c},{d})" for c, d in pairs)
+        return EXIT_OK, payload, f"all-pairs generating class pairs of {G.name}: {shown}"
+    return EXIT_NEGATIVE, payload, f"no all-pairs generating class pairs in {G.name}"
 
 
-def _cmd_genclasses_verify(args) -> int:
-    G = _group_of(args)
+def _cmd_genclasses_verify(args) -> tuple[int, dict, str]:
+    G = build_group(args.group)
     cert = beauville.all_pairs_generate(G, args.c, args.d)
     payload = {
         "spec": args.group,
@@ -276,14 +256,13 @@ def _cmd_genclasses_verify(args) -> int:
         "pairs_tested": cert.pairs_tested,
         "counterexample": list(cert.counterexample) if cert.counterexample else None,
     }
+    head = f"({args.c}, {args.d}) in {G.name}"
     if cert.all_generate:
-        _emit(args, payload, f"({args.c}, {args.d}) in {G.name}: all {cert.pairs_tested} pairs generate")
-        return EXIT_OK
-    _emit(args, payload, f"({args.c}, {args.d}) in {G.name}: counterexample found")
-    return EXIT_NEGATIVE
+        return EXIT_OK, payload, f"{head}: all {cert.pairs_tested} pairs generate"
+    return EXIT_NEGATIVE, payload, f"{head}: counterexample found"
 
 
-def _cmd_zsigmondy(args) -> int:
+def _cmd_zsigmondy(args) -> tuple[int, dict, str]:
     res = zsigmondy_part(args.q, args.n)
     payload = {
         "q": res.q,
@@ -297,8 +276,7 @@ def _cmd_zsigmondy(args) -> int:
         f"primitive part {res.primitive_part}, "
         f"primitive primes {sorted(res.primitive_primes) or '{}'}"
     )
-    _emit(args, payload, text)
-    return EXIT_OK
+    return EXIT_OK, payload, text
 
 
 # ---------------------------------------------------------------------------
@@ -389,7 +367,9 @@ def run(argv) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
-        return args.func(args)
+        code, payload, text = args.func(args)
+        _emit(args, payload, text)
+        return code
     except DomainError as exc:
         print(f"error: usage: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -23,8 +23,8 @@ from bvl.beauville import (
     verify_beauville,
     verify_certificate,
 )
-from bvl.catalog import build_group
-from bvl.numtheory import DomainError
+from bvl.catalog import PSL2_RANGE, PSL3_VALUES, build_group
+from bvl.numtheory import DomainError, is_prime_power
 from bvl.chartab import character_table
 from bvl.permgroup import MembershipError, PermGroup, Permutation, _Chain, subgroup_order
 from bvl.structconst import structure_constant_formula
@@ -302,10 +302,9 @@ def test_search_beauville_m11_generation_test_gate(monkeypatch):
     assert len(calls) <= 320, len(calls)
 
 
-def test_riemann_hurwitz_bound_refuses_types_without_a_walk(monkeypatch):
-    # a type with c(C1) + c(C2) + c(C3) > n + 2 makes no shuffle and no
-    # generation test; of the 28 types with no witness that the search on M11
-    # meets at seed 0, 8 pass the bound and are walked: 10 shuffles in all
+@pytest.fixture
+def walk_counts(monkeypatch):
+    """Lists that record each seeded shuffle and each generation test."""
     shuffles, calls = [], []
     shuffle, generates = random.Random.shuffle, beauville._generates
 
@@ -319,6 +318,14 @@ def test_riemann_hurwitz_bound_refuses_types_without_a_walk(monkeypatch):
 
     monkeypatch.setattr(random.Random, "shuffle", counted_shuffle)
     monkeypatch.setattr(beauville, "_generates", counted_generates)
+    return shuffles, calls
+
+
+def test_riemann_hurwitz_bound_refuses_types_without_a_walk(walk_counts):
+    # a type with c(C1) + c(C2) + c(C3) > n + 2 makes no shuffle and no
+    # generation test; of the 28 types with no witness that the search on M11
+    # meets at seed 0, 8 pass the bound and are walked: 10 shuffles in all
+    shuffles, calls = walk_counts
     G = build_group("file:m11.json")
     searcher = beauville._TypeSearcher(G, 0, 10_000_000)
     refused = [t for t, _ in _class_types(G.conjugacy_data())
@@ -329,6 +336,51 @@ def test_riemann_hurwitz_bound_refuses_types_without_a_walk(monkeypatch):
     assert (shuffles, calls) == ([], [])
     result = search_beauville(G, seed=0)
     assert (len(shuffles), len(calls), result.pair_tests) == (10, 303, 18_312)
+
+
+def _sign(g):
+    return sum(len(c) - 1 for c in g.cycles()) % 2
+
+
+def test_sign_bound_refuses_even_types_without_a_walk(walk_counts):
+    # in S7 two even classes generate at most A7: such a type makes no
+    # shuffle and no generation test, and is charged as the walk would be
+    # (406 shuffles and 3,378 generation tests when these types were walked)
+    shuffles, calls = walk_counts
+    G = build_group("S7")
+    searcher = beauville._TypeSearcher(G, 0, 10_000_000)
+    even = [t for t, _ in _class_types(G.conjugacy_data())
+            if not searcher.odd[t[0]] and not searcher.odd[t[1]]]
+    assert searcher.has_odd and even
+    for t in even:
+        assert searcher.witness(t) is None, t
+    assert (shuffles, calls) == ([], [])
+    result = search_beauville(G, seed=0)
+    assert (len(shuffles), len(calls), result.pair_tests) == (286, 539, 194_070)
+
+
+@pytest.mark.parametrize("spec", ["S5", "S6"])
+def test_sign_bound_refuses_only_types_without_a_generating_pair(spec):
+    # brute force over C2: no y in an even C2 generates G with an even x
+    G = build_group(spec)
+    cmap = G.conjugacy_data()
+    searcher = beauville._TypeSearcher(G, 0, 10_000_000)
+    assert searcher.odd == [_sign(c.representative) for c in cmap.classes] and searcher.has_odd
+    refused = {t[:2] for t, _ in _class_types(cmap)
+               if not (searcher.odd[t[0]] or searcher.odd[t[1]])}
+    assert refused
+    for i1, i2 in refused:
+        x = cmap.classes[i1].representative
+        assert not any(is_generating_pair(G, x, y) for y in cmap.elements_of(i2)), (i1, i2)
+
+
+def test_sign_bound_never_fires_on_the_simple_catalog_groups():
+    # a nonabelian simple permutation group lies in A_n
+    specs = [f"A{n}" for n in range(5, 13)] + ["file:m11.json", "file:m12.json"]
+    specs += [f"L2:{q}" for q in range(PSL2_RANGE[0], PSL2_RANGE[1] + 1) if is_prime_power(q)]
+    specs += [f"L3:{q}" for q in PSL3_VALUES]
+    for spec in specs:
+        assert not any(_sign(g) for g in build_group(spec).generators), spec
 
 
 def test_search_seed_determinism():

@@ -450,6 +450,40 @@ def test_search_budget_exit_code(capsys):
 
 
 @pytest.mark.parametrize("code, argv", [
+    (0, ["group", "--group", "A5"]),
+    (0, ["classes", "--group", "A5"]),
+    (0, ["chartab", "--group", "A5"]),
+    (0, ["struct", "--group", "A5", "--classes", "5a,5a,3a"]),
+    (0, ["charbound", "--group", "L2:9"]),
+    (0, ["pointcount", "--group", "L3:2", "--classes", "7a,7a,7b"]),
+    (0, ["beauville", "search", "--group", "L2:7", "--seed", "1"]),
+    (1, ["beauville", "search", "--group", "A5"]),
+    (3, ["beauville", "search", "--group", "L2:7", "--budget", "1"]),
+    (0, ["beauville", "verify", "--cert", "{cert}"]),
+    (0, ["genclasses", "search", "--group", "A5"]),
+    (0, ["genclasses", "verify", "--group", "A5", "--c", "5a", "--d", "3a"]),
+    (1, ["genclasses", "verify", "--group", "A5", "--c", "5a", "--d", "5b"]),
+    (0, ["zsigmondy", "--q", "2", "--n", "6"]),
+], ids=["group", "classes", "chartab", "struct", "charbound", "pointcount", "search",
+        "search-exhausted", "search-budget", "verify", "genclasses-search", "genclasses-verify",
+        "genclasses-counterexample", "zsigmondy"])
+def test_run_writes_out_then_stdout_once(code, argv, tmp_path, capsys):
+    # every subcommand returns its result and run writes it: --out holds the
+    # JSON payload in either format, also for a verdict that exits 1 or 3
+    cert = tmp_path / "cert.json"
+    if "{cert}" in argv:
+        run_cli(["beauville", "search", "--group", "L2:7", "--seed", "1", "--out", str(cert)], capsys)
+        argv = [a.format(cert=cert) for a in argv]
+    as_json, as_text = tmp_path / "json.out", tmp_path / "text.out"
+    json_run = run_cli(argv + ["--format", "json", "--out", str(as_json)], capsys)
+    text_run = run_cli(argv + ["--format", "text", "--out", str(as_text)], capsys)
+    assert json_run == (code, as_json.read_text(), "")
+    assert as_text.read_bytes() == as_json.read_bytes()
+    assert text_run == (code, run_cli(argv, capsys)[1], "") and text_run[1] != json_run[1]
+    json.loads(json_run[1])
+
+
+@pytest.mark.parametrize("code, argv", [
     (0, ["chartab", "--group", "A5", "--format", "json"]),
     (0, ["beauville", "search", "--group", "L2:7", "--seed", "1", "--format", "json", "--out"]),
     (1, ["beauville", "search", "--group", "A5"]),

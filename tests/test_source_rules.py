@@ -55,6 +55,38 @@ def test_only_cli_main_ends_the_process(path):
     assert not lines, f"{path.name}: process exit at lines {lines}"
 
 
+def _calls_to(name, tree):
+    """Lines in tree that call the bare name."""
+    return {node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name) and node.func.id == name}
+
+
+def _stdout_writes(tree):
+    return {node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and ast.unparse(node) == "sys.stdout.write"}
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_only_cli_run_writes_output(path):
+    # each subcommand returns (exit code, payload, text) and run hands them
+    # to _emit, the one writer of --out and stdout; diagnostics go to stderr
+    tree = ast.parse(path.read_text(), filename=str(path))
+    writes, emits = _stdout_writes(tree), _calls_to("_emit", tree)
+    prints = {node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
+              and isinstance(node.func, ast.Name) and node.func.id == "print"
+              and not any(k.arg == "file" and ast.unparse(k.value) == "sys.stderr"
+                          for k in node.keywords)}
+    if path.name == "cli.py":
+        functions = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
+        writer, caller = _stdout_writes(functions["_emit"]), _calls_to("_emit", functions["run"])
+        assert writer and caller, f"cli.run must call cli._emit; called at lines {sorted(emits)}"
+        writes -= writer
+        emits -= caller
+    assert not emits, f"{path.name}: _emit called outside cli.run at lines {sorted(emits)}"
+    assert not writes, f"{path.name}: sys.stdout.write outside cli._emit at lines {sorted(writes)}"
+    assert not prints, f"{path.name}: print without file=sys.stderr at lines {sorted(prints)}"
+
+
 def _module_level_imports(name):
     """The bvl modules that bvl.<name> imports at module level."""
     tree = ast.parse((SRC / f"{name}.py").read_text())
