@@ -20,7 +20,7 @@ from __future__ import annotations
 import random
 from math import gcd
 
-from .catalog import is_json_int
+from .catalog import check_fields
 from .numtheory import CapacityError, DomainError
 from .permgroup import (
     MAX_CLASSES,
@@ -42,53 +42,28 @@ STATUS_NONE_BUDGET = "none-budget"
 
 
 class BeauvilleCertificate:
-    """Two generating pairs whose sigma sets meet only in the identity."""
+    """Two generating pairs whose sigma sets meet only in the identity.
 
-    def __init__(self, *, group: str, pairs: list[list[int]], orders: list[int],
-                 sigma_classes: list[list[str]], hyperbolic: list[bool], seed: int):
-        self.group = group
-        self.pairs = pairs  # four 1-based image arrays: x1, y1, x2, y2
-        self.orders = orders  # o(x1), o(y1), o(x1 y1), o(x2), o(y2), o(x2 y2)
-        self.sigma_classes = sigma_classes
-        self.hyperbolic = hyperbolic
-        self.seed = seed
+    FIELDS maps each field to its JSON type (catalog.check_fields).  pairs
+    holds four 1-based image arrays x1, y1, x2, y2, and orders o(x1), o(y1),
+    o(x1 y1), o(x2), o(y2), o(x2 y2).
+    """
+
+    FIELDS = {"group": str, "pairs": [[int]], "orders": [int], "sigma_classes": [[str]],
+              "hyperbolic": [bool], "seed": int}
+
+    def __init__(self, **fields):
+        if fields.keys() != self.FIELDS.keys():
+            raise TypeError(f"certificate fields are {list(self.FIELDS)}, got {list(fields)}")
+        vars(self).update(fields)
 
     def to_json_dict(self) -> dict:
-        return {
-            "group": self.group,
-            "pairs": self.pairs,
-            "orders": self.orders,
-            "sigma_classes": self.sigma_classes,
-            "hyperbolic": self.hyperbolic,
-            "seed": self.seed,
-        }
+        return {key: getattr(self, key) for key in self.FIELDS}
 
     @classmethod
-    def from_json_dict(cls, payload: dict) -> "BeauvilleCertificate":
+    def from_json_dict(cls, payload, what: str = "certificate") -> "BeauvilleCertificate":
         """Parse a certificate, refusing any field of the wrong JSON type."""
-        if not isinstance(payload, dict):
-            raise DomainError("certificate must be a JSON object")
-
-        def is_a(kind):
-            return lambda v: isinstance(v, kind)
-
-        def list_of(ok):
-            return lambda v: isinstance(v, list) and all(ok(x) for x in v)
-
-        checks = {
-            "group": is_a(str),
-            "pairs": list_of(list_of(is_json_int)),
-            "orders": list_of(is_json_int),
-            "sigma_classes": list_of(list_of(is_a(str))),
-            "hyperbolic": list_of(is_a(bool)),
-            "seed": is_json_int,
-        }
-        for key, ok in checks.items():
-            if key not in payload:
-                raise DomainError(f"certificate is missing field {key!r}")
-            if not ok(payload[key]):
-                raise DomainError(f"certificate field {key!r} has the wrong JSON type")
-        return cls(**{key: payload[key] for key in checks})
+        return cls(**check_fields(payload, cls.FIELDS, what))
 
 
 class GenClassCertificate:
@@ -495,10 +470,9 @@ def search_gen_classes(G: PermGroup) -> list[tuple[str, str]]:
     coprime to o(D).  Each class is keyed by its rational class, the least
     index among its Galois conjugates (ClassMap.rational), and the verdict is
     memoised per unordered pair of keys; the first class pair met in the loop
-    decides it.
+    decides it.  The one order bound is that of the class map (CapacityError
+    past permgroup.CLASS_ORDER_BOUND).
     """
-    if G.order > 1_000_000:
-        raise CapacityError(f"exhaustive class-pair search needs order <= 1e6, got {G.order}")
     cmap = G.conjugacy_data()
     classes = [c for c in cmap.classes if c.element_order > 1]
     rational = cmap.rational

@@ -15,7 +15,7 @@ from math import factorial, gcd, prod
 from pathlib import Path
 
 from .numtheory import DomainError, is_prime_power, poly_divmod, poly_mul
-from .permgroup import PermGroup, Permutation
+from .permgroup import PermGroup, Permutation, check_degree
 
 ALT_RANGE = (3, 12)
 SYM_RANGE = (3, 12)
@@ -211,50 +211,75 @@ def data_dir() -> Path:
     return Path(__file__).parent / "data"
 
 
-def is_json_int(x) -> bool:
-    """A JSON integer: bool is an int subclass, so true/false are refused here."""
-    return isinstance(x, int) and not isinstance(x, bool)
+def read_json(path: str | Path, what: str):
+    """The JSON value in the file at path; a file that cannot give one is a
+    DomainError naming what (missing, a directory, unreadable, not UTF-8 JSON,
+    or nested past the parser's depth).
+    """
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except FileNotFoundError:
+        raise DomainError(f"{what}: not found") from None
+    except OSError as exc:  # a directory, or a file that cannot be read
+        raise DomainError(f"{what}: cannot read ({exc.strerror})") from None
+    except ValueError as exc:  # not UTF-8, or not JSON
+        raise DomainError(f"{what}: invalid JSON ({exc})") from None
+    except RecursionError:
+        raise DomainError(f"{what}: invalid JSON (nested too deeply)") from None
+
+
+def _is_json(value, kind) -> bool:
+    """value has JSON type kind: a Python type, or [kind] for a list of kind.
+
+    bool is an int subclass, so true and false are refused where int belongs.
+    """
+    if isinstance(kind, list):
+        return isinstance(value, list) and all(_is_json(x, kind[0]) for x in value)
+    return isinstance(value, kind) and not (kind is int and isinstance(value, bool))
+
+
+def check_fields(payload, fields: dict, what: str) -> dict:
+    """The named fields of payload, a JSON object in which each has its JSON type.
+
+    fields maps each name to its kind, as _is_json reads it.  An input that is
+    not such an object is a DomainError naming what.
+    """
+    if not isinstance(payload, dict):
+        raise DomainError(f"{what}: expected a JSON object")
+    for key, kind in fields.items():
+        if key not in payload:
+            raise DomainError(f"{what}: missing field {key!r}")
+        if not _is_json(payload[key], kind):
+            raise DomainError(f"{what}: field {key!r} has the wrong JSON type")
+    return {key: payload[key] for key in fields}
+
+
+GROUP_FIELDS = {"name": object, "degree": int, "generators": [[int]]}
 
 
 def load_group_file(path: str | Path) -> PermGroup:
     """Build a group from a JSON file {"name", "degree", "generators"}.
 
     Generators are 1-based image arrays.  Relative paths that do not exist
-    as given are looked up in the bundled data directory.
+    as given are looked up in the bundled data directory.  A stated degree
+    past MAX_DEGREE is a CapacityError before any generator is checked.
     """
     p = Path(path)
     if not p.exists():
         candidate = data_dir() / p
         if candidate.exists():
             p = candidate
-    try:
-        payload = json.loads(p.read_text())
-    except FileNotFoundError:
-        raise DomainError(f"group file not found: {path}") from None
-    except OSError as exc:  # a directory, or a file that cannot be read
-        raise DomainError(f"group file {path}: cannot read ({exc.strerror})") from None
-    except ValueError as exc:  # not UTF-8, or not JSON
-        raise DomainError(f"group file {path}: invalid JSON ({exc})") from None
-    if not isinstance(payload, dict):
-        raise DomainError(f"group file {path}: expected a JSON object")
-    for key in ("name", "degree", "generators"):
-        if key not in payload:
-            raise DomainError(f"group file {path}: missing field {key!r}")
-    degree = payload["degree"]
-    if not is_json_int(degree) or degree < 1:
-        raise DomainError(f"group file {path}: bad degree {degree!r}")
-    if not isinstance(payload["generators"], list):
-        raise DomainError(f"group file {path}: generators must be a list")
-    gens = []
-    for idx, arr in enumerate(payload["generators"]):
-        if not isinstance(arr, list) or not all(is_json_int(x) for x in arr):
-            raise DomainError(f"group file {path}: generator {idx} is not a list of integers")
-        if sorted(arr) != list(range(1, degree + 1)):
-            raise DomainError(
-                f"group file {path}: generator {idx} is not a bijection of 1..{degree}"
-            )
-        gens.append(Permutation(arr))
-    G = PermGroup(gens, degree=degree, name=str(payload["name"]))
+    what = f"group file {path}"
+    fields = check_fields(read_json(p, what), GROUP_FIELDS, what)
+    degree = fields["degree"]
+    if degree < 1:
+        raise DomainError(f"{what}: bad degree {degree!r}")
+    check_degree(degree)
+    points = list(range(1, degree + 1))
+    for idx, arr in enumerate(fields["generators"]):
+        if sorted(arr) != points:
+            raise DomainError(f"{what}: generator {idx} is not a bijection of 1..{degree}")
+    G = PermGroup(fields["generators"], degree=degree, name=str(fields["name"]))
     G.spec_string = f"file:{path}"
     return G
 

@@ -19,7 +19,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .catalog import build_group, lie_meta
+from .catalog import build_group, lie_meta, read_json
 from .numtheory import CapacityError, DomainError, zsigmondy_part
 
 
@@ -221,13 +221,8 @@ def _cmd_beauville_search(args) -> tuple[int, dict, str]:
 
 
 def _cmd_beauville_verify(args) -> tuple[int, dict, str]:
-    try:
-        raw = json.loads(Path(args.cert).read_text())
-    except OSError as exc:  # missing, a directory, or unreadable
-        raise DomainError(f"certificate {args.cert}: cannot read ({exc.strerror})") from None
-    except ValueError as exc:  # not UTF-8, or not JSON
-        raise DomainError(f"certificate {args.cert}: invalid JSON ({exc})") from None
-    cert = beauville.BeauvilleCertificate.from_json_dict(raw)
+    what = f"certificate {args.cert}"
+    cert = beauville.BeauvilleCertificate.from_json_dict(read_json(args.cert, what), what)
     G = build_group(cert.group)
     ok, reason = beauville.verify_certificate(G, cert, require_hyperbolic=args.require_hyperbolic)
     payload = {"group": cert.group, "verified": ok, "reason": reason}

@@ -68,7 +68,7 @@ class MembershipError(ValueError):
     """Raised when an element lies outside the group it is used with."""
 
 
-def _check_degree(degree: int) -> None:
+def check_degree(degree: int) -> None:
     if degree > MAX_DEGREE:
         raise CapacityError(f"permutation degree must be <= {MAX_DEGREE}, got {degree}")
 
@@ -87,7 +87,7 @@ class Permutation:
         """From a 1-based image array: images[i - 1] is the image of point i."""
         data = tuple(images)
         n = len(data)
-        _check_degree(n)
+        check_degree(n)
         if sorted(data) != list(range(1, n + 1)):
             raise ValueError(f"not a bijection of 1..{n}: {data}")
         self.images = bytes((0,) + data)
@@ -100,7 +100,7 @@ class Permutation:
 
     @classmethod
     def identity(cls, degree: int) -> "Permutation":
-        _check_degree(degree)
+        check_degree(degree)
         return cls._raw(_PAD[: degree + 1])
 
     @classmethod
@@ -349,7 +349,7 @@ class PermGroup:
             degree = d
         elif degree is None:
             raise ValueError("empty generator list needs an explicit degree")
-        _check_degree(degree)
+        check_degree(degree)
         self.degree = degree
         self.generators = tuple(gens)
         self.name = name

@@ -7,6 +7,8 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import bvl.permgroup as pg
 from bvl.chartab import TableError
@@ -231,6 +233,16 @@ def test_genclasses_verify(capsys):
     assert code == 1
 
 
+def test_genclasses_search_has_the_class_order_bound(monkeypatch, capsys):
+    # the one order bound is the class map's (A10, of order 1,814,400, runs)
+    monkeypatch.setattr("bvl.permgroup.CLASS_ORDER_BOUND", 59)
+    code, out, err = run_cli(["genclasses", "search", "--group", "A5"], capsys)
+    assert (code, out) == (3, "")
+    assert err == "error: capacity: conjugacy classes need order <= 59, group has order 60\n"
+    monkeypatch.setattr("bvl.permgroup.CLASS_ORDER_BOUND", 60)
+    assert run_cli(["genclasses", "search", "--group", "A5"], capsys)[0] == 0
+
+
 def test_genclasses_search(capsys):
     code, out, _ = run_cli(["genclasses", "search", "--group", "A5", "--format", "json"], capsys)
     assert code == 0
@@ -333,6 +345,104 @@ def test_unreadable_input_path_is_usage_error(argv, tmp_path, capsys):
     (tmp_path / "binary.json").write_bytes(b"\xff\xfe\x00")
     code, out, err = run_cli([a.format(dir=tmp_path) for a in argv], capsys)
     assert (code, out) == (2, "") and err.startswith("error: usage:"), err
+
+
+C3_FILE = {"name": "C3", "degree": 3, "generators": [[2, 3, 1]]}
+MISSING, DIRECTORY = "missing", "directory"
+
+
+def _without(key):
+    return lambda valid: {k: v for k, v in valid.items() if k != key}
+
+
+def _with(**fields):
+    return lambda valid: {**valid, **fields}
+
+
+def _input_file(tmp_path, content, valid):
+    """A path that is missing, a directory, raw bytes, or the JSON value that
+    content makes of the valid payload."""
+    path = tmp_path / "input.json"
+    if content == DIRECTORY:
+        path.mkdir()
+    elif isinstance(content, bytes):
+        path.write_bytes(content)
+    elif content != MISSING:
+        path.write_text(json.dumps(content(valid)))
+    return path
+
+
+@pytest.fixture(scope="module")
+def l27_certificate(tmp_path_factory):
+    path = tmp_path_factory.mktemp("cert") / "cert.json"
+    assert run(["beauville", "search", "--group", "L2:7", "--out", str(path)]) == 0
+    return json.loads(path.read_text())
+
+
+def _input_argv(kind, path):
+    if kind == "group":
+        return ["group", "--group", f"file:{path}"]
+    return ["beauville", "verify", "--cert", str(path)]
+
+
+UNREADABLE = [
+    ("missing-path", MISSING), ("directory", DIRECTORY), ("not-utf8", b"\xff\xfe\x00"),
+    ("not-json", b"{not json"), ("nested-too-deep", b"[" * 100_000 + b"]" * 100_000),
+    ("not-an-object", lambda valid: [1, 2]),
+]
+BAD_INPUTS = [
+    *[(kind, row, content, 2, "usage") for kind in ("group", "cert") for row, content in UNREADABLE],
+    ("group", "missing-field", _without("name"), 2, "usage"),
+    ("cert", "missing-field", _without("seed"), 2, "usage"),
+    ("group", "wrong-json-type", _with(generators=5), 2, "usage"),
+    ("cert", "wrong-json-type", _with(seed="0"), 2, "usage"),
+    ("group", "degree-0", _with(degree=0, generators=[]), 2, "usage"),
+    ("group", "degree-256", _with(degree=256, generators=[list(range(2, 257)) + [1]]), 3, "capacity"),
+    # the stated degree is bounded before a generator is read: no range of 10**20 points
+    ("group", "degree-1e20", _with(degree=10**20, generators=[[1]]), 3, "capacity"),
+]
+
+
+@pytest.mark.parametrize("kind,content,code,prefix",
+                         [(kind, content, code, prefix) for kind, _, content, code, prefix in BAD_INPUTS],
+                         ids=[f"{kind}-{row}" for kind, row, *_ in BAD_INPUTS])
+def test_bad_json_input_exit_code(kind, content, code, prefix, tmp_path, capsys, l27_certificate):
+    # group files and certificates go through one reader (catalog.read_json)
+    # and one field check (catalog.check_fields): each refusal names the input
+    path = _input_file(tmp_path, content, C3_FILE if kind == "group" else l27_certificate)
+    got, out, err = run_cli(_input_argv(kind, path), capsys)
+    assert (got, out) == (code, "") and err.startswith(f"error: {prefix}:"), err
+    if prefix == "usage":
+        assert str(path) in err
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=12)
+
+
+def _some_fields_replaced(valid):
+    """valid with each field kept, replaced by an arbitrary JSON value, or dropped."""
+    drop = object()
+    return st.fixed_dictionaries(
+        {key: st.just(value) | JSON_VALUES | st.just(drop) for key, value in valid.items()}
+    ).map(lambda d: {k: v for k, v in d.items() if v is not drop})
+
+
+@pytest.mark.parametrize("kind", ["group", "cert"])
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_arbitrary_json_fields_never_exit_4(kind, data, tmp_path, capsys, l27_certificate):
+    valid = C3_FILE if kind == "group" else l27_certificate
+    payload = data.draw(_some_fields_replaced(valid))
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(payload))
+    start = time.perf_counter()
+    code, _, err = run_cli(_input_argv(kind, path), capsys)
+    assert code in (0, 1, 2, 3), err
+    assert time.perf_counter() - start < 5
 
 
 @pytest.mark.parametrize("out_path", ["{dir}", "{dir}/missing/out.json"])

@@ -87,6 +87,32 @@ def test_only_cli_run_writes_output(path):
     assert not prints, f"{path.name}: print without file=sys.stderr at lines {sorted(prints)}"
 
 
+JSON_PARSERS = {"load", "loads"}
+
+
+def _json_parses(tree):
+    """Lines in tree that call json.load or json.loads, or import either by name."""
+    return {node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id == "json" and node.attr in JSON_PARSERS
+            or isinstance(node, ast.ImportFrom) and node.module == "json"
+            and any(a.name in JSON_PARSERS for a in node.names)}
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_only_catalog_read_json_parses_json(path):
+    # group files and certificates are read by catalog.read_json, which turns
+    # every file that gives no JSON value into a usage error naming the input
+    tree = ast.parse(path.read_text(), filename=str(path))
+    parses = _json_parses(tree)
+    if path.name == "catalog.py":
+        reader = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "read_json")
+        inside = _json_parses(reader)
+        assert inside, "catalog.read_json must parse the JSON inputs"
+        parses -= inside
+    assert not parses, f"{path.name}: JSON parsed outside catalog.read_json at lines {sorted(parses)}"
+
+
 def _module_level_imports(name):
     """The bvl modules that bvl.<name> imports at module level."""
     tree = ast.parse((SRC / f"{name}.py").read_text())
