@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import json
 import os
+import stat
 from itertools import permutations, product
 from math import factorial, gcd, prod
 from pathlib import Path
 
-from .numtheory import DomainError, is_prime_power, poly_divmod, poly_mul
+from .numtheory import CapacityError, DomainError, is_prime_power, poly_divmod, poly_mul
 from .permgroup import PermGroup, Permutation, check_degree
 
 ALT_RANGE = (3, 12)
@@ -211,16 +212,35 @@ def data_dir() -> Path:
     return Path(__file__).parent / "data"
 
 
+# far above any usable input: a degree-255 group file with 1,000 generators
+# is about 1 MB
+JSON_BYTE_CAP = 16 * 2**20
+
+
 def read_json(path: str | Path, what: str):
     """The JSON value in the file at path; a file that cannot give one is a
-    DomainError naming what (missing, a directory, unreadable, not UTF-8 JSON,
-    or nested past the parser's depth).
+    DomainError naming what (missing, a bad path, not a regular file,
+    unreadable, not UTF-8 JSON, or nested past the parser's depth).
+
+    The path is stat-ed before it is opened, so a FIFO is refused without
+    blocking in open, and a file over JSON_BYTE_CAP bytes is a CapacityError
+    before any byte is read.
     """
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
+        info = os.stat(path)
     except FileNotFoundError:
         raise DomainError(f"{what}: not found") from None
-    except OSError as exc:  # a directory, or a file that cannot be read
+    except OSError as exc:
+        raise DomainError(f"{what}: cannot read ({exc.strerror})") from None
+    except ValueError:  # an embedded NUL byte
+        raise DomainError(f"{what}: invalid path") from None
+    if not stat.S_ISREG(info.st_mode):
+        raise DomainError(f"{what}: not a regular file")
+    if info.st_size > JSON_BYTE_CAP:
+        raise CapacityError(f"{what}: {info.st_size} bytes, over the cap of {JSON_BYTE_CAP}")
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except OSError as exc:  # a file that cannot be read
         raise DomainError(f"{what}: cannot read ({exc.strerror})") from None
     except ValueError as exc:  # not UTF-8, or not JSON
         raise DomainError(f"{what}: invalid JSON ({exc})") from None

@@ -4,10 +4,12 @@ from math import gcd
 
 import pytest
 
+import bvl.chartab as chartab
 import bvl.permgroup as pg
 from bvl.catalog import build_group, load_group_file
 from bvl.chartab import (
     TableError,
+    _split_conjugate_pair,
     character_table,
     class_matrix,
     verify_orthogonality,
@@ -207,7 +209,7 @@ def test_class_matrix_refuses_a_count_not_divisible_by_the_class_size(monkeypatc
 
 def test_character_table_scans_only_pivot_rows(monkeypatch):
     # the whole class matrices of M12 would scan 119 of its 120 class pairs;
-    # the pivot rows of the eigenspaces still to split need 30.  The matrix
+    # the pivot rows of the eigenspaces still to split need 23.  The matrix
     # of class 1a is the identity, which splits nothing, so it is never built.
     scans, matrices = [], []
     scan = pg.ClassMap._scan
@@ -224,14 +226,16 @@ def test_character_table_scans_only_pivot_rows(monkeypatch):
     monkeypatch.setattr("bvl.chartab.class_matrix", recorded)
     T = character_table(load_group_file("m12.json"))
     assert len(T.degrees) == 15
-    assert 0 < len(set(scans)) == len(scans) <= 30
+    assert 0 < len(set(scans)) == len(scans) <= 23
     assert matrices and 0 not in matrices
 
 
 def test_character_table_splits_with_the_cheapest_class_matrices_first(monkeypatch):
     # a scan of the class pair {a, b} runs over min(|C_a|, |C_b|) elements;
-    # taking the class matrices in ascending |C| / o(C) scans 28,699 on M12,
-    # class-index order 85,106
+    # taking the class matrices in ascending |C| / o(C) scans 11,862 on M12
+    # in 23 scans, class-index order 14,503.  Left to the class matrices, the
+    # conjugate pair 16a/16b would keep class 11a among the pivot rows to the
+    # last step: 30 scans, 28,699 elements.
     scanned = []
     scan = pg.ClassMap._scan
 
@@ -242,4 +246,55 @@ def test_character_table_splits_with_the_cheapest_class_matrices_first(monkeypat
     monkeypatch.setattr(pg.ClassMap, "_scan", counted)
     T = character_table(load_group_file("m12.json"))
     assert len(T.degrees) == 15
-    assert 0 < sum(scanned) <= 28699
+    assert (len(scanned), sum(scanned)) == (23, 11862)
+
+
+def _c3_pair_space():
+    # C3 mod 7, z = 2: omega of the two non-real characters is (1, z, z^2) and
+    # (1, z^2, z); their span in reduced row echelon form
+    return [[1, 0, 6], [0, 1, 6]], [0, 1]
+
+
+def test_conjugate_pair_is_split_by_row_orthogonality():
+    lines = _split_conjugate_pair(_c3_pair_space(), [0, 2, 1], [1, 1, 1], 7)
+    assert sorted(B[0] for B, _ in lines) == [[1, 2, 4], [1, 4, 2]]
+    # a space P fixes pointwise (real characters), or a space P does not map
+    # onto itself, is left for the class matrices
+    real = [[1, 0, 0], [0, 1, 1]], [0, 1]
+    assert _split_conjugate_pair(real, [0, 2, 1], [1, 1, 1], 7) == [real]
+    assert _split_conjugate_pair(real, [0, 1, 2], [1, 1, 1], 7) == [real]
+    skew = [[1, 0, 2], [0, 1, 3]], [0, 1]
+    assert _split_conjugate_pair(skew, [0, 2, 1], [1, 1, 1], 7) == [skew]
+
+
+@pytest.mark.parametrize("roots", [[], [3], [1, 2, 3]])
+def test_conjugate_pair_split_needs_exactly_two_roots(roots, monkeypatch):
+    monkeypatch.setattr("bvl.chartab._poly_roots", lambda f, p: roots)
+    with pytest.raises(TableError, match=f"needs 2 roots of its quadratic, found {len(roots)}$"):
+        _split_conjugate_pair(_c3_pair_space(), [0, 2, 1], [1, 1, 1], 7)
+
+
+def test_conjugate_pair_root_count_fault_exits_4(monkeypatch, capsys):
+    # drop one root of the pair split's degree-2 polynomial, and only there
+    split, roots = chartab._split_conjugate_pair, chartab._poly_roots
+
+    def one_root_split(space, *args):
+        with monkeypatch.context() as m:
+            m.setattr("bvl.chartab._poly_roots", lambda f, p: roots(f, p)[:1])
+            return split(space, *args)
+
+    monkeypatch.setattr("bvl.chartab._split_conjugate_pair", one_root_split)
+    code = run(["chartab", "--group", "A7"])
+    out, err = capsys.readouterr()
+    assert (code, out) == (4, "")
+    assert err == ("error: internal: TableError: "
+                   "conjugate pair split needs 2 roots of its quadratic, found 1\n"), err
+
+
+@pytest.mark.parametrize("spec", ["A7", "A8", "file:m11.json", "file:m12.json", "L2:7", "L2:27", "L3:3"])
+def test_conjugate_pair_split_matches_the_class_matrices(spec, monkeypatch):
+    # with the closed form switched off, class matrices alone split every space
+    G = build_group(spec)
+    fast = character_table(G).to_json_dict()
+    monkeypatch.setattr("bvl.chartab._split_conjugate_pair", lambda space, *args: [space])
+    assert character_table(build_group(spec)).to_json_dict() == fast

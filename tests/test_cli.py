@@ -6,11 +6,17 @@ import time
 from pathlib import Path
 from unittest import mock
 
+try:
+    import resource
+except ImportError:  # not on Windows
+    resource = None
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import bvl.permgroup as pg
+from bvl.catalog import JSON_BYTE_CAP
 from bvl.chartab import TableError
 from bvl.cli import run
 from bvl.permgroup import MembershipError
@@ -24,13 +30,13 @@ def run_cli(argv, capsys):
     return code, out.out, out.err
 
 
-def bvl_process(argv, env=(), **kwargs):
+def bvl_process(argv, env=(), timeout=60, **kwargs):
     """python -m bvl.cli argv in a child, so through cli.main.
 
     env entries are added to os.environ; an empty value removes its variable.
     """
     env = {k: v for k, v in {**os.environ, "PYTHONPATH": str(SRC), **dict(env)}.items() if v}
-    return subprocess.run([sys.executable, "-m", "bvl.cli", *argv], text=True, timeout=60,
+    return subprocess.run([sys.executable, "-m", "bvl.cli", *argv], text=True, timeout=timeout,
                           env=env, **kwargs)
 
 
@@ -414,6 +420,53 @@ def test_bad_json_input_exit_code(kind, content, code, prefix, tmp_path, capsys,
     assert (got, out) == (code, "") and err.startswith(f"error: {prefix}:"), err
     if prefix == "usage":
         assert str(path) in err
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs on this platform")
+@pytest.mark.parametrize("kind", ["group", "cert"])
+def test_fifo_input_is_refused_without_blocking(kind, tmp_path):
+    # open() on a FIFO with no writer would block; the reader stats it first
+    path = tmp_path / "input.json"
+    os.mkfifo(path)
+    proc = bvl_process(_input_argv(kind, path), timeout=10, capture_output=True)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.endswith(f"{path}: not a regular file\n"), proc.stderr
+
+
+@pytest.mark.parametrize("kind", ["group", "cert"])
+def test_input_over_the_byte_cap_is_capacity_error(kind, tmp_path, capsys):
+    # a sparse file one byte past the cap: refused from its size, never read
+    path = tmp_path / "input.json"
+    path.touch()
+    os.truncate(path, JSON_BYTE_CAP + 1)
+    what = "group file" if kind == "group" else "certificate"
+    code, out, err = run_cli(_input_argv(kind, path), capsys)
+    assert (code, out) == (3, "")
+    assert err == (f"error: capacity: {what} {path}: "
+                   f"{JSON_BYTE_CAP + 1} bytes, over the cap of {JSON_BYTE_CAP}\n"), err
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/zero") or resource is None, reason="needs /dev/zero and rlimits")
+@pytest.mark.parametrize("kind", ["group", "cert"])
+def test_device_input_is_refused_before_any_read(kind):
+    # an endless device grows the reader's buffer until MemoryError (exit 4);
+    # under an address-space limit that growth, if it came back, fails fast
+    limit = 512 * 2**20
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    proc = bvl_process(_input_argv(kind, "/dev/zero"), timeout=30, capture_output=True,
+                       preexec_fn=limit_memory)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.endswith("/dev/zero: not a regular file\n"), proc.stderr
+
+
+def test_embedded_nul_in_a_group_path_is_a_bad_path(tmp_path, capsys, l27_certificate):
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps({**l27_certificate, "group": "file:a\u0000b"}))
+    code, out, err = run_cli(["beauville", "verify", "--cert", str(path)], capsys)
+    assert (code, out, err) == (2, "", "error: usage: group file a\x00b: invalid path\n")
 
 
 JSON_VALUES = st.recursive(

@@ -53,6 +53,9 @@ n + 2 for a transitive pair, c counting cycles) replaced the natural-order
 pass and the product-class rows: each type the bound does not refuse takes
 one seeded shuffled walk that reads the class of y * x per position, and a
 refused type is charged the pair tests that walk would make.
+The `chartab` calls on A8 and M11, whose non-real characters are split from
+their conjugates, at d29413f, before each conjugate pair was split by row
+orthogonality instead of by the class matrices of non-real classes.
 A refactor that changes any byte of these outputs (a certificate, a class
 label, a character value, a count) fails here.
 """
@@ -80,6 +83,10 @@ GOLDEN = [
      0, "560bb03deeca627d4b5f4d2f3f19cdd088154038a289e67c4b7dce333906863c"),
     ("chartab --group L2:49 --format json",
      0, "d4897f18afcd0c6290a55681ab87af236b41d90fe7e9f3d52a8bbdbc8edcdb77"),
+    ("chartab --group A8 --format json",
+     0, "474fe9e9a538d152c8659ed972ef54be6035fdbe00b2bb165ee381825f7d3da4"),
+    ("chartab --group file:m11.json --format json",
+     0, "7a4d1558658b44f9d48c5c895533a4a24dfc48cdec0fe44541cfb5b13c959518"),
     ("classes --group file:m12.json --format json",
      0, "47f3d79f316005c311def01a374a97f3a3dd409dd7b38c90b1bc507ef18e967b"),
     ("classes --group L2:32 --format json",
