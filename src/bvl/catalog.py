@@ -310,16 +310,16 @@ def build_group(spec: GroupSpec | str) -> PermGroup:
         spec = parse_spec(spec)
     if spec.family == "ALT":
         if not ALT_RANGE[0] <= spec.n <= ALT_RANGE[1]:
-            raise DomainError(f"alternating degree must be in {ALT_RANGE}, got {spec.n}")
+            raise DomainError(f"alternating degree must be in {ALT_RANGE[0]}..{ALT_RANGE[1]}, got {spec.n}")
         return _alternating_group(spec.n)
     if spec.family == "SYM":
         if not SYM_RANGE[0] <= spec.n <= SYM_RANGE[1]:
-            raise DomainError(f"symmetric degree must be in {SYM_RANGE}, got {spec.n}")
+            raise DomainError(f"symmetric degree must be in {SYM_RANGE[0]}..{SYM_RANGE[1]}, got {spec.n}")
         return _symmetric_group(spec.n)
     if spec.family == "PSL2":
         if not PSL2_RANGE[0] <= spec.q <= PSL2_RANGE[1] or is_prime_power(spec.q) is None:
             raise DomainError(
-                f"L2 parameter must be a prime power in {PSL2_RANGE}, got {spec.q}"
+                f"L2 parameter must be a prime power in {PSL2_RANGE[0]}..{PSL2_RANGE[1]}, got {spec.q}"
             )
         return _psl_group(2, spec.q)
     if spec.family == "PSL3":

@@ -1,8 +1,9 @@
 """Cyclotomic evaluation, Zsigmondy primitive parts and prime-field helpers.
 
-All arithmetic here is exact arbitrary-precision integer arithmetic.  The
-factoring routines are sized for the toolkit's inputs (values up to roughly
-2**80); they are not general-purpose.
+All arithmetic here is exact arbitrary-precision integer arithmetic, and
+primality is exact at every size.  Factoring is sized for the toolkit's
+inputs: rho gives up past RHO_STEP_CAP steps, so a composite whose two least
+prime factors pass about 2**40 is a CapacityError.
 """
 
 from __future__ import annotations
@@ -40,17 +41,18 @@ def divisors(n: int) -> list[int]:
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin; valid for every n below 3.3 * 10**24."""
-    if n < 2:
-        return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if n % p == 0:
-            return n == p
+    """Miller-Rabin on the bases 2..41, exact below 3,317,044,064,679,887,385,961,981,
+    the least strong pseudoprime to all of them.  Past it a pass is proven by
+    Lehmer's theorem (n is prime iff each prime r | n - 1 has a base a with
+    a^(n-1) = 1, a^((n-1)/r) != 1 mod n) or raises CapacityError: no unproven prime."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+    if n < 2 or any(n % a == 0 for a in bases):
+        return n in bases
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for a in bases:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue
@@ -60,6 +62,12 @@ def is_prime(n: int) -> bool:
                 break
         else:
             return False
+    if n < 3_317_044_064_679_887_385_961_981:
+        return True
+    # a strong probable prime to base a has a^(n-1) = 1 mod n
+    for r in factorize(n - 1):
+        if all(pow(a, (n - 1) // r, n) == 1 for a in bases):
+            raise CapacityError(f"no base proves the {n.bit_length()}-bit probable prime {n} prime")
     return True
 
 

@@ -20,11 +20,12 @@ tables kept per level (see _Level), so a product, an inversion and a sift
 step are one C call each.  PermGroup wraps the strong generators once.
 
 Conjugacy classes come from one path, conjugacy_classes: each element of G
-drawn from its complete chain and not yet classed seeds a conjugation walk,
-which finds its class and the inverse class together.  The element-to-class
-table stores one element of each pair {w, w^-1}; ClassMap._slots finds the
-other through its inverse.  Groups above CLASS_ORDER_BOUND (2,000,000; S10
-is the smallest catalog group past it) raise CapacityError instead.
+drawn from its complete chain, across the cosets of the first base point's
+stabilizer, and not yet classed seeds a conjugation walk, which finds its
+class and the inverse class together.  The element-to-class table stores
+one element of each pair {w, w^-1}; ClassMap._slots finds the other through
+its inverse.  Groups above CLASS_ORDER_BOUND (2,000,000; S10 is the smallest
+catalog group past it) raise CapacityError instead.
 """
 
 from __future__ import annotations
@@ -130,18 +131,6 @@ class Permutation:
         p = object.__new__(Permutation)
         p.images = bytes.maketrans(self.images, _PAD[:n])[:n]
         return p
-
-    def __pow__(self, k: int) -> "Permutation":
-        if k < 0:
-            return self.inverse() ** (-k)
-        result = Permutation.identity(self.degree)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
 
     def cycles(self) -> list[tuple[int, ...]]:
         """Nontrivial cycles, each starting at its least point."""
@@ -661,7 +650,9 @@ def _chain_elements(G: PermGroup):
     G's chain is complete, so each element is uniquely x * u1 * u0 with u0
     and u1 in the level-0 and level-1 transversals and x in the stabilizer
     of the first two base points.  Only that stabilizer's elements are built
-    as a list, level by level from the deepest; the rest are yielded lazily.
+    as a list, level by level from the deepest; the rest are yielded lazily,
+    u0 fastest, then x, then u1 (one row of |O0| tables u1 * u0 at a time),
+    so early draws cross the cosets of the first base point's stabilizer.
     """
     levels, identity = G._chain.levels, _PAD[: G.degree + 1]
     stabilizer = [identity]
@@ -669,12 +660,10 @@ def _chain_elements(G: PermGroup):
         pads = [_pad(lv.u(beta)) for beta in lv.orbit]
         stabilizer = [x.translate(t) for t in pads for x in stabilizer]
     tops = [[lv.u(beta) for beta in lv.orbit] for lv in levels[:2]] + [[identity]] * 2
-    for u0 in tops[0]:
-        t0 = _pad(u0)
-        for u1 in tops[1]:
-            t = _pad(u1.translate(t0))
-            for x in stabilizer:
-                yield x.translate(t)
+    for u1 in tops[1]:
+        row = [_pad(u1.translate(_pad(u0))) for u0 in tops[0]]
+        for x in stabilizer:
+            yield from map(x.translate, row)
 
 
 def _assign_labels(orders: list[int]) -> list[str]:
@@ -700,12 +689,12 @@ def check_class_order(G: PermGroup) -> None:
 def conjugacy_classes(G: PermGroup) -> ClassMap:
     """Complete conjugacy-class list with canonical labels and power maps.
 
-    Walks the elements of G (_chain_elements), looked up in blocks that grow
-    while every draw is classed; a draw that ClassMap._slots does not find
-    seeds _conjugation_orbit, and walk k enters its half W of C u C^-1 in
-    the table under slot 2k.  The classes are whole (the conjugators
-    generate G) and disjoint (a seed is not yet classed), so the draws stop
-    once the class sizes add up to |G|: on M12 at element 8,600 of 95,040.
+    Draws the elements of G (_chain_elements) and looks each up once with
+    ClassMap._slots; a draw not yet classed seeds _conjugation_orbit, and
+    walk k enters its half W of C u C^-1 in the table under slot 2k.  The
+    classes are whole (the conjugators generate G) and disjoint (a seed is
+    not yet classed), so the draws stop once the class sizes add up to |G|:
+    on M12 at draw 169 of 95,040.
     The canonical sort fills the short slot-to-class list, not the table.
     """
     check_class_order(G)
@@ -714,25 +703,22 @@ def conjugacy_classes(G: PermGroup) -> ClassMap:
     cmap = ClassMap(table, G.degree)
     raw: list[tuple] = []  # (order, lex-least rep images, size, sides) per class
     slots: list[int] = []  # table slot -> index in raw
-    total, draws, batch = 0, _chain_elements(G), 1
-    while total < G.order and (block := list(islice(draws, batch))):
-        batch = min(2 * batch, 256)  # draws looked up at once, back to 1 after a walk
-        for images, slot in zip(block, cmap._slots(block)):
-            if slot >= 0 or cmap._slots((images,))[0] >= 0:  # or classed by a walk since
-                continue
-            walk, low, real = _conjugation_orbit(conjugators, images, table, len(slots))
-            rep = min(walk)
-            if not real:  # C = W and C^-1 = W^-1
-                found = [(rep, ((walk, 0),)), (low, ((walk, 1),))]
-            else:  # C = W u W^-1, or W alone if its members are their own inverses (low = rep)
-                found = [(min(rep, low), ((walk, 0),) if low == rep else ((walk, 0), (walk, 1)))]
-            slots += (len(raw), len(raw) + len(found) - 1)
-            for rep, sides in found:
-                raw.append((Permutation._raw(rep).order(), rep, len(walk) * len(sides), sides))
-                total += raw[-1][2]
-            batch = 1
-            if total == G.order:
-                break
+    total = 0
+    for images in _chain_elements(G):
+        if cmap._slots((images,))[0] >= 0:
+            continue
+        walk, low, real = _conjugation_orbit(conjugators, images, table, len(slots))
+        rep = min(walk)
+        if not real:  # C = W and C^-1 = W^-1
+            found = [(rep, ((walk, 0),)), (low, ((walk, 1),))]
+        else:  # C = W u W^-1, or W alone if its members are their own inverses (low = rep)
+            found = [(min(rep, low), ((walk, 0),) if low == rep else ((walk, 0), (walk, 1)))]
+        slots += (len(raw), len(raw) + len(found) - 1)
+        for rep, sides in found:
+            raw.append((Permutation._raw(rep).order(), rep, len(walk) * len(sides), sides))
+            total += raw[-1][2]
+        if total == G.order:
+            break
     # explicit, not assert: python -O must not strip the exactness check;
     # the table holds every g with g^2 = 1 and one of each other pair {g, g^-1},
     # and |C| divides |G| / o(rep), as <rep> lies in the centralizer of rep

@@ -1,4 +1,5 @@
 import itertools
+import operator
 import random
 import time
 from collections import Counter
@@ -74,8 +75,9 @@ def test_sigma_set_conjugation_invariance():
 
 
 def _power_classes(cd, x, y):
-    """Reference sigma: the classes of every power of x, y and xy, by Permutation powers."""
-    return {cd.class_of(g ** k) for g in (x, y, x * y) for k in range(g.order())}
+    """Reference sigma: the classes of every power of x, y and xy, by Permutation products."""
+    return {cd.class_of(p) for g in (x, y, x * y)
+            for p in itertools.accumulate([g] * g.order(), operator.mul)}
 
 
 def _orders_reference(x, y):

@@ -52,6 +52,12 @@ def test_zsigmondy_text_and_json(capsys):
     }
 
 
+def test_zsigmondy_refuses_a_strong_pseudoprime_q(capsys):
+    # a composite that passes Miller-Rabin on the bases 2..37 is not a prime power
+    code, out, err = run_cli(["zsigmondy", "--q", "318665857834031151167461", "--n", "1"], capsys)
+    assert (code, out) == (2, "") and "prime power" in err
+
+
 def test_zsigmondy_past_the_factoring_cap_exits_3_fast(capsys):
     # rho splits four factors off Phi_500(2), then stalls on a 132-bit
     # composite until numtheory.RHO_STEP_CAP stops it

@@ -56,6 +56,10 @@ refused type is charged the pair tests that walk would make.
 The `chartab` calls on A8 and M11, whose non-real characters are split from
 their conjugates, at d29413f, before each conjugate pair was split by row
 orthogonality instead of by the class matrices of non-real classes.
+The `classes` calls on A9, A10, S8, L2:25 and L2:49, whose walks start from
+other elements once the draws cross the cosets of the first base point's
+stabilizer (A10 draws 184,651 elements before its last class), at 90e71c0,
+before that draw order replaced the one with the stabilizer element fastest.
 A refactor that changes any byte of these outputs (a certificate, a class
 label, a character value, a count) fails here.
 """
@@ -99,6 +103,16 @@ GOLDEN = [
      0, "f50d280e32a635a6f23b3b9b0c7d17ab8fd5147acaa285788379e4d05af83537"),
     ("classes --group A7 --format json",
      0, "b32b5dc2dc63cac152eed846cb29ebc909cfc71e8b56a435c35f5e40e0ee7c39"),
+    ("classes --group A9 --format json",
+     0, "14d95e1f0cad77d07ccced2f526e370db65acc72d4c47fddeaa8d353ba051460"),
+    ("classes --group A10 --format json",
+     0, "a50973f778abf8bcf38bd273e79bc3f2d6bb4f16fac67c708708e425a87dc35d"),
+    ("classes --group S8 --format json",
+     0, "37dde1697c550762fdaa8bdddf9e80c9b6d86efbb1ce2abf114f494cd2c7f05c"),
+    ("classes --group L2:25 --format json",
+     0, "2654dc94d1cc697a3c9ee069ad9679582bfd01419d6e6f84a2f282a5243a1967"),
+    ("classes --group L2:49 --format json",
+     0, "2f4a67614fe7e0895dac51981314b9ca4fc12bf60cb11b64320fd74088ba364c"),
     ("chartab --group L3:3 --format json",
      0, "7084bf9c5743a49d7db47978e3e4f219d99e99a7f5220e35c77418a6743fa9b0"),
     ("beauville search --group L2:25 --format json --seed 3",

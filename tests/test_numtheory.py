@@ -136,6 +136,27 @@ def test_factoring_past_the_rho_step_cap_is_a_capacity_error(monkeypatch):
         factorize((2**61 - 1) * (2**61 - 31))
 
 
+def test_strong_pseudoprime_to_the_bases_up_to_37_is_split():
+    # passes Miller-Rabin on the bases 2..37; base 41 is its witness
+    n = 318_665_857_834_031_151_167_461
+    assert not is_prime(n)
+    assert factorize(n) == {399_165_290_221: 1, 798_330_580_441: 1}
+
+
+def test_primes_past_the_miller_rabin_bound_are_proven_or_refused():
+    # the least strong pseudoprime to the bases 2..41: never an unproven prime
+    n = 1_287_836_182_261 * 2_575_672_364_521
+    assert n == 3_317_044_064_679_887_385_961_981
+    for decide in (is_prime, factorize):
+        with pytest.raises(CapacityError, match="82-bit probable prime"):
+            decide(n)
+    # Mersenne primes past the bound, and the 109-bit primitive prime of
+    # Phi_400(2), are proven through the factors of n - 1
+    for p in (2**89 - 1, 2**107 - 1, 2**127 - 1, 432_363_203_127_002_885_506_543_172_618_401):
+        assert is_prime(p) and factorize(p) == {p: 1}
+    assert not is_prime((2**89 - 1) * (2**107 - 1))
+
+
 def test_perfect_powers_split_without_rho(monkeypatch):
     # an integer root answers a prime square that rho could not split
     monkeypatch.setattr(numtheory, "RHO_STEP_CAP", 1000)
