@@ -7,21 +7,20 @@ the leading term is far from 1 (the error term dominates), so the probe
 reports the exact count and the ratio without a pass/fail judgment.
 """
 
-from bvl.catalog import build_group, lie_meta, parse_spec
+from bvl.catalog import build_group
 from bvl.numtheory import DomainError
 from bvl.structconst import point_count_probe, regular_semisimple_classes
 
 for spec in ("L3:2", "L3:3"):
     G = build_group(spec)
-    meta = lie_meta(parse_spec(spec))
-    regular = regular_semisimple_classes(G, meta)
+    regular = regular_semisimple_classes(G)
     print(f"{spec}: regular semisimple classes {regular}, leading term "
-          f"q^10 = {meta.q ** 10}")
+          f"q^10 = {G.meta.q ** 10}")
     shown = 0
     for c1 in regular:
         for c2 in regular:
             for c3 in regular:
-                r = point_count_probe(G, meta, c1, c2, c3)
+                r = point_count_probe(G, c1, c2, c3)
                 if shown < 6:
                     print(f"  ({c1},{c2},{c3}): n = {r.n_value:4d}, "
                           f"points = {r.exact_count:7d}, ratio = {float(r.ratio):.4f}")
@@ -32,6 +31,6 @@ for spec in ("L3:2", "L3:3"):
 print("Rank-1 groups are rejected (the statement assumes rank > 1):")
 G = build_group("L2:11")
 try:
-    point_count_probe(G, lie_meta(parse_spec("L2:11")), "5a", "5a", "5b")
+    point_count_probe(G, "5a", "5a", "5b")
 except DomainError as exc:
     print(f"  L2:11 -> {exc}")

@@ -2,8 +2,8 @@
 
 Alternating and symmetric groups in natural action, PSL_n(q) on the points of
 PG(n-1, q) for n = 2, 3 (one builder for both ranks), and JSON group files.
-Matrix groups never escape this module: every builder returns a permutation
-group.
+Each family is one entry of FAMILIES.  Matrix groups never escape this
+module: every builder returns a permutation group.
 """
 
 from __future__ import annotations
@@ -18,23 +18,12 @@ from pathlib import Path
 from .numtheory import CapacityError, DomainError, is_prime_power, poly_divmod, poly_mul
 from .permgroup import PermGroup, Permutation, check_degree
 
-ALT_RANGE = (3, 12)
-SYM_RANGE = (3, 12)
-PSL2_RANGE = (4, 49)
-PSL3_VALUES = (2, 3, 5)
-
-# n of the families PSL_n(q), built on the points of PG(n-1, q)
-_LINEAR_DIM = {"PSL2": 2, "PSL3": 3}
-
-
 class GroupSpec:
-    """Parsed group specification: family plus one parameter."""
+    """Parsed group specification: a family of FAMILIES, or FILE, and its parameter."""
 
-    def __init__(self, *, family: str, n: int = 0, q: int = 0, path: str = ""):
-        self.family = family  # ALT | SYM | PSL2 | PSL3 | FILE
-        self.n = n
-        self.q = q
-        self.path = path
+    def __init__(self, *, family: str, param: int | str):
+        self.family = family
+        self.param = param  # the family's int parameter, or a FILE's path
 
     def __eq__(self, other) -> bool:
         return isinstance(other, GroupSpec) and vars(self) == vars(other)
@@ -55,23 +44,18 @@ class LieMeta:
 
 
 def parse_spec(text: str) -> GroupSpec:
-    """Parse the CLI grammar: A5, S6, L2:7, L3:3, file:PATH."""
+    """Parse the CLI grammar: a family prefix in either case and a decimal
+    parameter (A5, s6, L2:7, l3:3), or file:PATH."""
     s = text.strip()
-    if s.lower().startswith("file:"):
-        return GroupSpec(family="FILE", path=s[5:])
-    try:
-        if s[0] in "Aa" and s[1:].isdigit():
-            return GroupSpec(family="ALT", n=int(s[1:]))
-        if s[0] in "Ss" and s[1:].isdigit():
-            return GroupSpec(family="SYM", n=int(s[1:]))
-        if s[0] in "Ll" and ":" in s:
-            dim, q = s[1:].split(":")
-            if dim == "2":
-                return GroupSpec(family="PSL2", q=int(q))
-            if dim == "3":
-                return GroupSpec(family="PSL3", q=int(q))
-    except (IndexError, ValueError):
-        pass
+    if s[:5].lower() == "file:":
+        return GroupSpec(family="FILE", param=s[5:])
+    for family, fam in FAMILIES.items():
+        head, rest = s[:len(fam.prefix)], s[len(fam.prefix):]
+        if head in (fam.prefix, fam.prefix.lower()) and rest.isdigit():
+            try:
+                return GroupSpec(family=family, param=int(rest))
+            except ValueError:  # a digit int() refuses, or past its digit limit
+                break
     raise DomainError(f"cannot parse group spec {text!r}")
 
 
@@ -304,54 +288,70 @@ def load_group_file(path: str | Path) -> PermGroup:
     return G
 
 
+def _psl_order(n: int, q: int) -> int:
+    return q ** (n * (n - 1) // 2) * prod(q**i - 1 for i in range(2, n + 1)) // gcd(n, q - 1)
+
+
+class Family:
+    """A catalog family: specs are prefix + parameter, the parameter one of values.
+
+    A parameter outside values is refused with "{must_be}, got {param}".
+    build(param) makes the group and order(param) gives its order; linear_dim
+    is the n of PSL_n(q), whose groups carry Lie metadata, and 0 otherwise.
+    """
+
+    def __init__(self, prefix: str, values, must_be: str, build, order, linear_dim: int = 0):
+        self.prefix = prefix
+        self.values = values
+        self.must_be = must_be
+        self.build = build
+        self.order = order
+        self.linear_dim = linear_dim
+
+
+FAMILIES = {
+    "ALT": Family("A", range(3, 13), "alternating degree must be in 3..12",
+                  _alternating_group, lambda n: factorial(n) // 2),
+    "SYM": Family("S", range(3, 13), "symmetric degree must be in 3..12",
+                  _symmetric_group, factorial),
+    "PSL2": Family("L2:", (4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32, 37, 41, 43, 47, 49),
+                   "L2 parameter must be a prime power in 4..49",
+                   lambda q: _psl_group(2, q), lambda q: _psl_order(2, q), linear_dim=2),
+    "PSL3": Family("L3:", (2, 3, 5), "L3 parameter must be one of 2, 3, 5",
+                   lambda q: _psl_group(3, q), lambda q: _psl_order(3, q), linear_dim=3),
+}
+
+
+def catalog_specs() -> list[str]:
+    """Every spec of FAMILIES, family by family, parameters ascending."""
+    return [fam.prefix + str(x) for fam in FAMILIES.values() for x in fam.values]
+
+
 def build_group(spec: GroupSpec | str) -> PermGroup:
-    """Construct the permutation group described by a GroupSpec (or its text form)."""
+    """Construct the permutation group described by a GroupSpec (or its text form).
+
+    A family's group is checked against its order formula, and a mismatch is
+    an internal fault; it carries the family's Lie metadata as G.meta.
+    """
     if isinstance(spec, str):
         spec = parse_spec(spec)
-    if spec.family == "ALT":
-        if not ALT_RANGE[0] <= spec.n <= ALT_RANGE[1]:
-            raise DomainError(f"alternating degree must be in {ALT_RANGE[0]}..{ALT_RANGE[1]}, got {spec.n}")
-        return _alternating_group(spec.n)
-    if spec.family == "SYM":
-        if not SYM_RANGE[0] <= spec.n <= SYM_RANGE[1]:
-            raise DomainError(f"symmetric degree must be in {SYM_RANGE[0]}..{SYM_RANGE[1]}, got {spec.n}")
-        return _symmetric_group(spec.n)
-    if spec.family == "PSL2":
-        if not PSL2_RANGE[0] <= spec.q <= PSL2_RANGE[1] or is_prime_power(spec.q) is None:
-            raise DomainError(
-                f"L2 parameter must be a prime power in {PSL2_RANGE[0]}..{PSL2_RANGE[1]}, got {spec.q}"
-            )
-        return _psl_group(2, spec.q)
-    if spec.family == "PSL3":
-        if spec.q not in PSL3_VALUES:
-            raise DomainError(f"L3 parameter must be one of {PSL3_VALUES}, got {spec.q}")
-        return _psl_group(3, spec.q)
     if spec.family == "FILE":
-        return load_group_file(spec.path)
-    raise DomainError(f"unknown family {spec.family!r}")
-
-
-def lie_meta(spec: GroupSpec | str) -> LieMeta | None:
-    """Dimension, rank and Weyl-group order for the Lie-type families."""
-    if isinstance(spec, str):
-        spec = parse_spec(spec)
-    n = _LINEAR_DIM.get(spec.family)
-    if n is None:
-        return None
-    p, _ = is_prime_power(spec.q)
-    return LieMeta(
-        dim_G=n * n - 1, rank=n - 1, weyl_order=factorial(n), defining_prime=p, q=spec.q
-    )
+        return load_group_file(spec.param)
+    fam, x = FAMILIES[spec.family], spec.param
+    if x not in fam.values:
+        raise DomainError(f"{fam.must_be}, got {x}")
+    G, order = fam.build(x), fam.order(x)
+    if G.order != order:
+        raise ArithmeticError(f"{G.name} built with order {G.order}, formula {order}")
+    if fam.linear_dim:
+        n = fam.linear_dim
+        G.meta = LieMeta(dim_G=n * n - 1, rank=n - 1, weyl_order=factorial(n),
+                         defining_prime=is_prime_power(x)[0], q=x)
+    return G
 
 
 def classical_order(spec: GroupSpec) -> int:
-    """Textbook order formula for the family; the tests check build_group against it."""
-    if spec.family == "ALT":
-        return factorial(spec.n) // 2
-    if spec.family == "SYM":
-        return factorial(spec.n)
-    n = _LINEAR_DIM.get(spec.family)
-    if n is not None:
-        q = spec.q
-        return q ** (n * (n - 1) // 2) * prod(q**i - 1 for i in range(2, n + 1)) // gcd(n, q - 1)
-    raise DomainError("no order formula for FILE specs")
+    """Textbook order formula for the spec's family."""
+    if spec.family == "FILE":
+        raise DomainError("no order formula for FILE specs")
+    return FAMILIES[spec.family].order(spec.param)

@@ -19,7 +19,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .catalog import build_group, lie_meta, read_json
+from .catalog import build_group, read_json
 from .numtheory import CapacityError, DomainError, zsigmondy_part
 
 
@@ -155,8 +155,8 @@ def _cmd_struct(args) -> tuple[int, dict, str]:
 
 def _cmd_charbound(args) -> tuple[int, dict, str]:
     G = build_group(args.group)
-    meta = structconst.require_meta(G, lie_meta(args.group))
-    report = structconst.char_bound_check(G, meta, chartab.character_table(G))
+    structconst.require_meta(G)
+    report = structconst.char_bound_check(G, chartab.character_table(G))
     payload = {
         "spec": args.group,
         "bound": report.bound,
@@ -172,9 +172,8 @@ def _cmd_charbound(args) -> tuple[int, dict, str]:
 
 def _cmd_pointcount(args) -> tuple[int, dict, str]:
     G = build_group(args.group)
-    meta = lie_meta(args.group)
     c1, c2, c3 = _parse_class_triple(args.classes)
-    report = structconst.point_count_probe(G, meta, c1, c2, c3)
+    report = structconst.point_count_probe(G, c1, c2, c3)
     payload = {
         "spec": args.group,
         "classes": list(report.labels),

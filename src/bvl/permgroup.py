@@ -343,6 +343,7 @@ class PermGroup:
         self.generators = tuple(gens)
         self.name = name
         self.spec_string = name  # builders overwrite with a parseable spec
+        self.meta = None  # catalog.LieMeta of a Lie-type catalog group
         self._chain = _Chain(gens, degree)
         levels = self._chain.levels
         self.order = self._chain.order()

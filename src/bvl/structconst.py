@@ -20,7 +20,6 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from .catalog import LieMeta
 from .chartab import CharacterTable, TableError
 from .cyclotomic import Cyclo
 from .numtheory import DomainError
@@ -98,16 +97,14 @@ def structure_constant_brute(G: PermGroup, c1: str, c2: str, c3: str) -> int:
 # semisimple-class bookkeeping
 
 
-def semisimple_classes(G: PermGroup, meta: LieMeta) -> list[str]:
+def semisimple_classes(G: PermGroup) -> list[str]:
     """Nontrivial classes of order coprime to the defining prime."""
-    return [
-        c.label
-        for c in G.conjugacy_data().classes
-        if c.element_order > 1 and gcd(c.element_order, meta.defining_prime) == 1
-    ]
+    p = require_meta(G).defining_prime
+    return [c.label for c in G.conjugacy_data().classes
+            if c.element_order > 1 and gcd(c.element_order, p) == 1]
 
 
-def regular_semisimple_classes(G: PermGroup, meta: LieMeta) -> list[str]:
+def regular_semisimple_classes(G: PermGroup) -> list[str]:
     """Semisimple classes whose centralizer order is prime to p.
 
     In PSL2 this keeps every nontrivial p'-class; in PSL3 it drops exactly
@@ -115,29 +112,28 @@ def regular_semisimple_classes(G: PermGroup, meta: LieMeta) -> list[str]:
     classes the point-count and nonvanishing statements quantify over.
     """
     cmap = G.conjugacy_data()
-    return [c for c in semisimple_classes(G, meta)
-            if gcd(G.order // cmap.by_label(c).size, meta.defining_prime) == 1]
+    return [c for c in semisimple_classes(G)
+            if gcd(G.order // cmap.by_label(c).size, G.meta.defining_prime) == 1]
 
 
-def require_meta(G: PermGroup, meta: LieMeta | None) -> LieMeta:
-    """The Lie metadata of G, checked before any class or table work.
+def require_meta(G: PermGroup):
+    """G.meta, the Lie metadata of G, checked before any class or table work.
 
     A group past the class bound is a capacity error whether or not it has
     metadata, as its class enumeration would raise; any other group without
     metadata is a usage error.
     """
     check_class_order(G)
-    if meta is None:
+    if G.meta is None:
         raise DomainError("operation needs a Lie-type catalog group (no metadata)")
-    return meta
+    return G.meta
 
 
-def gow_scan(G: PermGroup, meta: LieMeta | None) -> GowScanReport:
+def gow_scan(G: PermGroup) -> GowScanReport:
     """Nonvanishing of n(C1,C2,C3) over regular semisimple C1, C2 and
     nontrivial semisimple C3."""
-    meta = require_meta(G, meta)
-    regular = regular_semisimple_classes(G, meta)
-    semisimple = semisimple_classes(G, meta)
+    regular = regular_semisimple_classes(G)
+    semisimple = semisimple_classes(G)
     violations = [(c1, c2, c3) for c1 in regular for c2 in regular for c3 in semisimple
                   if structure_constant_brute(G, c1, c2, c3) == 0]
     return GowScanReport(
@@ -148,31 +144,29 @@ def gow_scan(G: PermGroup, meta: LieMeta | None) -> GowScanReport:
     )
 
 
-def char_bound_check(G: PermGroup, meta: LieMeta | None, T: CharacterTable) -> BoundReport:
+def char_bound_check(G: PermGroup, T: CharacterTable) -> BoundReport:
     """Max |chi(s)| over irreducibles per regular semisimple class,
     compared against the Weyl-group order."""
-    meta = require_meta(G, meta)
+    meta = require_meta(G)
     per_class: dict[str, float] = {}
-    for label in regular_semisimple_classes(G, meta):
+    for label in regular_semisimple_classes(G):
         idx = T.cmap.by_label(label).index
         per_class[label] = max(row[idx].abs_value() for row in T.rows)
     passed = all(v <= meta.weyl_order + BOUND_TOLERANCE for v in per_class.values())
     return BoundReport(per_class_max=per_class, bound=meta.weyl_order, passed=passed)
 
 
-def point_count_probe(
-    G: PermGroup, meta: LieMeta | None, c1: str, c2: str, c3: str
-) -> PointCountReport:
+def point_count_probe(G: PermGroup, c1: str, c2: str, c3: str) -> PointCountReport:
     """Exact count T(C1,C2,C3) = n(C1,C2,C3) * |C1| next to the leading term q^(2 dim - 3r).
 
     The count equals the number of F_q-points of the triple variety
     {(x,y,z) in C1 x C2 x C3 : xyz = 1}; no pass/fail judgment is made since
     the comparison is asymptotic.
     """
-    meta = require_meta(G, meta)
+    meta = require_meta(G)
     if meta.rank < 2:
         raise DomainError(f"point-count probe needs rank >= 2, got rank {meta.rank}")
-    regular = set(regular_semisimple_classes(G, meta))
+    regular = set(regular_semisimple_classes(G))
     for c in (c1, c2, c3):
         if c not in regular:
             raise DomainError(f"class {c} is not regular semisimple in {G.name}")

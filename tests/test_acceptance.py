@@ -20,7 +20,7 @@ from bvl.beauville import (
     search_beauville,
     verify_certificate,
 )
-from bvl.catalog import build_group, classical_order, lie_meta, parse_spec
+from bvl.catalog import build_group, catalog_specs, classical_order, parse_spec
 from bvl.chartab import character_table, verify_orthogonality
 from bvl.cli import run as cli_run
 from bvl.permgroup import subgroup_order
@@ -34,7 +34,6 @@ from bvl.structconst import (
 )
 
 ORACLE_GROUPS = ("S3", "A4", "A5", "A6", "L2:7", "L2:8", "L2:11", "L2:13", "L3:2")
-PSL2_PARAMS = (4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32, 37, 41, 43, 47, 49)
 SEARCH_GROUPS = ("L2:7", "L2:8", "L2:11", "L2:13", "A6")
 
 
@@ -59,14 +58,7 @@ def criterion(number, description, limit_seconds):
 
 
 def catalog_groups_up_to_1e5():
-    specs = []
-    for n in range(3, 13):
-        for fam in ("A", "S"):
-            if classical_order(parse_spec(f"{fam}{n}")) <= 100_000:
-                specs.append(f"{fam}{n}")
-    specs += [f"L2:{q}" for q in PSL2_PARAMS]
-    specs += [s for s in ("L3:2", "L3:3", "L3:5") if classical_order(parse_spec(s)) <= 100_000]
-    return specs
+    return [s for s in catalog_specs() if classical_order(parse_spec(s)) <= 100_000]
 
 
 @criterion(1, "oracle equivalence (formula = brute) over nine groups", 300)
@@ -188,16 +180,16 @@ def test_criterion_07_character_bound():
     for q in (5, 7, 8, 9, 11, 13):
         spec = f"L2:{q}"
         G = build_group(spec)
-        report = char_bound_check(G, lie_meta(parse_spec(spec)), character_table(G))
+        report = char_bound_check(G, character_table(G))
         assert report.bound == 2 and report.passed, spec
         assert all(v <= 2 + 1e-6 for v in report.per_class_max.values())
     # the bound is attained (up to tolerance) in PSL2(9), so it cannot be tightened
     G = build_group("L2:9")
-    report = char_bound_check(G, lie_meta(parse_spec("L2:9")), character_table(G))
+    report = char_bound_check(G, character_table(G))
     assert max(report.per_class_max.values()) > 2 - 1e-6
     for spec in ("L3:2", "L3:3"):
         G = build_group(spec)
-        report = char_bound_check(G, lie_meta(parse_spec(spec)), character_table(G))
+        report = char_bound_check(G, character_table(G))
         assert report.bound == 6 and report.passed, spec
 
 
@@ -205,7 +197,7 @@ def test_criterion_07_character_bound():
 def test_criterion_08_gow_scan():
     for spec in ("L2:7", "L2:11", "L3:2", "L3:3"):
         G = build_group(spec)
-        report = gow_scan(G, lie_meta(parse_spec(spec)))
+        report = gow_scan(G)
         assert report.all_positive, (spec, report.violations)
         assert report.triples_checked > 0
 
@@ -215,13 +207,12 @@ def test_criterion_09_point_count():
     for spec, q in (("L3:2", 2), ("L3:3", 3)):
         G = build_group(spec)
         cd = G.conjugacy_data()
-        meta = lie_meta(parse_spec(spec))
-        regular = regular_semisimple_classes(G, meta)
+        regular = regular_semisimple_classes(G)
         assert regular
         for c1 in regular:
             for c2 in regular:
                 for c3 in regular:
-                    report = point_count_probe(G, meta, c1, c2, c3)
+                    report = point_count_probe(G, c1, c2, c3)
                     assert report.exact_count == report.n_value * cd.by_label(c1).size
                     assert report.exact_count > 0, (spec, c1, c2, c3)
                     assert report.predicted == q**10

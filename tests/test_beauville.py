@@ -24,7 +24,7 @@ from bvl.beauville import (
     verify_beauville,
     verify_certificate,
 )
-from bvl.catalog import PSL2_RANGE, PSL3_VALUES, build_group
+from bvl.catalog import build_group, catalog_specs
 from bvl.numtheory import DomainError, is_prime_power
 from bvl.chartab import character_table
 from bvl.permgroup import MembershipError, PermGroup, Permutation, _Chain, subgroup_order
@@ -378,9 +378,8 @@ def test_sign_bound_refuses_only_types_without_a_generating_pair(spec):
 
 def test_sign_bound_never_fires_on_the_simple_catalog_groups():
     # a nonabelian simple permutation group lies in A_n
-    specs = [f"A{n}" for n in range(5, 13)] + ["file:m11.json", "file:m12.json"]
-    specs += [f"L2:{q}" for q in range(PSL2_RANGE[0], PSL2_RANGE[1] + 1) if is_prime_power(q)]
-    specs += [f"L3:{q}" for q in PSL3_VALUES]
+    specs = [s for s in catalog_specs() if s[0] != "S" and s not in ("A3", "A4")]
+    specs += ["file:m11.json", "file:m12.json"]
     for spec in specs:
         assert not any(_sign(g) for g in build_group(spec).generators), spec
 

@@ -4,31 +4,49 @@ import json
 import pytest
 
 from bvl.catalog import (
+    FAMILIES,
     GF,
-    PSL3_VALUES,
     GroupSpec,
+    LieMeta,
     build_group,
+    catalog_specs,
     classical_order,
     data_dir,
-    lie_meta,
     load_group_file,
     parse_spec,
 )
+from bvl.cli import run
 from bvl.numtheory import DomainError, is_prime_power
 from bvl.permgroup import CapacityError
 
-PSL2_PARAMS = (4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32, 37, 41, 43, 47, 49)
-
 
 def test_parse_spec_grammar():
-    assert parse_spec("A5") == GroupSpec(family="ALT", n=5)
-    assert parse_spec("S6") == GroupSpec(family="SYM", n=6)
-    assert parse_spec("L2:7") == GroupSpec(family="PSL2", q=7)
-    assert parse_spec("L3:3") == GroupSpec(family="PSL3", q=3)
-    assert parse_spec("file:m11.json") == GroupSpec(family="FILE", path="m11.json")
-    for bad in ("X5", "L4:2", "A", "L2:x", ""):
-        with pytest.raises(DomainError):
+    assert parse_spec("A5") == GroupSpec(family="ALT", param=5)
+    assert parse_spec("S6") == GroupSpec(family="SYM", param=6)
+    assert parse_spec("L2:7") == GroupSpec(family="PSL2", param=7)
+    assert parse_spec("L3:3") == GroupSpec(family="PSL3", param=3)
+    assert parse_spec("file:m11.json") == GroupSpec(family="FILE", param="m11.json")
+    # either case for the prefix, leading zeros, and whitespace around the spec
+    assert parse_spec("a5") == parse_spec("A05") == GroupSpec(family="ALT", param=5)
+    assert parse_spec(" S6") == GroupSpec(family="SYM", param=6)
+    assert parse_spec("l2:7") == parse_spec("L2:7 ") == GroupSpec(family="PSL2", param=7)
+    assert parse_spec("FILE:m11.json") == GroupSpec(family="FILE", param="m11.json")
+    # one grammar for every family: the parameter is digits only, with no
+    # sign and no space after the prefix
+    for bad in ("X5", "L4:2", "A", "L2:x", "", "A+5", "L2:+7", "L2: 7", "A 5", "A\u00b2", "A" + "9" * 5000):
+        with pytest.raises(DomainError, match="cannot parse group spec"):
             parse_spec(bad)
+
+
+def test_catalog_specs():
+    assert catalog_specs() == (
+        ["A3", "A4", "A5", "A6", "A7", "A8", "A9", "A10", "A11", "A12",
+         "S3", "S4", "S5", "S6", "S7", "S8", "S9", "S10", "S11", "S12"]
+        + ["L2:4", "L2:5", "L2:7", "L2:8", "L2:9", "L2:11", "L2:13", "L2:16", "L2:17",
+           "L2:19", "L2:23", "L2:25", "L2:27", "L2:29", "L2:31", "L2:32", "L2:37",
+           "L2:41", "L2:43", "L2:47", "L2:49"]
+        + ["L3:2", "L3:3", "L3:5"]
+    )
 
 
 def test_gf_field_axioms():
@@ -93,20 +111,25 @@ def test_build_group_examples():
 
 
 def test_orders_match_classical_formulas():
-    specs = [f"A{n}" for n in range(3, 13)]
-    specs += [f"S{n}" for n in range(3, 13)]
-    specs += [f"L2:{q}" for q in PSL2_PARAMS]
-    specs += ["L3:2", "L3:3", "L3:5"]
-    for text in specs:
+    for text in catalog_specs():
         spec = parse_spec(text)
         assert build_group(spec).order == classical_order(spec), text
+
+
+def test_order_formula_mismatch_is_internal(monkeypatch, capsys):
+    # build_group checks every built group against its family's formula
+    monkeypatch.setattr(FAMILIES["PSL2"], "order", lambda q: 1)
+    code = run(["group", "--group", "L2:7"])
+    out, err = capsys.readouterr()
+    assert (code, out) == (4, "")
+    assert err.startswith("error: internal:"), err
 
 
 def test_linear_group_generators_are_byte_stable():
     # sha256 over the generator image bytes of every L2 and L3 catalog group,
     # recorded at 8a16018 from the separate PSL2 and PSL3 builders: point
     # labels and generator order must not move.
-    specs = [f"L2:{q}" for q in PSL2_PARAMS] + [f"L3:{q}" for q in PSL3_VALUES]
+    specs = [s for s in catalog_specs() if s.startswith("L")]
     h = hashlib.sha256()
     for text in specs:
         for g in build_group(text).generators:
@@ -150,14 +173,16 @@ def test_psl2_element_orders():
         assert orders == expected, q
 
 
-def test_lie_meta():
-    assert lie_meta("L2:11") == lie_meta(parse_spec("L2:11"))
-    m = lie_meta("L2:11")
+def test_built_groups_carry_lie_meta():
+    assert build_group("L2:11").meta == build_group(parse_spec("L2:11")).meta
+    m = build_group("L2:11").meta
     assert (m.dim_G, m.rank, m.weyl_order, m.defining_prime) == (3, 1, 2, 11)
-    m = lie_meta("L3:3")
+    m = build_group("L3:3").meta
     assert (m.dim_G, m.rank, m.weyl_order, m.defining_prime) == (8, 2, 6, 3)
-    assert lie_meta("A7") is None
-    assert lie_meta("S6") is None
+    assert build_group("L2:8").meta == LieMeta(dim_G=3, rank=1, weyl_order=2, defining_prime=2, q=8)
+    assert build_group("A7").meta is None
+    assert build_group("S6").meta is None
+    assert build_group("file:m11.json").meta is None
 
 
 def test_load_group_file_bundled():

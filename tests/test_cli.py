@@ -281,6 +281,37 @@ def test_bad_group_spec_usage_error(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("spec,message", [
+    ("A2", "alternating degree must be in 3..12, got 2"),
+    ("A13", "alternating degree must be in 3..12, got 13"),
+    ("S13", "symmetric degree must be in 3..12, got 13"),
+    ("L2:50", "L2 parameter must be a prime power in 4..49, got 50"),
+    ("L2:6", "L2 parameter must be a prime power in 4..49, got 6"),
+    ("L3:4", "L3 parameter must be one of 2, 3, 5, got 4"),
+])
+def test_out_of_range_parameter_message(spec, message, capsys):
+    assert run_cli(["group", "--group", spec], capsys) == (2, "", f"error: usage: {message}\n")
+
+
+GROUP_TEXT = (
+    st.text(max_size=12)
+    | st.tuples(st.sampled_from(["A", "a", "S", "s", "L2:", "l2:", "L3:", "L", "file:", ""]),
+                st.sampled_from(["", "+", "-", " ", "\t", "0"]),
+                st.text(alphabet="0123456789", max_size=5000)
+                | st.text(alphabet=st.characters(categories=["Nd", "No"]), max_size=8),
+                st.sampled_from(["", " ", "\n", ":7", "x"])).map("".join)
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=GROUP_TEXT)
+def test_arbitrary_group_text_never_exits_4(text):
+    start = time.perf_counter()
+    code = run(["group", "--group", text])
+    assert code in (0, 2, 3), text
+    assert time.perf_counter() - start < 5
+
+
 def test_capacity_exit_code(tmp_path, capsys):
     code, _, err = run_cli(["chartab", "--group", "A12"], capsys)
     assert code == 3 and "capacity" in err

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import bvl.permgroup as pg
 from bvl.beauville import _class_types
-from bvl.catalog import ALT_RANGE, PSL2_RANGE, PSL3_VALUES, SYM_RANGE, build_group, load_group_file
+from bvl.catalog import build_group, catalog_specs, load_group_file
 from bvl.chartab import character_table
 from bvl.permgroup import (
     MAX_DEGREE,
@@ -706,19 +706,9 @@ def test_subgroup_order_examples():
         subgroup_order(A5, [cyc(5, (1, 2))])
 
 
-def catalog_specs():
-    return (
-        [f"A{n}" for n in range(ALT_RANGE[0], ALT_RANGE[1] + 1)]
-        + [f"S{n}" for n in range(SYM_RANGE[0], SYM_RANGE[1] + 1)]
-        + [f"L2:{q}" for q in range(PSL2_RANGE[0], PSL2_RANGE[1] + 1) if is_prime_power(q)]
-        + [f"L3:{q}" for q in PSL3_VALUES]
-        + ["file:m11.json", "file:m12.json"]
-    )
-
-
 @pytest.fixture(scope="module")
 def catalog_groups():
-    return [build_group(spec) for spec in catalog_specs()]
+    return [build_group(spec) for spec in catalog_specs() + ["file:m11.json", "file:m12.json"]]
 
 
 def test_chain_transversals_and_strong_generators(catalog_groups):

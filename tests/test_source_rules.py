@@ -205,3 +205,18 @@ def test_cyclotomic_coefficients_stay_in_cyclotomic(path):
              if isinstance(node, ast.Attribute) and node.attr in private
              or isinstance(node, ast.ImportFrom) and any(a.name in private for a in node.names)]
     assert not lines, f"{path.name}: cyclotomic internals used at lines {lines}"
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_family_names_stay_in_the_catalog(path):
+    # each family is one entry of catalog.FAMILIES: no other module names a
+    # family or parses a spec, so a new family touches the catalog alone
+    if path.name == "catalog.py":
+        return
+    tree = ast.parse(path.read_text(), filename=str(path))
+    lines = sorted({node.lineno for node in ast.walk(tree)
+                    if isinstance(node, ast.Constant) and node.value in ("ALT", "SYM", "PSL2", "PSL3")
+                    or isinstance(node, ast.Name) and node.id == "parse_spec"
+                    or isinstance(node, ast.alias) and node.name == "parse_spec"
+                    or isinstance(node, ast.Attribute) and node.attr == "parse_spec"})
+    assert not lines, f"{path.name}: family name or parse_spec at lines {lines}"

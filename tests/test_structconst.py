@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from bvl import structconst
-from bvl.catalog import build_group, lie_meta, parse_spec
+from bvl.catalog import build_group
 from bvl.chartab import TableError, character_table
 from bvl.cli import run
 from bvl.cyclotomic import Cyclo
@@ -22,23 +22,23 @@ from bvl.structconst import (
 
 def _setup(spec):
     G = build_group(spec)
-    return G, G.conjugacy_data(), lie_meta(parse_spec(spec)), character_table(G)
+    return G, G.conjugacy_data(), character_table(G)
 
 
 def test_formula_examples():
-    _, _, _, T = _setup("S3")
+    _, _, T = _setup("S3")
     assert structure_constant_formula(T, "2a", "2a", "3a") == 2
     # fixing x = 1 forces z = y^-1, so n(1a, C, C^-1) = |C| and 0 otherwise
-    G, cd, _, TA = _setup("A5")
+    G, cd, TA = _setup("A5")
     assert structure_constant_formula(TA, "1a", "5a", "5a") == 12
     assert structure_constant_formula(TA, "1a", "5a", "5b") == 0
     assert structure_constant_formula(TA, "1a", "1a", "1a") == 1
 
 
 def test_brute_examples():
-    G, cd, _, _ = _setup("S3")
+    G, cd, _ = _setup("S3")
     assert structure_constant_brute(G, "2a", "2a", "3a") == 2
-    G, cd, _, _ = _setup("A5")
+    G, cd, _ = _setup("A5")
     assert cd.by_label("5a").inverse_class == "5a"
     assert structure_constant_brute(G, "1a", "5a", "5a") == 12
     assert structure_constant_brute(G, "1a", "1a", "1a") == 1
@@ -46,7 +46,7 @@ def test_brute_examples():
 
 def test_oracle_equivalence_small_catalog():
     for spec in ("S3", "A4", "A5", "L3:2"):
-        G, cd, _, T = _setup(spec)
+        G, cd, T = _setup(spec)
         labels = [c.label for c in cd.classes]
         for c1 in labels:
             for c2 in labels:
@@ -58,7 +58,7 @@ def test_oracle_equivalence_small_catalog():
 
 def test_rotation_invariance_of_triple_counts():
     # n(C1,C2,C3) * |C1| counts solutions of xyz = 1, invariant under rotation
-    G, cd, _, T = _setup("A5")
+    G, cd, T = _setup("A5")
     labels = [c.label for c in cd.classes]
     for c1 in labels:
         for c2 in labels:
@@ -73,23 +73,23 @@ def test_rotation_invariance_of_triple_counts():
 
 
 def test_semisimple_classification():
-    G, cd, meta, _ = _setup("L2:7")
-    assert regular_semisimple_classes(G, meta) == ["2a", "3a", "4a"]
-    assert semisimple_classes(G, meta) == ["2a", "3a", "4a"]
-    G, cd, meta, _ = _setup("L2:8")
-    assert regular_semisimple_classes(G, meta) == ["3a", "7a", "7b", "7c", "9a", "9b", "9c"]
-    G, cd, meta, _ = _setup("L3:3")
+    G, cd, _ = _setup("L2:7")
+    assert regular_semisimple_classes(G) == ["2a", "3a", "4a"]
+    assert semisimple_classes(G) == ["2a", "3a", "4a"]
+    G, cd, _ = _setup("L2:8")
+    assert regular_semisimple_classes(G) == ["3a", "7a", "7b", "7c", "9a", "9b", "9c"]
+    G, cd, _ = _setup("L3:3")
     # the involution class has a GL2-type centralizer (order divisible by 3)
-    rs = regular_semisimple_classes(G, meta)
+    rs = regular_semisimple_classes(G)
     assert "2a" not in rs
     assert rs == ["4a", "8a", "8b", "13a", "13b", "13c", "13d"]
-    assert "2a" in semisimple_classes(G, meta)
+    assert "2a" in semisimple_classes(G)
 
 
 def test_gow_scan_positive():
     for spec in ("L2:7", "L2:11"):
-        G, cd, meta, T = _setup(spec)
-        report = gow_scan(G, meta)
+        G, cd, T = _setup(spec)
+        report = gow_scan(G)
         assert report.all_positive
         assert report.triples_checked == len(report.regular_classes) ** 2 * len(
             report.semisimple_classes
@@ -97,35 +97,35 @@ def test_gow_scan_positive():
 
 
 def test_gow_scan_reports_a_zero_count(monkeypatch):
-    G, _, meta, _ = _setup("L2:7")
+    G, _, _ = _setup("L2:7")
     brute = structconst.structure_constant_brute
     monkeypatch.setattr(structconst, "structure_constant_brute",
                         lambda G, *t: 0 if t == ("3a", "4a", "2a") else brute(G, *t))
-    report = gow_scan(G, meta)
+    report = gow_scan(G)
     assert (report.violations, report.all_positive) == ([("3a", "4a", "2a")], False)
 
 
 def test_gow_scan_rejects_non_lie_group():
     G = build_group("A7")
     with pytest.raises(ValueError):
-        gow_scan(G, None)
+        gow_scan(G)
 
 
 def test_char_bound_examples():
-    G, cd, meta, T = _setup("L2:9")
-    report = char_bound_check(G, meta, T)
+    G, cd, T = _setup("L2:9")
+    report = char_bound_check(G, T)
     assert report.passed and report.bound == 2
     assert abs(report.per_class_max["2a"] - 2.0) < 1e-9  # degree-10 character hits the bound
-    G, cd, meta, T = _setup("L2:7")
-    assert char_bound_check(G, meta, T).passed
-    G, cd, meta, T = _setup("L3:3")
-    report = char_bound_check(G, meta, T)
+    G, cd, T = _setup("L2:7")
+    assert char_bound_check(G, T).passed
+    G, cd, T = _setup("L3:3")
+    report = char_bound_check(G, T)
     assert report.passed and report.bound == 6
 
 
 def test_point_count_probe_l3_2():
-    G, cd, meta, _ = _setup("L3:2")
-    report = point_count_probe(G, meta, "7a", "7a", "7b")
+    G, cd, _ = _setup("L3:2")
+    report = point_count_probe(G, "7a", "7a", "7b")
     assert report.class_size == 24
     assert report.exact_count == report.n_value * 24
     assert report.predicted == 2**10 == 1024
@@ -136,27 +136,27 @@ def test_point_count_probe_l3_2():
 
 
 def test_point_count_probe_l3_3():
-    G, cd, meta, _ = _setup("L3:3")
-    report = point_count_probe(G, meta, "13a", "13b", "13c")
+    G, cd, _ = _setup("L3:3")
+    report = point_count_probe(G, "13a", "13b", "13c")
     assert report.predicted == 3**10 == 59049
     assert report.exact_count == report.n_value * cd.by_label("13a").size
     assert report.exact_count > 0
 
 
 def test_point_count_rejects_rank_one_and_bad_classes():
-    G, cd, meta, _ = _setup("L2:11")
+    G, cd, _ = _setup("L2:11")
     with pytest.raises(ValueError, match="rank"):
-        point_count_probe(G, meta, "5a", "5a", "5b")
-    G, cd, meta, _ = _setup("L3:2")
+        point_count_probe(G, "5a", "5a", "5b")
+    G, cd, _ = _setup("L3:2")
     with pytest.raises(ValueError, match="regular semisimple"):
-        point_count_probe(G, meta, "2a", "7a", "7b")
+        point_count_probe(G, "2a", "7a", "7b")
 
 
 @pytest.mark.parametrize("spec", ["L2:7", "L2:11", "L3:2", "L3:3"])
 def test_verdicts_read_the_counts_the_formula_gives(spec, monkeypatch):
     # gow_scan and point_count_probe read n from the triple counts; every n
     # they read is the character formula's
-    G, cd, meta, T = _setup(spec)
+    G, cd, T = _setup(spec)
     read = []
     brute = structconst.structure_constant_brute
 
@@ -166,12 +166,12 @@ def test_verdicts_read_the_counts_the_formula_gives(spec, monkeypatch):
         return n
 
     monkeypatch.setattr(structconst, "structure_constant_brute", recorded)
-    report = gow_scan(G, meta)
+    report = gow_scan(G)
     assert len(read) == report.triples_checked > 0
-    if meta.rank > 1:
-        regular = regular_semisimple_classes(G, meta)
+    if G.meta.rank > 1:
+        regular = regular_semisimple_classes(G)
         for triple in ((a, b, c) for a in regular for b in regular for c in regular):
-            assert point_count_probe(G, meta, *triple).n_value == read[-1][1]
+            assert point_count_probe(G, *triple).n_value == read[-1][1]
         assert len(read) == report.triples_checked + len(regular) ** 3
     for triple, n in read:
         assert n == structure_constant_formula(T, *triple), (spec, triple)
@@ -179,7 +179,6 @@ def test_verdicts_read_the_counts_the_formula_gives(spec, monkeypatch):
 
 def test_verdicts_need_no_character_table(monkeypatch, capsys):
     G = build_group("L3:3")
-    meta = lie_meta(parse_spec("L3:3"))
     argv = ["pointcount", "--group", "L3:3", "--classes", "13a,13a,13b"]
     assert run(argv) == 0
     expected = capsys.readouterr().out
@@ -189,7 +188,7 @@ def test_verdicts_need_no_character_table(monkeypatch, capsys):
 
     monkeypatch.setattr("bvl.chartab.character_table", no_table)  # cli calls it through chartab
     assert (run(argv), capsys.readouterr().out) == (0, expected)
-    assert gow_scan(G, meta).all_positive
+    assert gow_scan(G).all_positive
 
 
 def test_brute_route_refuses_a_count_not_divisible_by_c1(monkeypatch, capsys):
@@ -203,7 +202,7 @@ def test_brute_route_refuses_a_count_not_divisible_by_c1(monkeypatch, capsys):
     assert (code, out) == (4, "")
     assert err == "error: internal: TableError: T('2a', '2a', '3a') = 7 is not a multiple of |C1| = 3\n"
     with pytest.raises(TableError, match="not a multiple"):
-        point_count_probe(build_group("L3:2"), lie_meta(parse_spec("L3:2")), "7a", "7a", "7b")
+        point_count_probe(build_group("L3:2"), "7a", "7a", "7b")
 
 
 def test_formula_route_refuses_an_inexact_or_negative_quotient(monkeypatch, capsys):
