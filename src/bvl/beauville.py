@@ -12,7 +12,8 @@ decides the whole <c>-conjugation orbit of d (and of each power d^k in D).
 The class-pair search folds further: for k coprime to o(c), <c^k, d> = <c, d>
 and x -> x^k maps C onto the class C^k bijectively, so one all-pairs scan
 decides (C^k, D^l) for all such k and l, the whole Galois orbit of the class
-pair.
+pair.  Every "G = <x, y>?" here, in the witness walk, the all-pairs scan and
+certificate checks, is the one generation test, permgroup.is_generating_pair.
 """
 
 from __future__ import annotations
@@ -25,13 +26,11 @@ from .numtheory import CapacityError, DomainError
 from .permgroup import (
     MAX_CLASSES,
     ClassMap,
-    MembershipError,
     PermGroup,
     Permutation,
     conjugates_by,
     image_powers,
-    is_transitive_on_group_domain,
-    subgroup_order,
+    is_generating_pair,
 )
 
 DEFAULT_TYPE_BUDGET = 10_000_000
@@ -103,30 +102,6 @@ def sigma_set(G: PermGroup, x: Permutation, y: Permutation) -> int:
     masks = cmap.power_masks
     a, b, c = _class_type(cmap, x, y)
     return masks[a] | masks[b] | masks[c]
-
-
-def _generates(G: PermGroup, x: Permutation, y: Permutation) -> bool | None:
-    """G = <x, y>, for x and y known to lie in G.
-
-    An intransitive pair cannot generate a transitive G: None says that this
-    check refused it, unsifted.  Any other pair goes to subgroup_order, which
-    sifts x and y and stops once its chain reaches |G|: True or False.
-    """
-    if G.is_transitive and not is_transitive_on_group_domain(G, (x, y)):
-        return None
-    return subgroup_order(G, [x, y]) == G.order
-
-
-def is_generating_pair(G: PermGroup, x: Permutation, y: Permutation) -> bool:
-    """G = <x, y>; MembershipError if x or y lies outside G.
-
-    subgroup_order sifts x and y through G's chain; a pair that _generates
-    refuses before reaching it is sifted here.
-    """
-    answer = _generates(G, x, y)
-    if answer is None and not (G.contains(x) and G.contains(y)):
-        raise MembershipError("is_generating_pair: element is not in the group")
-    return bool(answer)
 
 
 def _is_hyperbolic(a: int, b: int, c: int) -> bool:
@@ -278,8 +253,8 @@ class _TypeSearcher:
 
     x is the representative of C1 and y walks C2 in a seeded shuffle, one
     pair test per position: the class of y * x (conjugate to xy) must be C3,
-    and then <x, y> = G.  Class members lie in G, so the generation test is
-    _generates: an intransitive pair is refused without a sift.
+    and then <x, y> = G, decided by the one generation test,
+    permgroup.is_generating_pair.
 
     A generating pair of a transitive G on n points is transitive, so by the
     Riemann-Hurwitz bound (Scott, Ann. of Math. 1977) c(x) + c(y) + c(xy)
@@ -339,7 +314,7 @@ class _TypeSearcher:
                 y = candidates[pos]
                 if cmap.class_of(y * x) != i3 or y.images in failed:
                     continue
-                if _generates(self.G, x, y):
+                if is_generating_pair(self.G, x, y):
                     found = (x, y)
                     break
                 failed.update(conjugates(y.images))
@@ -367,8 +342,6 @@ def search_beauville(
     if budget < 0:
         raise DomainError(f"budget must be >= 0, got {budget}")
     cmap = G.conjugacy_data()
-    if G.order == 1:
-        return SearchResult(status=STATUS_NONE_EXHAUSTED)
     if len(cmap.classes) > MAX_CLASSES:
         raise CapacityError(
             f"class-type search needs <= {MAX_CLASSES} classes, got {len(cmap.classes)}"
@@ -439,21 +412,12 @@ def all_pairs_generate(G: PermGroup, c_labels, d_label: str) -> GenClassCertific
             if d.images in covered:
                 continue
             if not is_generating_pair(G, c_rep, d):
-                return GenClassCertificate(
-                    c_labels=c_labels,
-                    d_label=d_label,
-                    pairs_tested=tested,
-                    counterexample=(c_rep.to_list(), d.to_list()),
-                )
+                return GenClassCertificate(c_labels=c_labels, d_label=d_label, pairs_tested=tested,
+                                           counterexample=(c_rep.to_list(), d.to_list()))
             for i, power in zip(d_class.power_row, image_powers(d.images, d_class.element_order)):
                 if i == d_class.index and power not in covered:
                     covered.update(conjugates(power))
-    return GenClassCertificate(
-        c_labels=c_labels,
-        d_label=d_label,
-        pairs_tested=tested,
-        counterexample=None,
-    )
+    return GenClassCertificate(c_labels=c_labels, d_label=d_label, pairs_tested=tested)
 
 
 def search_gen_classes(G: PermGroup) -> list[tuple[str, str]]:

@@ -2,8 +2,9 @@
 
 All arithmetic here is exact arbitrary-precision integer arithmetic, and
 primality is exact at every size.  Factoring is sized for the toolkit's
-inputs: rho gives up past RHO_STEP_CAP steps, so a composite whose two least
-prime factors pass about 2**40 is a CapacityError.
+inputs: rho gives up past RHO_STEP_CAP steps' work, so a composite whose two
+least prime factors pass about 2**40 is a CapacityError, and so is a q**n of
+more than POWER_BIT_CAP bits, before it is computed.
 """
 
 from __future__ import annotations
@@ -12,9 +13,12 @@ from functools import lru_cache
 from itertools import count
 from math import gcd
 
-# Most rho steps spent on one composite before factoring gives up: 2.6 times
-# the 388,562 that Phi_420(2) takes to give up its 38-bit factor.
+# Most rho work spent on one composite before factoring gives up: 2.6 times the
+# 388,562 steps that Phi_420(2) takes to give up its 38-bit factor.  A step on
+# an m-bit composite costs about (m / RHO_STEP_BITS)**2 steps on a smaller one.
 RHO_STEP_CAP = 1_000_000
+RHO_STEP_BITS = 512
+POWER_BIT_CAP = 4_096  # most bits of a q**n that cyclotomic_poly_eval computes
 
 
 class DomainError(ValueError):
@@ -108,19 +112,18 @@ def poly_divmod(f: list[int], g: list[int], p: int) -> tuple[list[int], list[int
 
 def _pollard_rho(n: int) -> int:
     """A nontrivial factor of composite n by Floyd's cycle method on x^2 + c,
-    c = 1, 2, ... in turn; CapacityError past RHO_STEP_CAP steps in all."""
+    c = 1, 2, ... in turn; CapacityError past RHO_STEP_CAP steps' work in all."""
     if n % 2 == 0:
         return 2
+    cap = RHO_STEP_CAP * RHO_STEP_BITS**2 // max(n.bit_length(), RHO_STEP_BITS) ** 2
     steps = 0
     for c in count(1):
         x = y = 2
         d = 1
         while d == 1:
             steps += 1
-            if steps > RHO_STEP_CAP:
-                raise CapacityError(
-                    f"factoring a {n.bit_length()}-bit composite needs over {RHO_STEP_CAP} rho steps"
-                )
+            if steps > cap:
+                raise CapacityError(f"factoring a {n.bit_length()}-bit composite needs over {cap} rho steps")
             x = (x * x + c) % n
             y = (y * y + c) % n
             y = (y * y + c) % n
@@ -141,7 +144,8 @@ def _integer_root(n: int, k: int) -> int:
 def factorize(n: int) -> dict[int, int]:
     """Prime factorization as {prime: multiplicity}: trial division, then a
     perfect power r^j split at its integer root (r > 47, so j <= bits / 5;
-    rho would take about sqrt(r) steps), then Pollard rho."""
+    rho would take about sqrt(r) steps; j prime, as r^(jk) = (r^k)^j), then
+    Pollard rho."""
     if n < 1:
         raise DomainError(f"factorize: need n >= 1, got {n}")
     out: dict[int, int] = {}
@@ -155,7 +159,8 @@ def factorize(n: int) -> dict[int, int]:
         if is_prime(m):
             out[m] = out.get(m, 0) + 1
             continue
-        j = next((j for j in range(2, m.bit_length() // 5 + 1) if _integer_root(m, j) ** j == m), 0)
+        j = next((j for j in range(2, m.bit_length() // 5 + 1)
+                  if is_prime(j) and _integer_root(m, j) ** j == m), 0)
         if j:
             stack += [_integer_root(m, j)] * j
         else:
@@ -180,12 +185,16 @@ def cyclotomic_poly_eval(n: int, q: int) -> int:
     """Value of the n-th cyclotomic polynomial at q.
 
     Computed through the divisor recurrence q**n - 1 = prod_{d|n} Phi_d(q),
-    so every intermediate value is an exact integer.
+    so every intermediate value is an exact integer.  A q**n of more than
+    POWER_BIT_CAP bits is refused before it is computed: it has more than
+    n * (bits of q - 1) bits.
     """
     if n < 1:
         raise DomainError(f"cyclotomic_poly_eval: need n >= 1, got {n}")
     if q < 2:
         raise DomainError(f"cyclotomic_poly_eval: need q >= 2, got {q}")
+    if n * (q.bit_length() - 1) >= POWER_BIT_CAP or (q**n).bit_length() > POWER_BIT_CAP:
+        raise CapacityError(f"{q}**{n} has more than {POWER_BIT_CAP} bits")
     value = q**n - 1
     for d in divisors(n):
         if d < n:
@@ -213,6 +222,8 @@ class ZsigmondyResult:
 
 
 def _check_prime_power(q: int) -> tuple[int, int]:
+    if q.bit_length() > POWER_BIT_CAP:  # q**n >= q, so refuse before factoring q
+        raise CapacityError(f"q has more than {POWER_BIT_CAP} bits")
     pk = is_prime_power(q)
     if pk is None:
         raise DomainError(f"q must be a prime power >= 2, got {q}")
@@ -220,17 +231,20 @@ def _check_prime_power(q: int) -> tuple[int, int]:
 
 
 def zsigmondy_part(q: int, n: int) -> ZsigmondyResult:
-    """Primitive part Phi*_n(q) of Phi_n(q) and its primitive primes."""
+    """Primitive part Phi*_n(q) of Phi_n(q) and its primitive primes.
+
+    A prime r | Phi_n(q) has n = ord_r(q) * r**j, so it is primitive exactly
+    when it does not divide n: strip Phi_n(q)'s common factors with n.
+    """
     _check_prime_power(q)
     if n < 1:
         raise DomainError(f"zsigmondy_part: need n >= 1, got {n}")
     phi = cyclotomic_poly_eval(n, q)
     part = phi
-    for k in range(1, n):
-        g = gcd(part, q**k - 1)
-        while g > 1:
-            part //= g
-            g = gcd(part, q**k - 1)
+    g = gcd(part, n)
+    while g > 1:
+        part //= g
+        g = gcd(part, n)
     primes = frozenset(factorize(part)) if part > 1 else frozenset()
     return ZsigmondyResult(q=q, n=n, phi_value=phi, primitive_part=part, primitive_primes=primes)
 

@@ -9,9 +9,11 @@ Products act left-to-right: (p * q) means apply p, then q.
 
 Stabilizer chains come from one deterministic Schreier-Sims engine (_Chain)
 on Schreier vectors: transversal elements are built on first use, and
-Schreier generators are taken from the top level down.  subgroup_order, and
-with it every generation test, passes the known order |G| as a target, so
-construction stops as soon as the chain proves |G| (see _Chain).
+Schreier generators are taken from the top level down.  is_generating_pair
+is the one generation test: it refuses an intransitive pair of a transitive
+G, and hands any other pair to subgroup_order, which passes the known order
+|G| as a target, so construction stops as soon as the chain proves |G| (see
+_Chain).
 Only a proper subgroup, or a PermGroup, gets a complete chain.  A build
 that sifts more than CHAIN_SIFT_CAP Schreier generators raises
 CapacityError, so a large-degree file group ends in seconds.  Inside the
@@ -414,6 +416,21 @@ def is_transitive_on_group_domain(G: PermGroup, gens) -> bool:
     return count == G.degree
 
 
+def is_generating_pair(G: PermGroup, x: Permutation, y: Permutation) -> bool:
+    """G = <x, y>, the one generation test; MembershipError if x or y lies outside G.
+
+    An intransitive pair cannot generate a transitive G: it is refused, and
+    sifted only to raise MembershipError for an element outside G.  Any
+    other pair goes to subgroup_order, which sifts x and y and stops once
+    its chain reaches |G|.
+    """
+    if G.is_transitive and not is_transitive_on_group_domain(G, (x, y)):
+        if not (G.contains(x) and G.contains(y)):
+            raise MembershipError("is_generating_pair: element is not in the group")
+        return False
+    return subgroup_order(G, [x, y]) == G.order
+
+
 class ConjugacyClass:
     """One conjugacy class with canonical label and power-map links."""
 
@@ -570,16 +587,16 @@ class ClassMap:
 def _conjugators(G: PermGroup) -> tuple[Permutation, ...]:
     """A generating set of G to conjugate by: a random generating pair if found.
 
-    Pairs are drawn with a fixed seed and accepted only when subgroup_order
-    proves they generate G; after a few misses (or with at most two
-    generators already) G.generators is returned.
+    Pairs are drawn with a fixed seed and accepted only when the one
+    generation test, is_generating_pair, proves they generate G; after a few
+    misses (or with at most two generators already) G.generators is returned.
     """
     if len(G.generators) <= 2:
         return G.generators
     rng = random.Random(0)
     for _ in range(8):
         pair = (G.random_element(rng), G.random_element(rng))
-        if subgroup_order(G, pair) == G.order:
+        if is_generating_pair(G, *pair):
             return pair
     return G.generators
 

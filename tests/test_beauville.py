@@ -293,13 +293,12 @@ def test_search_beauville_m11_generation_test_gate(monkeypatch):
     # position was tested, 1,044 with the skip, 303 with the bound)
     G = build_group("file:m11.json")
     calls = []
-    generates = beauville._generates
 
     def counted(G, x, y):
         calls.append(y)
-        return generates(G, x, y)
+        return is_generating_pair(G, x, y)
 
-    monkeypatch.setattr(beauville, "_generates", counted)
+    monkeypatch.setattr(beauville, "is_generating_pair", counted)
     assert search_beauville(G, seed=0).pair_tests == 18_312
     assert len(calls) <= 320, len(calls)
 
@@ -308,7 +307,7 @@ def test_search_beauville_m11_generation_test_gate(monkeypatch):
 def walk_counts(monkeypatch):
     """Lists that record each seeded shuffle and each generation test."""
     shuffles, calls = [], []
-    shuffle, generates = random.Random.shuffle, beauville._generates
+    shuffle = random.Random.shuffle
 
     def counted_shuffle(self, x):
         shuffles.append(len(x))
@@ -316,10 +315,10 @@ def walk_counts(monkeypatch):
 
     def counted_generates(G, x, y):
         calls.append(y)
-        return generates(G, x, y)
+        return is_generating_pair(G, x, y)
 
     monkeypatch.setattr(random.Random, "shuffle", counted_shuffle)
-    monkeypatch.setattr(beauville, "_generates", counted_generates)
+    monkeypatch.setattr(beauville, "is_generating_pair", counted_generates)
     return shuffles, calls
 
 
@@ -338,6 +337,29 @@ def test_riemann_hurwitz_bound_refuses_types_without_a_walk(walk_counts):
     assert (shuffles, calls) == ([], [])
     result = search_beauville(G, seed=0)
     assert (len(shuffles), len(calls), result.pair_tests) == (10, 303, 18_312)
+
+
+@pytest.mark.parametrize("spec", ["A5", "A6", "L2:7", "L2:11", "file:m11.json"])
+def test_riemann_hurwitz_bound_refuses_only_types_without_a_generating_pair(walk_counts, spec):
+    # brute force over C2: with budget 0 a walked type still shuffles, so the
+    # types witness refuses are those it returns without a shuffle; for each,
+    # no y in C2 with y x in C3 generates G
+    shuffles, _ = walk_counts
+    G = build_group(spec)
+    cmap = G.conjugacy_data()
+    searcher = beauville._TypeSearcher(G, 0, 0)
+    refused = {}
+    for t, _ in _class_types(cmap):
+        before = len(shuffles)
+        assert searcher.witness(t) is None, t
+        if len(shuffles) == before:
+            refused.setdefault(t[:2], set()).add(t[2])
+    assert refused
+    for (i1, i2), i3s in refused.items():
+        x = cmap.classes[i1].representative
+        for y in cmap.elements_of(i2):
+            if cmap.class_of(y * x) in i3s:
+                assert not is_generating_pair(G, x, y), (i1, i2, cmap.class_of(y * x))
 
 
 def _sign(g):
@@ -744,6 +766,12 @@ def test_search_gen_classes_m11_decides_each_galois_orbit_once(monkeypatch):
                           ("11a", "8a", True), ("11b", "8b", True)]:
         assert all_pairs_generate(G, c, d).all_generate is verdict
         assert ((c, d) in pairs) is verdict and ((d, c) in pairs) is verdict
+
+
+def test_search_beauville_trivial_group():
+    result = search_beauville(PermGroup([], degree=3, name="trivial"))
+    assert (result.status, result.certificate) == (STATUS_NONE_EXHAUSTED, None)
+    assert (result.types_examined, result.pair_tests) == (0, 0)
 
 
 def test_search_gen_classes_trivial_group():

@@ -67,6 +67,16 @@ def test_zsigmondy_past_the_factoring_cap_exits_3_fast(capsys):
     assert time.monotonic() - start < 10
 
 
+@pytest.mark.parametrize("n", ["10000", "1000000000"])
+def test_zsigmondy_past_the_power_bit_cap_exits_3_fast(capsys, n):
+    # 2**n has more than numtheory.POWER_BIT_CAP bits: refused before any
+    # power, cyclotomic value or factor is computed
+    start = time.monotonic()
+    code, out, err = run_cli(["zsigmondy", "--q", "2", "--n", n], capsys)
+    assert (code, out) == (3, "") and err == f"error: capacity: 2**{n} has more than 4096 bits\n"
+    assert time.monotonic() - start < 10
+
+
 def test_group_past_the_chain_sift_cap_exits_3_fast(tmp_path):
     # (1 2) and (1 2 ... 255) generate S255, whose complete chain would sift
     # millions of Schreier generators; permgroup.CHAIN_SIFT_CAP stops the build
@@ -132,6 +142,17 @@ def test_beauville_search_a5_negative(capsys):
     )
     assert code == 1
     assert "NONE_EXHAUSTED" in out
+
+
+def test_beauville_search_on_the_trivial_group_is_exhausted_at_once(tmp_path, capsys):
+    # the one class gives no class type: no type pair, no pair test
+    path = tmp_path / "trivial.json"
+    path.write_text(json.dumps({"name": "trivial", "degree": 3, "generators": []}))
+    code, out, _ = run_cli(["beauville", "search", "--group", f"file:{path}", "--format", "json"],
+                           capsys)
+    payload = json.loads(out)
+    assert code == 1 and payload["status"] == "none-exhausted"
+    assert (payload["types_examined"], payload["pair_tests"]) == (0, 0)
 
 
 def test_beauville_roundtrip_and_determinism(tmp_path, capsys):
@@ -557,7 +578,7 @@ def test_membership_error_inside_a_computation_is_internal(monkeypatch, capsys):
     def broken(G, gens):
         raise MembershipError("element is not in the group")
 
-    monkeypatch.setattr("bvl.beauville.subgroup_order", broken)
+    monkeypatch.setattr("bvl.permgroup.subgroup_order", broken)
     code, out, err = run_cli(["genclasses", "verify", "--group", "A5", "--c", "5a", "--d", "3a"], capsys)
     assert code == 4 and "error: internal: MembershipError:" in err and out == ""
     code, _, err = run_cli(["genclasses", "verify", "--group", "A5", "--c", "5a", "--d", "9z"], capsys)

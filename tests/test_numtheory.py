@@ -136,6 +136,26 @@ def test_factoring_past_the_rho_step_cap_is_a_capacity_error(monkeypatch):
         factorize((2**61 - 1) * (2**61 - 31))
 
 
+def test_rho_cap_counts_work_past_rho_step_bits(monkeypatch):
+    # two Mersenne primes: a step on their 1,128-bit product costs
+    # (1128 / 512)**2 steps on a 512-bit composite, so the cap allows 206
+    monkeypatch.setattr(numtheory, "RHO_STEP_CAP", 1000)
+    assert numtheory.RHO_STEP_BITS == 512
+    with pytest.raises(CapacityError, match="1128-bit composite needs over 206 rho steps"):
+        factorize((2**521 - 1) * (2**607 - 1))
+
+
+def test_powers_past_the_bit_cap_are_refused_before_they_are_computed():
+    assert numtheory.POWER_BIT_CAP == 4096
+    # 2**4095 has 4,096 bits, 2**4096 one more
+    assert (2**4095 - 1) % cyclotomic_poly_eval(4095, 2) == 0
+    for q, n in ((2, 4096), (13, 1108), (2, 10**9), (3**40, 10**18), (2**5000 + 1, 1)):
+        with pytest.raises(CapacityError, match="more than 4096 bits"):
+            cyclotomic_poly_eval(n, q)
+        with pytest.raises(CapacityError, match="more than 4096 bits"):
+            zsigmondy_part(q, n)
+
+
 def test_strong_pseudoprime_to_the_bases_up_to_37_is_split():
     # passes Miller-Rabin on the bases 2..37; base 41 is its witness
     n = 318_665_857_834_031_151_167_461

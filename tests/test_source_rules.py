@@ -220,3 +220,25 @@ def test_family_names_stay_in_the_catalog(path):
                     or isinstance(node, ast.alias) and node.name == "parse_spec"
                     or isinstance(node, ast.Attribute) and node.attr == "parse_spec"})
     assert not lines, f"{path.name}: family name or parse_spec at lines {lines}"
+
+
+def _subgroup_order_calls(tree):
+    """Lines in tree that call subgroup_order, by bare name or as an attribute."""
+    return {node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
+            and ast.unparse(node.func).rpartition(".")[2] == "subgroup_order"}
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_subgroup_order_is_called_only_by_the_generation_test(path):
+    # permgroup.is_generating_pair is the one generation test: the witness
+    # walk, the all-pairs scan, certificate checks and the class walk's
+    # conjugators ask it whether G = <x, y>, and it alone asks subgroup_order
+    tree = ast.parse(path.read_text(), filename=str(path))
+    calls = _subgroup_order_calls(tree)
+    if path.name == "permgroup.py":
+        test = next(n for n in tree.body
+                    if isinstance(n, ast.FunctionDef) and n.name == "is_generating_pair")
+        inside = _subgroup_order_calls(test)
+        assert inside, "permgroup.is_generating_pair must call subgroup_order"
+        calls -= inside
+    assert not calls, f"{path.name}: subgroup_order called at lines {sorted(calls)}"
