@@ -7,6 +7,7 @@ come from enumerating the whole group, so the class equation sums to |G|.
 """
 
 from bvl.catalog import build_group, load_group_file
+from bvl.numtheory import divisors
 
 for spec in ("A5", "S6", "L2:7", "L3:3"):
     G = build_group(spec)
@@ -19,8 +20,10 @@ cd = G.conjugacy_data()
 print(f"conjugacy classes of {G.name} (order {G.order}):")
 print(f"  {'label':>6} {'size':>6} {'order':>6} {'inverse':>8}  powers")
 for c in cd.classes:
-    powers = ", ".join(f"{k}->{v}" for k, v in sorted(c.power_classes.items()))
-    print(f"  {c.label:>6} {c.size:>6} {c.element_order:>6} {c.inverse_class:>8}  {powers}")
+    powers = ", ".join(f"{k}->{cd.classes[c.power_row[k % c.element_order]].label}"
+                       for k in divisors(c.element_order))
+    inverse = cd.classes[c.power_row[-1]].label
+    print(f"  {c.label:>6} {c.size:>6} {c.element_order:>6} {inverse:>8}  {powers}")
 print(f"class equation: {' + '.join(str(c.size) for c in cd.classes)}"
       f" = {sum(c.size for c in cd.classes)} = |G|")
 

@@ -1,14 +1,15 @@
 """Sigma sets, Beauville structures and all-pairs generating class pairs.
 
 Sigma(x, y) is the union of the conjugacy classes of all powers of x, y and
-xy; a group has an unmixed Beauville structure when two generating pairs
-have sigma sets meeting only in the identity.  Since the covered classes
-depend only on the class-type triple of a pair, both search and nonexistence
-certification work at class-type granularity, with pair enumeration inside a
-type fixing the first component to the class representative (simultaneous
-conjugation makes this lossless).  An all-pairs generation scan goes further:
-conjugating by z in <c> fixes c, so <c, z^-1 d z> = z^-1 <c, d> z and one test
-decides the whole <c>-conjugation orbit of d (and of each power d^k in D).
+xy; a group has an unmixed Beauville structure when two generating pairs of
+hyperbolic type have sigma sets meeting only in the identity.  Since the
+covered classes depend only on the class-type triple of a pair, both search
+and nonexistence certification work at class-type granularity, with pair
+enumeration inside a type fixing the first component to the class
+representative (simultaneous conjugation makes this lossless).  An
+all-pairs generation scan goes further: conjugating by z in <c> fixes c, so
+<c, z^-1 d z> = z^-1 <c, d> z and one test decides the whole
+<c>-conjugation orbit of d (and of each power d^k in D).
 The class-pair search folds further: for k coprime to o(c), <c^k, d> = <c, d>
 and x -> x^k maps C onto the class C^k bijectively, so one all-pairs scan
 decides (C^k, D^l) for all such k and l, the whole Galois orbit of the class
@@ -113,16 +114,18 @@ def verify_beauville(
     G: PermGroup,
     pair1: tuple[Permutation, Permutation],
     pair2: tuple[Permutation, Permutation],
-    require_hyperbolic: bool = False,
     seed: int = 0,
 ) -> tuple[BeauvilleCertificate | None, str | None]:
-    """Check both pairs generate and their sigma sets meet only in 1.
+    """Check both pairs generate, their sigma sets meet only in 1 and both
+    are of hyperbolic type, as an unmixed Beauville structure must be.
 
     Returns (certificate, None) on success, (None, reason) naming the first
     failed condition otherwise.  An element outside G raises MembershipError
     from is_generating_pair.  Sigma, the orders and hyperbolicity are read
     off each pair's class type.  Every sigma set holds class 0, the identity,
-    so they meet only in it exactly when their masks meet in 1.
+    so they meet only in it exactly when their masks meet in 1.  This is the
+    one constructor call of BeauvilleCertificate besides its JSON parser, so
+    every certificate bvl writes has passed these checks.
     """
     for idx, (x, y) in enumerate((pair1, pair2), start=1):
         if not is_generating_pair(G, x, y):
@@ -135,9 +138,8 @@ def verify_beauville(
         return None, "sigma-intersection"
     orders = [cmap.classes[i].element_order for t in types for i in t]
     hyper = [_is_hyperbolic(*orders[:3]), _is_hyperbolic(*orders[3:])]
-    if require_hyperbolic and not all(hyper):
-        bad = 1 if not hyper[0] else 2
-        return None, f"hyperbolicity-pair{bad}"
+    if not all(hyper):
+        return None, f"hyperbolicity-pair{hyper.index(False) + 1}"
     cert = BeauvilleCertificate(
         group=G.spec_string or G.name,
         pairs=[g.to_list() for g in (*pair1, *pair2)],
@@ -149,9 +151,7 @@ def verify_beauville(
     return cert, None
 
 
-def verify_certificate(
-    G: PermGroup, cert: BeauvilleCertificate, require_hyperbolic: bool = False
-) -> tuple[bool, str]:
+def verify_certificate(G: PermGroup, cert: BeauvilleCertificate) -> tuple[bool, str]:
     """Re-verify a parsed certificate from scratch against the group."""
     try:
         perms = [Permutation(arr) for arr in cert.pairs]
@@ -163,10 +163,7 @@ def verify_certificate(
         return False, "degree-mismatch"
     if not all(G.contains(p) for p in perms):
         return False, "element-outside-group"
-    fresh, reason = verify_beauville(
-        G, (perms[0], perms[1]), (perms[2], perms[3]),
-        require_hyperbolic=require_hyperbolic, seed=cert.seed,
-    )
+    fresh, reason = verify_beauville(G, (perms[0], perms[1]), (perms[2], perms[3]), seed=cert.seed)
     if fresh is None:
         return False, reason
     if fresh.orders != cert.orders:
@@ -328,14 +325,15 @@ def search_beauville(
     strategy: str = "COPRIME_FIRST",
     seed: int = 0,
     budget: int = DEFAULT_TYPE_BUDGET,
-    require_hyperbolic: bool = False,
 ) -> SearchResult:
     """Search for an unmixed Beauville structure at class-type granularity.
 
     COPRIME_FIRST visits type pairs with coprime order products first;
     EXHAUSTIVE_CLASSES sweeps all type pairs in canonical order.  Both cover
     the whole type space, so a search that ends without a certificate and
-    without hitting the budget certifies nonexistence.
+    without hitting the budget certifies nonexistence.  A pair of types is
+    taken only when both are hyperbolic; that is checked once both have a
+    witness, so it changes no pair test.
     """
     if strategy not in ("COPRIME_FIRST", "EXHAUSTIVE_CLASSES"):
         raise ValueError(f"unknown strategy {strategy!r}")
@@ -360,11 +358,9 @@ def search_beauville(
             w2 = searcher.witness(types[b][0])
             if w2 is None:
                 continue
-            if require_hyperbolic and not (hyperbolic(a) and hyperbolic(b)):
+            if not (hyperbolic(a) and hyperbolic(b)):
                 continue
-            cert, reason = verify_beauville(
-                G, w1, w2, require_hyperbolic=require_hyperbolic, seed=seed
-            )
+            cert, reason = verify_beauville(G, w1, w2, seed=seed)
             if cert is None:
                 raise RuntimeError(f"search produced a non-verifying pair: {reason}")
             return SearchResult(

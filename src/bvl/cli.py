@@ -20,7 +20,7 @@ from pathlib import Path
 
 from . import __version__
 from .catalog import build_group, read_json
-from .numtheory import CapacityError, DomainError, zsigmondy_part
+from .numtheory import CapacityError, DomainError, divisors, zsigmondy_part
 
 
 def _lazy(name: str):
@@ -81,7 +81,8 @@ def _cmd_group(args) -> tuple[int, dict, str]:
 
 def _cmd_classes(args) -> tuple[int, dict, str]:
     G = build_group(args.group)
-    cd = G.conjugacy_data()
+    classes = G.conjugacy_data().classes
+    inverse = [classes[c.power_row[-1]].label for c in classes]  # rep^(o-1) = rep^-1
     payload = {
         "spec": args.group,
         "order": G.order,
@@ -91,17 +92,18 @@ def _cmd_classes(args) -> tuple[int, dict, str]:
                 "label": c.label,
                 "size": c.size,
                 "element_order": c.element_order,
-                "inverse_class": c.inverse_class,
-                "power_classes": {str(k): v for k, v in sorted(c.power_classes.items())},
+                "inverse_class": inverse[c.index],
+                "power_classes": {str(k): classes[c.power_row[k % c.element_order]].label
+                                  for k in divisors(c.element_order)},
                 "representative": c.representative.to_list(),
             }
-            for c in cd.classes
+            for c in classes
         ],
     }
-    lines = [f"{len(cd.classes)} classes of {G.name} (order {G.order})"]
+    lines = [f"{len(classes)} classes of {G.name} (order {G.order})"]
     lines.append(f"{'label':>6} {'size':>8} {'order':>6} {'inverse':>8}")
-    for c in cd.classes:
-        lines.append(f"{c.label:>6} {c.size:>8} {c.element_order:>6} {c.inverse_class:>8}")
+    for c in classes:
+        lines.append(f"{c.label:>6} {c.size:>8} {c.element_order:>6} {inverse[c.index]:>8}")
     return EXIT_OK, payload, "\n".join(lines)
 
 
@@ -195,7 +197,7 @@ def _cmd_beauville_search(args) -> tuple[int, dict, str]:
     G = build_group(args.group)
     strategy = "COPRIME_FIRST" if args.strategy == "coprime" else "EXHAUSTIVE_CLASSES"
     result = beauville.search_beauville(
-        G, strategy=strategy, seed=args.seed, require_hyperbolic=args.require_hyperbolic,
+        G, strategy=strategy, seed=args.seed,
         budget=beauville.DEFAULT_TYPE_BUDGET if args.budget is None else args.budget,
     )
     if result.status == beauville.STATUS_CERTIFICATE:
@@ -223,7 +225,7 @@ def _cmd_beauville_verify(args) -> tuple[int, dict, str]:
     what = f"certificate {args.cert}"
     cert = beauville.BeauvilleCertificate.from_json_dict(read_json(args.cert, what), what)
     G = build_group(cert.group)
-    ok, reason = beauville.verify_certificate(G, cert, require_hyperbolic=args.require_hyperbolic)
+    ok, reason = beauville.verify_certificate(G, cert)
     payload = {"group": cert.group, "verified": ok, "reason": reason}
     verdict = "VERIFIED" if ok else "REFUSED: " + reason
     return EXIT_OK if ok else EXIT_NEGATIVE, payload, f"certificate for {cert.group}: {verdict}"
@@ -324,13 +326,11 @@ def build_parser() -> argparse.ArgumentParser:
     ps = bsub.add_parser("search")
     _add_common(ps)
     ps.add_argument("--strategy", choices=("coprime", "exhaustive"), default="coprime")
-    ps.add_argument("--require-hyperbolic", action="store_true")
     ps.add_argument("--seed", type=int, default=0)
     ps.add_argument("--budget", type=int)
     ps.set_defaults(func=_cmd_beauville_search)
     pv = bsub.add_parser("verify")
     pv.add_argument("--cert", required=True, help="certificate JSON file")
-    pv.add_argument("--require-hyperbolic", action="store_true")
     _add_common(pv, group_flag=False)
     pv.set_defaults(func=_cmd_beauville_verify)
 

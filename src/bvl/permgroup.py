@@ -40,7 +40,7 @@ from itertools import islice, repeat
 from math import gcd, lcm, prod
 from operator import itemgetter
 
-from .numtheory import CapacityError, DomainError, divisors
+from .numtheory import CapacityError, DomainError
 
 # Largest group order whose elements conjugacy_classes walks and sorts into
 # conjugation orbits, and most classes a table or class-type search takes.
@@ -432,7 +432,7 @@ def is_generating_pair(G: PermGroup, x: Permutation, y: Permutation) -> bool:
 
 
 class ConjugacyClass:
-    """One conjugacy class with canonical label and power-map links."""
+    """One conjugacy class with canonical label and power map."""
 
     def __init__(self, *, label: str, index: int, representative: Permutation, size: int,
                  element_order: int):
@@ -441,8 +441,6 @@ class ConjugacyClass:
         self.representative = representative
         self.size = size
         self.element_order = element_order
-        self.inverse_class = ""
-        self.power_classes: dict[int, str] = {}
         # class index of representative**i for every 0 <= i < element_order;
         # power_row[-1] is the index of the inverse class
         self.power_row: tuple[int, ...] = ()
@@ -759,7 +757,4 @@ def conjugacy_classes(G: PermGroup) -> ClassMap:
     for c in cmap.classes:
         powers = cmap._slots(list(image_powers(c.representative.images, c.element_order)))
         c.power_row = tuple(cmap._index[slot] for slot in powers)
-        c.inverse_class = cmap.classes[c.power_row[-1]].label  # rep^(o-1) = rep^-1
-        c.power_classes = {k: cmap.classes[c.power_row[k % c.element_order]].label
-                           for k in divisors(c.element_order)}
     return cmap

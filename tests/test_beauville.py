@@ -1,4 +1,5 @@
 import itertools
+import json
 import operator
 import random
 import time
@@ -27,6 +28,7 @@ from bvl.beauville import (
 from bvl.catalog import build_group, catalog_specs
 from bvl.numtheory import DomainError, is_prime_power
 from bvl.chartab import character_table
+from bvl.cli import run
 from bvl.permgroup import MembershipError, PermGroup, Permutation, _Chain, subgroup_order
 from bvl.structconst import structure_constant_formula
 
@@ -196,9 +198,54 @@ def test_search_budget_exhaustion():
 
 
 def test_search_with_hyperbolicity_required():
-    r = search_beauville(build_group("L2:7"), require_hyperbolic=True)
+    r = search_beauville(build_group("L2:7"))
     assert r.status == STATUS_CERTIFICATE
     assert r.certificate.hyperbolic == [True, True]
+
+
+def _witnessed_non_hyperbolic_types(G):
+    """The class types of G, and those of them that are not hyperbolic but have a witness."""
+    cmap = G.conjugacy_data()
+    orders = [c.element_order for c in cmap.classes]
+    searcher = beauville._TypeSearcher(G, 0, beauville.DEFAULT_TYPE_BUDGET)
+    types = [t for t, _ in _class_types(cmap)]
+    return types, [t for t in types if not beauville._is_hyperbolic(*(orders[i] for i in t))
+                   and searcher.witness(t) is not None]
+
+
+@pytest.mark.parametrize("spec", ["A3", "A4", "S3", "S4", "A5", "L2:4", "L2:5"])
+def test_quotients_of_small_triangle_groups_have_non_hyperbolic_witnesses(spec):
+    # a G generated by x, y with 1/o(x) + 1/o(y) + 1/o(xy) >= 1 is a quotient
+    # of a spherical or Euclidean triangle group, as each of these groups is
+    _, witnessed = _witnessed_non_hyperbolic_types(build_group(spec))
+    assert witnessed
+
+
+def test_no_non_hyperbolic_type_has_a_witness_past_the_small_groups():
+    # so on these groups the search and verifier refuse no pair for its type,
+    # and every certificate they emit is hyperbolic
+    total = 0
+    for spec in ("A6", "A7", "S5", "S6", "L2:7", "L2:8", "L2:11", "L3:2", "file:m11.json"):
+        G = build_group(spec)
+        types, witnessed = _witnessed_non_hyperbolic_types(G)
+        assert witnessed == [], spec
+        total += len(types)
+        result = search_beauville(G)
+        assert result.status == STATUS_CERTIFICATE, spec
+        assert result.certificate.hyperbolic == [True, True], spec
+    assert total == 2_939
+
+
+def test_non_hyperbolic_pairs_are_refused(monkeypatch, tmp_path, capsys):
+    # no catalog group has a witnessed non-hyperbolic type and a structure,
+    # so the refusal is reached by declaring every type non-hyperbolic
+    cert = tmp_path / "cert.json"
+    assert run(["beauville", "search", "--group", "L2:7", "--out", str(cert)]) == 0
+    monkeypatch.setattr(beauville, "_is_hyperbolic", lambda a, b, c: False)
+    assert search_beauville(build_group("L2:7")).status == STATUS_NONE_EXHAUSTED
+    capsys.readouterr()
+    assert run(["beauville", "verify", "--cert", str(cert), "--format", "json"]) == 1
+    assert json.loads(capsys.readouterr().out)["reason"] == "hyperbolicity-pair1"
 
 
 def test_hyperbolicity_in_integers_matches_fractions():
@@ -482,7 +529,7 @@ def test_class_types_match_structure_constant_formula(spec):
     for i1 in range(1, len(labels)):
         for i2 in range(1, len(labels)):
             for i3 in range(1, len(labels)):
-                inverse3 = cd.classes[i3].inverse_class
+                inverse3 = labels[cd.classes[i3].power_row[-1]]
                 n = structure_constant_formula(T, labels[i1], labels[i2], inverse3)
                 if n:
                     expected[(i1, i2, i3)] = n

@@ -556,6 +556,32 @@ def test_arbitrary_json_fields_never_exit_4(kind, data, tmp_path, capsys, l27_ce
     assert time.perf_counter() - start < 5
 
 
+CLASS_LABEL = st.sampled_from(["1a", "2a", "3a", "4a", "5a", "5b", "7a", "7b", "2A", " 3a"]) \
+    | st.text(max_size=8)
+CLASS_TRIPLE = st.text(max_size=16) | st.lists(CLASS_LABEL, min_size=2, max_size=4).map(",".join)
+INTEGER_ARG = st.integers(-3, 40) | st.integers() | st.integers(2**63 - 2, 2**80) \
+    | st.integers(-(2**80), -(2**63))
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_arbitrary_class_labels_and_integers_never_exit_4(data, capsys):
+    # a repeated option keeps its last value, so a drawn --c or --d replaces the valid one
+    argv = data.draw(st.one_of(
+        CLASS_TRIPLE.map(lambda text: ["struct", "--group", "A5", "--classes", text]),
+        CLASS_TRIPLE.map(lambda text: ["pointcount", "--group", "L3:2", "--classes", text]),
+        st.tuples(st.sampled_from(["--c", "--d"]), CLASS_LABEL).map(
+            lambda arg: ["genclasses", "verify", "--group", "A5", "--c", "5a", "--d", "3a", *arg]),
+        st.tuples(st.sampled_from(["--budget", "--seed"]), INTEGER_ARG).map(
+            lambda arg: ["beauville", "search", "--group", "L2:7", arg[0], str(arg[1])]),
+    ))
+    start = time.perf_counter()
+    code, _, err = run_cli(argv, capsys)
+    assert code in (0, 1, 2, 3), err
+    assert time.perf_counter() - start < 5
+
+
 @pytest.mark.parametrize("out_path", ["{dir}", "{dir}/missing/out.json"])
 def test_unwritable_out_path_is_usage_error(out_path, tmp_path, capsys):
     # --out is written before stdout, so a failed write prints nothing

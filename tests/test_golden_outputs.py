@@ -44,8 +44,9 @@ call on L2:8 with `--format json`, whose float maxima are printed in full,
 and the `struct --method both` call on L3:3 (13a, 13b, 8a), at 68ea609,
 before the character table read its class labels, sizes and orders from the
 group's class map; the `pointcount` call on L3:5 (31a, 31a, 31b) and the
-`beauville search --require-hyperbolic` calls on S5 (a certificate) and S4
-(none exhausted), at 419662e, before the point count read T from the class
+`beauville search` calls on S5 (a certificate) and S4 (none exhausted), at
+419662e, with a hyperbolicity flag that was then optional and changed
+neither output, before the point count read T from the class
 map instead of the character formula and the search and its verifier read
 sigma sets, orders and hyperbolicity off class types.  The `beauville
 search` digests held when the Riemann-Hurwitz bound (c(x) + c(y) + c(xy) <=
@@ -167,9 +168,9 @@ GOLDEN = [
      0, "61f5b7e7d297dec635535178ee793e5a03fd3a05230d1f8a7eabc72d17f0c321"),
     ("pointcount --group L3:5 --classes 31a,31a,31b --format json",
      0, "6f0393c75bb66e04cb4f4ef4bee5adc6994b8948a970dd06443fc1d55864e439"),
-    ("beauville search --group S5 --require-hyperbolic --format json",
+    ("beauville search --group S5 --format json",
      0, "e1ad66a919f2405ea01a21902aa719d512d3d4ade729333365259a8e66337c22"),
-    ("beauville search --group S4 --require-hyperbolic --format json",
+    ("beauville search --group S4 --format json",
      1, "0261e6e978c73e947c3cc363f6d8dfe5eb0ef96b8448980b8229c910ca530ea7"),
 ]
 

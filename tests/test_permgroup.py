@@ -352,13 +352,14 @@ def test_class_map_conjugation_invariance():
 def test_power_and_inverse_class_links():
     cd = build_group("A5").conjugacy_data()
     for c in cd.classes:
-        inv = cd.by_label(c.inverse_class)
-        assert inv.inverse_class == c.label
-        assert c.power_classes[1] == c.label
-        assert c.power_classes[c.element_order] == "1a"
-        powers = powers_of(c.representative, c.element_order + 1)
-        for k, label in c.power_classes.items():
-            assert cd.class_of(powers[k]) == cd.by_label(label).index
+        inv = cd.classes[c.power_row[-1]]
+        assert inv.power_row[-1] == c.index
+        assert c.power_row[1 % c.element_order] == c.index
+        assert c.power_row[0] == 0
+        assert len(c.power_row) == c.element_order
+        powers = powers_of(c.representative, c.element_order)
+        for k, i in enumerate(c.power_row):
+            assert cd.class_of(powers[k]) == i
     five = cd.by_label("5a")
     assert cd.classes[five.power_row[2]].label == "5b"  # squaring swaps the 5-classes
 
@@ -607,8 +608,8 @@ def test_paired_walk_matches_plain_conjugation_closure(spec):
     assert len(classes) == len(set(classes))
     for c, members in zip(cmap.classes, classes):
         inverses = frozenset(map(plain_inverse, members))
-        assert classes[cmap.by_label(c.inverse_class).index] == inverses
-        assert (c.inverse_class == c.label) == (inverses == members)
+        assert classes[c.power_row[-1]] == inverses
+        assert (c.power_row[-1] == c.index) == (inverses == members)
         assert all(cmap.class_of(Permutation._raw(g)) == c.index for g in members)
 
 

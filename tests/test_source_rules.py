@@ -242,3 +242,26 @@ def test_subgroup_order_is_called_only_by_the_generation_test(path):
         assert inside, "permgroup.is_generating_pair must call subgroup_order"
         calls -= inside
     assert not calls, f"{path.name}: subgroup_order called at lines {sorted(calls)}"
+
+
+def _certificate_constructions(tree):
+    """Lines in tree that call BeauvilleCertificate, by bare name or as an attribute."""
+    return {node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
+            and ast.unparse(node.func).rpartition(".")[2] == "BeauvilleCertificate"}
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_only_the_verifier_builds_certificates(path):
+    # verify_beauville builds a certificate only after the generation, sigma
+    # and hyperbolicity checks pass, so every certificate bvl writes has
+    # passed them; from_json_dict parses through cls(...), and
+    # verify_certificate re-checks whatever it parses
+    tree = ast.parse(path.read_text(), filename=str(path))
+    calls = _certificate_constructions(tree)
+    if path.name == "beauville.py":
+        verifier = next(n for n in tree.body
+                        if isinstance(n, ast.FunctionDef) and n.name == "verify_beauville")
+        inside = _certificate_constructions(verifier)
+        assert inside, "beauville.verify_beauville must build the certificate"
+        calls -= inside
+    assert not calls, f"{path.name}: BeauvilleCertificate built at lines {sorted(calls)}"

@@ -39,7 +39,7 @@ def test_brute_examples():
     G, cd, _ = _setup("S3")
     assert structure_constant_brute(G, "2a", "2a", "3a") == 2
     G, cd, _ = _setup("A5")
-    assert cd.by_label("5a").inverse_class == "5a"
+    assert cd.by_label("5a").power_row[-1] == cd.by_label("5a").index
     assert structure_constant_brute(G, "1a", "5a", "5a") == 12
     assert structure_constant_brute(G, "1a", "1a", "1a") == 1
 
